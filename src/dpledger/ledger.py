@@ -49,6 +49,8 @@ class Block:
 
 def compute_block_hash(height: int, prev_hash: bytes,
                        envelopes: Sequence[Envelope]) -> bytes:
+    """SHA-256 over the height, the previous hash and each envelope's
+    block-level encoding (its payload digest plus its endorsements)."""
     body = b"B" + struct.pack(">q", height) + prev_hash
     body += struct.pack(">I", len(envelopes))
     for env in envelopes:

@@ -11,6 +11,13 @@ ledger state, so every member serves the identical recorded answer. The
 peer that executes a query produces the effect envelope; other members
 countersign its digest without re-executing, which keeps endorsement
 deterministic under fresh noise.
+
+Each envelope's payload digest (SHA-256 over its tx id, body and query
+effect) is computed once: endorsers sign it, committers check signatures
+against it, and the block hash binds the height, the previous hash, and
+each envelope's payload digest plus its endorsements. A block commits
+only if every envelope has endorsements from enough distinct channel
+members and every query effect is a fresh, positive ε spend.
 """
 
 from __future__ import annotations
@@ -60,6 +67,18 @@ def endorsement_valid(end: Endorsement, payload_digest: str) -> bool:
         return False
     expected = _digest(end.peer_id.encode("utf-8") + bytes.fromhex(payload_digest))
     return end.signature == expected
+
+
+def _effect_problem(effect: QueryEffect) -> str:
+    """Why a query effect may not be appended, or "" when it may."""
+    rec = effect.record
+    if rec.response.reused:
+        return "query effect carries a reused answer"
+    if not rec.epsilon_spent > 0:
+        return "query effect spends no epsilon"
+    if rec.response.epsilon_used != rec.epsilon_spent:
+        return "query effect's response epsilon differs from epsilon spent"
+    return ""
 
 
 class ReceiptStatus(Enum):
@@ -225,10 +244,10 @@ class Network:
         return sign_endorsement(peer.peer_id, payload_digest)
 
     def _collect_endorsements(self, channel: Channel, env: Envelope) -> Envelope:
-        digest = _digest(env.payload_bytes())
+        digest = env.payload_digest
         ends = tuple(self.endorse(self.peers[m], digest, channel.channel_id)
                      for m in channel.members)
-        return Envelope(tx_id=env.tx_id, tx=env.tx, effect=env.effect, endorsements=ends)
+        return env.with_endorsements(ends)
 
     def _endorse_tx(self, channel: Channel, tx: Transaction, tx_id: str,
                     eps_f: Optional[float],
@@ -329,10 +348,12 @@ class Network:
         """Validate the block on every member; append everywhere or audit it."""
         results: Dict[str, bool] = {}
         problems: List[str] = []
+        members = set(channel.members)
         for env in block.envelopes:
-            digest = _digest(env.payload_bytes())
-            valid = sum(1 for e in env.endorsements if endorsement_valid(e, digest))
-            if valid < channel.endorsement_policy:
+            digest = env.payload_digest
+            endorsers = {e.peer_id for e in env.endorsements
+                         if e.peer_id in members and endorsement_valid(e, digest)}
+            if len(endorsers) < channel.endorsement_policy:
                 problems.append(f"{env.tx_id}: endorsement policy not met")
                 continue
             if isinstance(env.tx, WriteTransaction):
@@ -340,6 +361,10 @@ class Network:
                     validate_write(env.tx)
                 except DPLedgerError as err:
                     problems.append(f"{env.tx_id}: {err}")
+            if env.effect is not None:
+                problem = _effect_problem(env.effect)
+                if problem:
+                    problems.append(f"{env.tx_id}: {problem}")
 
         link_ok = (block.prev_hash == channel.chain[-1].block_hash
                    and block.height == channel.chain[-1].height + 1)

@@ -8,6 +8,7 @@ hash derived from them is reproducible across platforms and runs.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -371,12 +372,21 @@ Transaction = Union[WriteTransaction, QueryTransaction]
 
 @dataclass(frozen=True)
 class Envelope:
-    """A transaction as committed to a block: id, body, effects, endorsements."""
+    """A transaction as committed to a block: id, body, effects, endorsements.
+
+    ``payload_digest`` is the SHA-256 hex digest of ``payload_bytes()``:
+    what endorsers sign, committers check and block hashes bind. It is
+    computed from the envelope's own fields on first use and then kept,
+    never taken from input, so ``dataclasses.replace``, ``from_dict`` and
+    direct construction all start without it.
+    """
 
     tx_id: str
     tx: Transaction
     effect: Optional[QueryEffect] = None
     endorsements: tuple = ()
+    # Not a field (no annotation): set on first use of payload_digest.
+    _payload_digest = None
 
     def payload_bytes(self) -> bytes:
         body = _text(self.tx_id) + self.tx.canonical_bytes()
@@ -384,8 +394,23 @@ class Envelope:
             body += self.effect.canonical_bytes()
         return body
 
+    @property
+    def payload_digest(self) -> str:
+        digest = self._payload_digest
+        if digest is None:
+            digest = hashlib.sha256(self.payload_bytes()).hexdigest()
+            object.__setattr__(self, "_payload_digest", digest)
+        return digest
+
+    def with_endorsements(self, endorsements: tuple) -> "Envelope":
+        """The same payload carrying ``endorsements``; the digest carries over."""
+        env = Envelope(self.tx_id, self.tx, self.effect, endorsements)
+        object.__setattr__(env, "_payload_digest", self.payload_digest)
+        return env
+
     def canonical_bytes(self) -> bytes:
-        body = self.payload_bytes()
+        """Block-level encoding: the 32-byte payload digest, then each endorsement."""
+        body = bytes.fromhex(self.payload_digest)
         for end in self.endorsements:
             body += _text(end.peer_id) + _text(end.payload_digest) + _text(end.signature)
         return body

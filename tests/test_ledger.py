@@ -12,6 +12,7 @@ from dpledger import (
     InvalidQuantity,
     MissingField,
     PerturbedResponse,
+    QueryEffect,
     QueryRecord,
     WorldState,
     build_block,
@@ -24,8 +25,9 @@ from dpledger import (
 )
 from dpledger.bench import WorkloadConfig, generate_workload
 from dpledger.ledger import GENESIS_PREV_HASH, apply_block
+from dpledger.network import sign_endorsement
 
-from conftest import make_write
+from conftest import make_query, make_write
 
 
 def _chain_of(n_blocks, txs_per_block=3):
@@ -102,13 +104,47 @@ def test_empty_batch_rejected():
         build_block([], make_genesis("mychannel"))
 
 
-def test_tampering_one_transaction_breaks_verification():
-    chain = _chain_of(4)
+def _endorsed_chain():
+    """Chain whose middle block holds writes and a query effect, each endorsed twice."""
+    chain = _chain_of(1)
+    envs = [Envelope(tx_id="w1", tx=make_write()),
+            Envelope(tx_id="q1", tx=make_query(),
+                     effect=QueryEffect(record=_record(qid="q1"), eps_rem=0.95)),
+            Envelope(tx_id="w2", tx=make_write(quantity=7))]
+    envs = [env.with_endorsements(tuple(sign_endorsement(p, env.payload_digest)
+                                        for p in ("peer0.org1", "peer0.org2")))
+            for env in envs]
+    chain.append(build_block(envs, chain[-1]))
+    chain.append(build_block([Envelope(tx_id="w3", tx=make_write())], chain[-1]))
+    return chain
+
+
+def _alter_tx(env):
+    return dataclasses.replace(env, tx=dataclasses.replace(env.tx, requester_id="mallory"))
+
+
+def _alter_eps_rem(env):
+    return dataclasses.replace(env, effect=dataclasses.replace(env.effect, eps_rem=0.5))
+
+
+def _alter_signature(env):
+    forged = dataclasses.replace(env.endorsements[0], signature="00" * 32)
+    return dataclasses.replace(env, endorsements=(forged,) + env.endorsements[1:])
+
+
+def _drop_endorsement(env):
+    return dataclasses.replace(env, endorsements=env.endorsements[1:])
+
+
+@pytest.mark.parametrize("alter", [_alter_tx, _alter_eps_rem, _alter_signature,
+                                   _drop_endorsement],
+                         ids=["tx-field", "eps-rem", "signature", "dropped-endorsement"])
+def test_tampering_one_transaction_breaks_verification(alter):
+    chain = _endorsed_chain()
+    assert verify_chain(chain)
     target = chain[2]
-    tampered_tx = dataclasses.replace(target.envelopes[1].tx, product_name="bolU")
-    tampered_env = dataclasses.replace(target.envelopes[1], tx=tampered_tx)
     envelopes = list(target.envelopes)
-    envelopes[1] = tampered_env
+    envelopes[1] = alter(envelopes[1])
     chain[2] = dataclasses.replace(target, envelopes=tuple(envelopes))
     assert verify_chain(chain) is False
 

@@ -1,10 +1,17 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from dpledger import (
     Aggregate,
+    CategoryKey,
     Envelope,
     Network,
     NotMember,
+    PerturbedResponse,
+    QueryEffect,
+    QueryRecord,
     ReceiptStatus,
     build_block,
     export_transactions,
@@ -29,6 +36,20 @@ def _load(net, n=12):
         net.submit("loader-app", make_write(quantity=1 + i % 100,
                                             color=("red", "blue")[i % 2]))
     net.run_until_idle()
+
+
+def _signed(env, signers):
+    """``env`` carrying endorsements by ``signers`` over its payload digest."""
+    digest = hashlib.sha256(env.payload_bytes()).hexdigest()
+    ends = tuple(sign_endorsement(s, digest) for s in signers)
+    return dataclasses.replace(env, endorsements=ends)
+
+
+def _assert_audited(net, channel, results, height, n_audited=1):
+    assert results == {p: False for p in channel.members}
+    assert channel.chain[-1].height == height
+    assert len(channel.audit) == n_audited
+    assert all(len(p.chains["mychannel"]) == height + 1 for p in net.peers.values())
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +222,50 @@ def test_unendorsed_transaction_sends_block_to_audit():
     height = channel.chain[-1].height
     rogue = build_block([Envelope(tx_id="rogue", tx=make_write())], channel.chain[-1])
     results = net.deliver_and_commit(channel, rogue)
-    assert results == {p: False for p in channel.members}
-    assert channel.chain[-1].height == height
-    assert len(channel.audit) == 1
-    assert all(len(p.chains["mychannel"]) == height + 1 for p in net.peers.values())
+    _assert_audited(net, channel, results, height)
+
+    # Endorsed, then given another body: the endorsements no longer match.
+    endorsed = net._collect_endorsements(channel, Envelope(tx_id="swap", tx=make_write()))
+    swapped = dataclasses.replace(endorsed, tx=make_write(quantity=99))
+    results = net.deliver_and_commit(channel, build_block([swapped], channel.chain[-1]))
+    _assert_audited(net, channel, results, height, n_audited=2)
+
+
+@pytest.mark.parametrize("signers,commits", [
+    (("peer0.org1", "peer0.org2"), True),
+    (("mallory", "mallory"), False),
+    (("peer0.org1", "peer0.org1"), False),
+], ids=["two-members", "non-member", "same-member-twice"])
+def test_policy_counts_only_distinct_channel_members(signers, commits):
+    net = _network(endorsement_policy=2)
+    channel = net.channels["mychannel"]
+    env = _signed(Envelope(tx_id="w", tx=make_write()), signers)
+    results = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    if commits:
+        assert results == {p: True for p in channel.members}
+        assert channel.chain[-1].height == 1
+    else:
+        _assert_audited(net, channel, results, 0)
+
+
+@pytest.mark.parametrize("eps_spent,eps_used,reused", [
+    (0.0, 0.0, False),
+    (0.1, 0.1, True),
+    (0.1, 0.2, False),
+], ids=["no-epsilon", "reused", "epsilon-mismatch"])
+def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    height = channel.chain[-1].height
+    key = CategoryKey(Aggregate.SUM, None, None, "red")
+    resp = PerturbedResponse(value=5.0, epsilon_used=eps_used, reused=reused, query_id="q")
+    effect = QueryEffect(QueryRecord(key, eps_spent, resp, height + 1), eps_rem=9.9)
+    env = _signed(Envelope(tx_id="q", tx=make_query(color="red"), effect=effect),
+                  channel.members)
+    results = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    _assert_audited(net, channel, results, height)
+    assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
 
 
 def test_phase_ticks_are_monotone():

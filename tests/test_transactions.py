@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from dpledger import (
@@ -65,3 +68,16 @@ def test_envelope_dict_round_trip():
     assert again == env
     qenv = Envelope(tx_id="t2", tx=make_query(Aggregate.COUNT, customer="Bob"))
     assert Envelope.from_dict(qenv.to_dict()) == qenv
+
+
+def test_envelope_payload_digest_comes_from_its_own_fields():
+    env = Envelope(tx_id="t1", tx=make_write())
+    digest = hashlib.sha256(env.payload_bytes()).hexdigest()
+    assert env.payload_digest == digest
+    with pytest.raises(TypeError):
+        Envelope(tx_id="t1", tx=make_write(), _payload_digest="00" * 32)
+    altered = dataclasses.replace(env, tx=make_write(quantity=11))
+    assert altered.payload_digest != digest
+    assert Envelope.from_dict({**altered.to_dict(), "_payload_digest": digest}
+                              ).payload_digest == altered.payload_digest
+    assert env.with_endorsements(()).payload_digest is env.payload_digest
