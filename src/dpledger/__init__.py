@@ -73,7 +73,7 @@ from .ledger import (
     replay_chain,
     verify_chain,
 )
-from .chaincode import ChaincodeEngine, categorize, evaluate_exact, lookup_cached
+from .chaincode import ChaincodeEngine, categorize, evaluate_exact
 from .network import (
     Channel,
     Network,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NoCommonQueries, PredicateMismatch
 from .laplace import SensitivitySpec, perturb
+from .ledger import WorldState
 from .transactions import (
     CategoryKey,
     PerturbedResponse,
@@ -36,7 +37,7 @@ class BackgroundKnowledge:
 
     known_records: List[WriteTransaction]
     target: Tuple[str, str, str]  # (customer_name, product_name, color)
-    _sums: dict = field(default_factory=dict, repr=False, compare=False)
+    _fold: Optional[WorldState] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_ledger(cls, records: Sequence[WriteTransaction],
@@ -49,21 +50,17 @@ class BackgroundKnowledge:
         )
 
     def matching_sum(self, predicate) -> float:
-        """Quantity total of known records matching the predicate (cached)."""
-        pred = predicate.normalized()
-        cache_key = (pred.customer_name, pred.product_name, pred.color)
-        if cache_key not in self._sums:
-            total = 0
+        """Quantity total of known records matching the predicate.
+
+        Read from a world state folded from the known records on first use.
+        """
+        if self._fold is None:
+            self._fold = WorldState()
             for tx in self.known_records:
-                if pred.customer_name is not None and normalize(tx.customer_name) != pred.customer_name:
-                    continue
-                if pred.product_name is not None and normalize(tx.product_name) != pred.product_name:
-                    continue
-                if pred.color is not None and normalize(tx.color) != pred.color:
-                    continue
-                total += tx.quantity
-            self._sums[cache_key] = float(total)
-        return self._sums[cache_key]
+                self._fold.apply_write(tx)
+        pred = predicate.normalized()
+        return float(self._fold.aggregate_cell(
+            pred.customer_name, pred.product_name, pred.color)[1])
 
 
 @dataclass(frozen=True)

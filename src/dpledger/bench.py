@@ -34,7 +34,7 @@ from .budget import RequesterProfile, TrustClass, allocate_equal, allocate_weigh
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import SensitivitySpec, laplace_scale
-from .ledger import export_blocks, export_transactions, write_text
+from .ledger import WorldState, export_blocks, export_transactions, write_text
 from .network import Network, ReceiptStatus
 from .transactions import (
     Aggregate,
@@ -42,7 +42,6 @@ from .transactions import (
     QueryPredicate,
     QueryTransaction,
     WriteTransaction,
-    normalize,
 )
 
 # Grid step for generated epsilon values; float sums of grid multiples
@@ -310,32 +309,30 @@ def _epsilon_values(cfg: WorkloadConfig, rng: np.random.Generator,
     return values
 
 
-def _candidate_keys(cfg: WorkloadConfig,
-                    writes: Sequence[WriteTransaction]) -> List[CategoryKey]:
+def _candidate_keys(cfg: WorkloadConfig, state: WorldState) -> List[CategoryKey]:
     """Non-empty aggregate/attribute-cell combinations, largest answers first.
 
     Ordering by magnitude keeps the query stream on the aggregates a
     supply-chain requester actually asks for (totals and marginals
     before sparse three-attribute cells).
     """
-    cells: Dict[tuple, List[int]] = {}
-    for tx in writes:
-        triple = (normalize(tx.customer_name), normalize(tx.product_name),
-                  normalize(tx.color))
-        for mask in ((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)):
-            cell = tuple(v if keep else None for v, keep in zip(triple, mask))
-            slot = cells.setdefault(cell, [0, 0])
-            slot[0] += 1
-            slot[1] += tx.quantity
     aggregates = (Aggregate.SUM,) if cfg.sum_only else (Aggregate.SUM, Aggregate.COUNT)
     keys = [
-        (CategoryKey(agg, cust, prod, col),
-         cells[(cust, prod, col)][1 if agg is Aggregate.SUM else 0])
+        (CategoryKey(agg, *cell), total[1 if agg is Aggregate.SUM else 0])
         for agg in aggregates
-        for (cust, prod, col) in cells
+        for cell, total in state.cells()
     ]
     keys.sort(key=lambda item: (-item[1], item[0].label()))
     return [k for k, _ in keys]
+
+
+def _query(predicate: QueryPredicate, aggregate: Aggregate,
+           requester_id: str) -> QueryTransaction:
+    """A query of the supply-ledger statistics chaincode."""
+    return QueryTransaction(
+        contract_id="supply-ledger", contract_version="1.0",
+        contract_function="stat_query", timeout_ms=3000, read_only=True,
+        predicate=predicate, aggregate=aggregate, requester_id=requester_id)
 
 
 def generate_workload(cfg: WorkloadConfig,
@@ -366,7 +363,10 @@ def generate_workload(cfg: WorkloadConfig,
     if cfg.n_queries == 0:
         return WorkloadSchedule(writes=writes, queries=[])
 
-    candidates = _candidate_keys(cfg, [tx for _, tx in writes])
+    written = WorldState()
+    for _, tx in writes:
+        written.apply_write(tx)
+    candidates = _candidate_keys(cfg, written)
     n_repeats = cfg.resolved_repeats()
     n_fresh = cfg.n_queries - n_repeats
     if n_fresh > len(candidates):
@@ -397,16 +397,8 @@ def generate_workload(cfg: WorkloadConfig,
             key = next(fresh_iter)
             repeat_of = None
             emitted.append((i, key))
-        tx = QueryTransaction(
-            contract_id="supply-ledger",
-            contract_version="1.0",
-            contract_function="stat_query",
-            timeout_ms=3000,
-            read_only=True,
-            predicate=QueryPredicate(key.customer_name, key.product_name, key.color),
-            aggregate=key.aggregate,
-            requester_id=cfg.requesters[i % len(cfg.requesters)],
-        )
+        tx = _query(QueryPredicate(key.customer_name, key.product_name, key.color),
+                    key.aggregate, cfg.requesters[i % len(cfg.requesters)])
         queries.append(QueryPlan(
             tick=i // cfg.query_rate, tx=tx, eps_f=eps_values[i],
             key=key, repeat_of=repeat_of,
@@ -477,6 +469,21 @@ def _execute(cfg: WorkloadConfig, schedule: WorkloadSchedule,
     return ExecResult(net=net, query_receipts=query_receipts, channel_id="mychannel")
 
 
+def _loaded_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
+    """A network whose channel has committed the write round of ``cfg``."""
+    net = _build_network(cfg, reuse_enabled)
+    for _, tx in generate_workload(cfg).writes:
+        net.submit(LOADER_CLIENT, tx)
+    net.run_until_idle()
+    return net
+
+
+def _committed_state(net: Network) -> WorldState:
+    """The channel's committed world state, as its first member holds it."""
+    channel = net.channels["mychannel"]
+    return net.peers[channel.members[0]].states["mychannel"]
+
+
 def _mode_metrics(res: ExecResult, rows: List[dict], err_field: str) -> dict:
     receipts = res.net.receipts
     committed = [r for r in receipts if r.status is ReceiptStatus.COMMITTED]
@@ -507,7 +514,7 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
     res_naive = _execute(cfg, schedule, reuse_enabled=False)
     res_reuse = _execute(cfg, schedule, reuse_enabled=True)
 
-    state = res_reuse.channel.state
+    state = _committed_state(res_reuse.net)
     naive_events = {e.query_id: e for e in res_naive.channel.accountant.events}
     reuse_events = {e.query_id: e for e in res_reuse.channel.accountant.events}
 
@@ -747,21 +754,14 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          dp_enabled=dp_enabled, epsilon_t=max(1.0, epsilon * (n_trials + 1)),
                          seed=seed)
-    schedule = generate_workload(cfg)
-    res = _execute(cfg, schedule, reuse_enabled=False)
-    state = res.channel.state
-    records = [r.tx for r in state.records]
+    net = _loaded_network(cfg, reuse_enabled=False)
+    records = [r.tx for r in _committed_state(net).records]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     target_index = int(rng.integers(len(records)))
     bk = BackgroundKnowledge.from_ledger(records, target_index)
     true_qty = float(records[target_index].quantity)
-    query = QueryTransaction(
-        contract_id="supply-ledger", contract_version="1.0",
-        contract_function="stat_query", timeout_ms=3000, read_only=True,
-        predicate=QueryPredicate(), aggregate=Aggregate.SUM,
-        requester_id="distributor-a",
-    )
+    query = _query(QueryPredicate(), Aggregate.SUM, "distributor-a")
     spec = SensitivitySpec(Aggregate.SUM, cfg.sensitivity_bound)
 
     if not dp_enabled:
@@ -788,15 +788,11 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     needed = 2 * repeats * categories * epsilon + 1
     cfg = WorkloadConfig(name="attack-composition", n_writes=n_writes, n_queries=0,
                          epsilon_t=needed, seed=seed)
-    schedule = generate_workload(cfg)
-    net = _build_network(cfg, reuse_enabled)
-    for _, tx in schedule.writes:
-        net.submit(LOADER_CLIENT, tx)
-    net.run_until_idle()
-    channel = net.channels["mychannel"]
-    peers = channel.members[:2]
+    net = _loaded_network(cfg, reuse_enabled)
+    state = _committed_state(net)
+    peers = net.channels["mychannel"].members[:2]
 
-    keys = [k for k in _candidate_keys(cfg, [r.tx for r in channel.state.records])
+    keys = [k for k in _candidate_keys(cfg, state)
             if k.aggregate is Aggregate.SUM][:categories]
     if len(keys) < categories:
         raise ConfigInvalid(f"workload produced only {len(keys)} query categories")
@@ -806,12 +802,8 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     for _ in range(repeats):
         for key in keys:
             for peer_id in peers:
-                tx = QueryTransaction(
-                    contract_id="supply-ledger", contract_version="1.0",
-                    contract_function="stat_query", timeout_ms=3000, read_only=True,
-                    predicate=QueryPredicate(key.customer_name, key.product_name, key.color),
-                    aggregate=key.aggregate, requester_id="distributor-a",
-                )
+                tx = _query(QueryPredicate(key.customer_name, key.product_name, key.color),
+                            key.aggregate, "distributor-a")
                 receipt = net.submit("distributor-a", tx, eps_f=epsilon,
                                      target_peer=peer_id)
                 answers[peer_id].setdefault(key, []).append(receipt.response.value)
@@ -820,8 +812,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     net.run_until_idle()
 
     true_values = {
-        k: float(channel.state.aggregate_cell(k.customer_name, k.product_name,
-                                              k.color)[1])
+        k: float(state.aggregate_cell(k.customer_name, k.product_name, k.color)[1])
         for k in keys
     }
     return composition_attack(answers[peers[0]], answers[peers[1]], repeats,
@@ -835,21 +826,11 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     eps_t = epsilon_t if epsilon_t is not None else n * epsilon + 1
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
-    schedule = generate_workload(cfg)
-    net = _build_network(cfg, reuse_enabled)
-    for _, tx in schedule.writes:
-        net.submit(LOADER_CLIENT, tx)
-    net.run_until_idle()
-    channel = net.channels["mychannel"]
-
-    query = QueryTransaction(
-        contract_id="supply-ledger", contract_version="1.0",
-        contract_function="stat_query", timeout_ms=3000, read_only=True,
-        predicate=QueryPredicate(customer_name=cfg.customers[0]),
-        aggregate=Aggregate.SUM, requester_id="distributor-a",
-    )
+    net = _loaded_network(cfg, reuse_enabled)
+    query = _query(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
+                   "distributor-a")
     key = categorize(query)
-    true_value = float(channel.state.aggregate_cell(
+    true_value = float(_committed_state(net).aggregate_cell(
         key.customer_name, key.product_name, key.color)[1])
 
     def ask():

@@ -3,13 +3,15 @@
 A query is categorized by its aggregate and normalized attributes. On a
 100% category match the previously recorded answer is returned and no
 new budget is spent; otherwise the budget is charged, the query is
-evaluated on the original ledger data, and a freshly perturbed response
-is recorded back to the ledger together with the remaining budget.
+evaluated on the original ledger data, and the freshly perturbed response
+is held as pending until the block carrying it, together with the
+remaining budget, is committed to the ledger or sent to audit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,11 +42,6 @@ def categorize(q: QueryTransaction) -> CategoryKey:
     )
 
 
-def lookup_cached(state: WorldState, key: CategoryKey) -> Optional[QueryRecord]:
-    """Most recent recorded answer for exactly this category, if any."""
-    return state.lookup(key)
-
-
 def evaluate_exact(q: QueryTransaction, state: WorldState) -> float:
     """Evaluate the query on the original ledger data, without noise."""
     key = categorize(q)
@@ -53,7 +50,15 @@ def evaluate_exact(q: QueryTransaction, state: WorldState) -> float:
 
 
 class ChaincodeEngine:
-    """One installed chaincode instance: answers queries for its peer.
+    """The query chaincode of one channel.
+
+    Answers against the committed world state it is handed plus
+    ``pending``: the fresh answer per category that is endorsed but not
+    yet committed (kept only with reuse enabled, the one mode that serves
+    repeats). ``settle`` drops an answer from ``pending`` once its block is
+    committed or sent to audit. ``last_record`` is the recorded answer
+    behind the response of the last call that returned (None on the
+    noise-free path), so the caller need not categorize the query again.
 
     Instrumented with probe/evaluation/noise counters so the linear-cost
     claim can be asserted, not assumed. reuse_enabled=False disables the
@@ -69,38 +74,43 @@ class ChaincodeEngine:
         self.probe_count = 0
         self.evaluation_count = 0
         self.noise_draws = 0
+        self.pending: Dict[CategoryKey, QueryRecord] = {}
+        self.last_record: Optional[QueryRecord] = None
+        self._query_ids = itertools.count()
 
     def answer_query(self, q: QueryTransaction, state: WorldState,
                      acct: BudgetAccountant, eps_f: float,
                      rng: np.random.Generator, *,
                      query_id: Optional[str] = None) -> PerturbedResponse:
-        """Serve one query: reuse the recorded answer or perturb a fresh one.
+        """Serve one query: reuse a recorded answer or perturb a fresh one.
 
-        On the fresh path the budget is charged first; a BudgetExhausted
-        from the accountant propagates with ledger state untouched.
+        ``state`` is only read. A pending answer is preferred to a
+        committed one, and a reuse is recorded by the accountant alone. On
+        the fresh path the budget is charged first; a BudgetExhausted
+        propagates with ``pending`` untouched. With reuse enabled the
+        fresh answer is added to ``pending``.
         """
         validate_query(q)
         key = categorize(q)
-        qid = query_id if query_id is not None else f"q{state.height}-{len(state.query_log)}"
+        qid = query_id if query_id is not None else f"q{next(self._query_ids)}"
 
         if self.dp_enabled and self.reuse_enabled:
             self.probe_count += 1
-            cached = lookup_cached(state, key)
+            cached = self.pending.get(key) or state.lookup(key)
             if cached is not None:
-                resp = PerturbedResponse(
+                acct.record_reuse(qid, q.requester_id, eps_f)
+                self.last_record = cached
+                return PerturbedResponse(
                     value=cached.response.value,
                     epsilon_used=cached.epsilon_spent,
                     reused=True,
                     query_id=qid,
                 )
-                rec = QueryRecord(key, cached.epsilon_spent, resp, state.height + 1)
-                state.record_query(rec, acct.epsilon_rem)
-                acct.record_reuse(qid, q.requester_id, eps_f)
-                return resp
 
         if not self.dp_enabled:
             self.evaluation_count += 1
             exact_value = evaluate_exact(q, state)
+            self.last_record = None
             return PerturbedResponse(exact_value, 0.0, False, qid)
 
         acct.try_spend(eps_f, qid, q.requester_id)
@@ -110,6 +120,13 @@ class ChaincodeEngine:
         noisy = perturb(exact_value, eps_f, spec, rng)
         self.noise_draws += 1
         resp = PerturbedResponse(noisy, eps_f, False, qid)
-        rec = QueryRecord(key, eps_f, resp, state.height + 1)
-        state.record_query(rec, acct.epsilon_rem)
+        self.last_record = QueryRecord(key, eps_f, resp, state.height + 1)
+        if self.reuse_enabled:
+            self.pending[key] = self.last_record
         return resp
+
+    def settle(self, record: QueryRecord) -> None:
+        """Drop ``record`` from ``pending`` if it is still the pending answer
+        of its category; its block has been committed or sent to audit."""
+        if self.pending.get(record.key) is record:
+            del self.pending[record.key]

@@ -65,10 +65,6 @@ class NotAuthorized(DPLedgerError):
     """Client is not a registered participant on the channel."""
 
 
-class EndorsementFailure(DPLedgerError):
-    pass
-
-
 class ValidationFailure(DPLedgerError):
     pass
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EmptyBatch, IoFailure
 from .transactions import (
@@ -27,10 +27,14 @@ from .transactions import (
 
 GENESIS_PREV_HASH = bytes(32)
 
-# One aggregation cell per subset of the three filterable attributes.
-_ATTR_MASKS = tuple(
-    (c, p, k) for c in (False, True) for p in (False, True) for k in (False, True)
-)
+
+def _cells(customer: str, product: str, color: str) -> tuple:
+    """The eight aggregation cells a write falls in: one per subset of its
+    three normalized attributes, with the others wildcarded as None."""
+    return ((None, None, None), (None, None, color),
+            (None, product, None), (None, product, color),
+            (customer, None, None), (customer, None, color),
+            (customer, product, None), (customer, product, color))
 
 
 def _sha256(data: bytes) -> bytes:
@@ -145,9 +149,7 @@ class WorldState:
         validate_write(tx)
         rec = CommittedWrite(tx=tx, height=self.height if height is None else height)
         self.records.append(rec)
-        triple = (rec.norm_customer, rec.norm_product, rec.norm_color)
-        for mask in _ATTR_MASKS:
-            cell = tuple(v if keep else None for v, keep in zip(triple, mask))
+        for cell in _cells(rec.norm_customer, rec.norm_product, rec.norm_color):
             slot = self._agg.setdefault(cell, [0, 0])
             slot[0] += 1
             slot[1] += tx.quantity
@@ -156,6 +158,10 @@ class WorldState:
                        color: Optional[str]) -> Tuple[int, int]:
         """(count, quantity sum) for a normalized attribute cell."""
         return tuple(self._agg.get((customer, product, color), (0, 0)))
+
+    def cells(self) -> Iterator[Tuple[tuple, Tuple[int, int]]]:
+        """Every non-empty attribute cell with its (count, quantity sum)."""
+        return ((cell, (count, qty)) for cell, (count, qty) in self._agg.items())
 
     # -- query log
 

@@ -6,11 +6,15 @@ privacy-preserving execution for queries, (3) Solo ordering into blocks,
 tick counter and the whole simulation is a pure function of the
 topology, seeds, and submission schedule.
 
-The query cache and the budget accountant live in the channel's shared
-ledger state, so every member serves the identical recorded answer. The
-peer that executes a query produces the effect envelope; other members
-countersign its digest without re-executing, which keeps endorsement
-deterministic under fresh noise.
+Each channel has one chaincode engine and one budget accountant. The
+engine answers a query from the executor peer's committed world state
+plus its overlay of fresh answers endorsed but not yet committed, so
+every member serves the identical answer. A block that commits or goes
+to audit takes its answers out of the overlay; an audited answer is
+never served again, and its epsilon stays spent. The peer that executes
+a query produces the effect envelope; other members countersign its
+digest without re-executing, which keeps endorsement deterministic
+under fresh noise.
 
 Each envelope's payload digest (SHA-256 over its tx id, body and query
 effect) is computed once: endorsers sign it, committers check signatures
@@ -129,19 +133,22 @@ class Peer:
         self.rng = np.random.default_rng(seed_seq)
         self.chains: Dict[str, List[Block]] = {}
         self.states: Dict[str, WorldState] = {}
-        self.engines: Dict[str, ChaincodeEngine] = {}
 
-    def join(self, channel_id: str, genesis: Block, engine: ChaincodeEngine) -> None:
+    def join(self, channel_id: str, genesis: Block) -> None:
         self.chains[channel_id] = [genesis]
         self.states[channel_id] = WorldState(channel_id=channel_id)
-        self.engines[channel_id] = engine
 
 
 class Channel:
-    """Shared ledger scope: members, policy, execution state, audit store."""
+    """Shared ledger scope: members, policy, the orderer's chain, the
+    chaincode engine, the budget accountant, and the audit store.
+
+    Committed world state lives only in each member's ``Peer.states``.
+    """
 
     def __init__(self, channel_id: str, members: Sequence[str],
-                 endorsement_policy: int, epsilon_t: float):
+                 endorsement_policy: int, epsilon_t: float,
+                 engine: ChaincodeEngine):
         if not 1 <= endorsement_policy <= len(members):
             raise ValueError(
                 f"endorsement policy {endorsement_policy} outside [1, {len(members)}]"
@@ -151,7 +158,7 @@ class Channel:
         self.endorsement_policy = endorsement_policy
         self.genesis = make_genesis(channel_id)
         self.chain: List[Block] = [self.genesis]
-        self.state = WorldState(channel_id=channel_id)
+        self.engine = engine
         self.accountant = BudgetAccountant(epsilon_t)
         self.audit: List[Block] = []
 
@@ -220,15 +227,15 @@ class Network:
 
     def create_channel(self, channel_id: str, members: Sequence[str], *,
                        endorsement_policy: int = 1, epsilon_t: float = 1.0) -> Channel:
-        channel = Channel(channel_id, members, endorsement_policy, epsilon_t)
+        engine = ChaincodeEngine(
+            dp_enabled=self._dp_enabled,
+            reuse_enabled=self._reuse_enabled,
+            sensitivity_bound=self._sensitivity_bound,
+        )
+        channel = Channel(channel_id, members, endorsement_policy, epsilon_t, engine)
         self.channels[channel_id] = channel
         for peer_id in members:
-            engine = ChaincodeEngine(
-                dp_enabled=self._dp_enabled,
-                reuse_enabled=self._reuse_enabled,
-                sensitivity_bound=self._sensitivity_bound,
-            )
-            self.peers[peer_id].join(channel_id, channel.genesis, engine)
+            self.peers[peer_id].join(channel_id, channel.genesis)
         return channel
 
     def register_client(self, client_id: str, channels: Optional[Sequence[str]] = None) -> None:
@@ -263,20 +270,22 @@ class Network:
         if executor_id not in channel.members:
             raise NotMember(f"{executor_id} is not a member of {channel.channel_id}")
         executor = self.peers[executor_id]
-        engine = executor.engines[channel.channel_id]
+        engine = channel.engine
         if eps_f is None:
             if engine.dp_enabled:
                 raise ConfigInvalid("eps_f is required for queries when noise is enabled")
             eps_f = 0.0
-        response = engine.answer_query(tx, channel.state, channel.accountant,
-                                       eps_f, executor.rng, query_id=tx_id)
+        response = engine.answer_query(tx, executor.states[channel.channel_id],
+                                       channel.accountant, eps_f, executor.rng,
+                                       query_id=tx_id)
         if response.reused:
             # Served from the recorded answer; nothing new goes to ordering.
             return None, response
+        record = engine.last_record
         effect = None
-        if engine.dp_enabled:
-            effect = QueryEffect(record=channel.state.query_log[-1],
-                                 eps_rem=channel.accountant.epsilon_rem)
+        if record is not None:
+            # The fresh answer just endorsed; noise-free answers have none.
+            effect = QueryEffect(record=record, eps_rem=channel.accountant.epsilon_rem)
         env = self._collect_endorsements(channel, Envelope(tx_id=tx_id, tx=tx, effect=effect))
         return env, response
 
@@ -313,7 +322,12 @@ class Network:
             receipt.status = ReceiptStatus.REJECTED
             receipt.reject_reason = type(err).__name__
             return receipt
-        receipt.record_phase("endorsement", self.clock, True)
+        info = ""
+        if envelope is None:
+            source = channel.engine.last_record
+            if channel.engine.pending.get(source.key) is source:
+                info = f"served pending answer {source.response.query_id}"
+        receipt.record_phase("endorsement", self.clock, True, info)
         receipt.response = response
 
         if envelope is None:
@@ -368,6 +382,11 @@ class Network:
 
         link_ok = (block.prev_hash == channel.chain[-1].block_hash
                    and block.height == channel.chain[-1].height + 1)
+        # Committed or audited, the block's answers stop being pending.
+        if channel.engine.pending:
+            for env in block.envelopes:
+                if env.effect is not None:
+                    channel.engine.settle(env.effect.record)
         if problems or not link_ok:
             channel.audit.append(block)
             for peer_id in channel.members:
@@ -382,10 +401,6 @@ class Network:
             return results
 
         channel.chain.append(block)
-        for env in block.envelopes:
-            if isinstance(env.tx, WriteTransaction):
-                channel.state.apply_write(env.tx, height=block.height)
-        channel.state.height = block.height
         for peer_id in channel.members:
             peer = self.peers[peer_id]
             peer.chains[channel.channel_id].append(block)

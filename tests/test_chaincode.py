@@ -11,7 +11,6 @@ from dpledger import (
     WorldState,
     categorize,
     evaluate_exact,
-    lookup_cached,
 )
 from dpledger.bench import WorkloadConfig, generate_workload
 
@@ -99,7 +98,7 @@ def _setup(epsilon_t=10.0, **engine_kwargs):
 
 def test_lookup_on_empty_log_returns_none(small_state):
     key = categorize(make_query(Aggregate.SUM))
-    assert lookup_cached(small_state, key) is None
+    assert small_state.lookup(key) is None
 
 
 def test_repeat_returns_identical_response_and_spends_once(rng):
@@ -115,7 +114,11 @@ def test_repeat_returns_identical_response_and_spends_once(rng):
         assert again.epsilon_used == first.epsilon_used
     assert acct.accumulated() == spent_after_first
     assert len(acct.spend_log) == 1
-    assert len(state.query_log) == 10
+    assert len(acct.events) == 10
+    # Repeats are recorded by the accountant only; the committed state is
+    # read, never written, and the one fresh answer waits in the overlay.
+    assert state.query_log == []
+    assert [r.response for r in engine.pending.values()] == [first]
 
 
 def test_probe_of_unasked_key_spends_nothing(rng):
@@ -124,7 +127,9 @@ def test_probe_of_unasked_key_spends_nothing(rng):
         engine.answer_query(make_query(Aggregate.SUM, color=f"color{i}"),
                             state, acct, 0.1, rng)
     before = acct.accumulated()
-    assert lookup_cached(state, categorize(make_query(Aggregate.COUNT))) is None
+    # Engine-generated query ids stay distinct although nothing commits.
+    assert len({e.query_id for e in acct.events}) == 5
+    assert state.lookup(categorize(make_query(Aggregate.COUNT))) is None
     assert acct.accumulated() == before
 
 

@@ -15,6 +15,7 @@ from dpledger import (
     ReceiptStatus,
     build_block,
     export_transactions,
+    replay_chain,
     verify_chain,
 )
 from dpledger.network import endorsement_valid, sign_endorsement
@@ -104,12 +105,14 @@ def test_query_over_exhausted_budget_rejected_without_ledger_change():
     channel = net.channels["mychannel"]
     for i in range(2):
         net.submit("distributor-a", make_query(Aggregate.SUM, color=f"c{i}"), eps_f=0.1)
-    log_len = len(channel.state.query_log)
+    pending = dict(channel.engine.pending)
+    events = list(channel.accountant.events)
     height = channel.chain[-1].height
     receipt = net.submit("distributor-a", make_query(Aggregate.SUM), eps_f=0.12)
     assert receipt.status is ReceiptStatus.REJECTED
     assert receipt.reject_reason == "BudgetExhausted"
-    assert len(channel.state.query_log) == log_len
+    assert channel.engine.pending == pending
+    assert channel.accountant.events == events
     net.run_until_idle()
     assert channel.chain[-1].height == height + 1  # only the two fresh answers
 
@@ -139,6 +142,49 @@ def test_cached_answers_identical_across_peers():
         receipt = net.submit("distributor-a", q, eps_f=0.2, target_peer=peer_id)
         values.add(receipt.response.value)
     assert len(values) == 1
+
+
+def test_repeat_of_a_pending_answer_is_marked_on_its_receipt():
+    net = _network()
+    _load(net)
+    q = make_query(Aggregate.SUM, color="red")
+    first = net.submit("distributor-a", q, eps_f=0.2)
+    early = net.submit("distributor-a", q, eps_f=0.2, target_peer="peer0.org2")
+    net.run_until_idle()
+    late = net.submit("distributor-a", q, eps_f=0.2)
+    assert first.status is ReceiptStatus.COMMITTED
+    assert early.status is late.status is ReceiptStatus.CACHED
+    assert early.response.value == late.response.value == first.response.value
+    assert early.phases[-1].info == f"served pending answer {first.tx_id}"
+    assert late.phases[-1].info == ""
+    assert net.channels["mychannel"].engine.pending == {}
+
+
+def test_audited_answer_is_never_served_again():
+    net = _network()
+    _load(net)
+    channel = net.channels["mychannel"]
+    q = make_query(Aggregate.SUM, color="red")
+    first = net.submit("distributor-a", q, eps_f=0.2)
+    queue = net.orderer._pending["mychannel"]
+    queue[:] = [(t, dataclasses.replace(env, endorsements=())) for t, env in queue]
+    net.run_until_idle()
+    assert first.status is ReceiptStatus.REJECTED
+    assert len(channel.audit) == 1
+
+    second = net.submit("distributor-a", q, eps_f=0.2)
+    assert second.status is not ReceiptStatus.CACHED
+    assert second.response.reused is False
+    net.run_until_idle()
+    assert second.status is ReceiptStatus.COMMITTED
+    # The audited answer was released, so its epsilon stays spent.
+    assert [e.query_id for e in channel.accountant.spend_log] == [first.tx_id, second.tx_id]
+    third = net.submit("distributor-a", q, eps_f=0.2)
+    assert third.status is ReceiptStatus.CACHED
+    assert third.response.value == second.response.value
+    for peer in net.peers.values():
+        assert (peer.states["mychannel"].serialize()
+                == replay_chain(peer.chains["mychannel"]).serialize())
 
 
 def test_query_to_non_member_peer_rejected():
