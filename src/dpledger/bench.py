@@ -153,6 +153,11 @@ class WorkloadConfig:
             raise ConfigInvalid("epsilon_t must be positive")
         if not self.customers or not self.products or not self.colors:
             raise ConfigInvalid("customers, products, and colors must be non-empty")
+        blank = [name for name in (*self.customers, *self.products, *self.colors,
+                                   *self.requesters)
+                 if not isinstance(name, str) or not name.strip()]
+        if blank:
+            raise ConfigInvalid(f"blank customer, product, color or requester names: {blank}")
         if not self.requesters or len(set(self.requesters)) != len(self.requesters):
             raise ConfigInvalid("requesters must be non-empty and unique")
         if self.orgs is not None:

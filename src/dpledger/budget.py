@@ -3,12 +3,14 @@
 Balances are tracked as exact rationals built from the decimal (printed)
 value of each float, so a threshold can be spent down to exactly zero
 and no spend sequence can push the accumulated total past it. Floats
-appear only at the API surface.
+appear only at the API surface. ``exact`` is memoized: the ε values of a
+run repeat (a fixed schedule has one), so each is parsed once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ from typing import Dict, List, Mapping, Sequence
 from .errors import BudgetExhausted, EmptyProfiles, ZeroQueries
 
 
+@functools.lru_cache(maxsize=4096)
 def exact(value: float) -> Fraction:
     """Decimal-value interpretation of a float (the number repr prints)."""
     return Fraction(str(float(value)))

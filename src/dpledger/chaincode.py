@@ -25,7 +25,6 @@ from .transactions import (
     PerturbedResponse,
     QueryRecord,
     QueryTransaction,
-    validate_query,
 )
 
 
@@ -42,9 +41,14 @@ def categorize(q: QueryTransaction) -> CategoryKey:
     )
 
 
-def evaluate_exact(q: QueryTransaction, state: WorldState) -> float:
-    """Evaluate the query on the original ledger data, without noise."""
-    key = categorize(q)
+def evaluate_exact(q: QueryTransaction, state: WorldState,
+                   key: Optional[CategoryKey] = None) -> float:
+    """Evaluate the query on the original ledger data, without noise.
+
+    ``key`` is the query's category when the caller already has it.
+    """
+    if key is None:
+        key = categorize(q)
     count, qty_sum = state.aggregate_cell(key.customer_name, key.product_name, key.color)
     return float(count) if q.aggregate is Aggregate.COUNT else float(qty_sum)
 
@@ -84,13 +88,14 @@ class ChaincodeEngine:
                      query_id: Optional[str] = None) -> PerturbedResponse:
         """Serve one query: reuse a recorded answer or perturb a fresh one.
 
-        ``state`` is only read. A pending answer is preferred to a
-        committed one, and a reuse is recorded by the accountant alone. On
-        the fresh path the budget is charged first; a BudgetExhausted
-        propagates with ``pending`` untouched. With reuse enabled the
-        fresh answer is added to ``pending``.
+        ``q`` must have passed ``validate_query`` (``Network`` checks it at
+        endorsement); it is categorized once here. ``state`` is only read.
+        A pending answer is preferred to a committed one, and a reuse is
+        recorded by the accountant alone. On the fresh path the budget is
+        charged first; a BudgetExhausted propagates with ``pending``
+        untouched. With reuse enabled the fresh answer is added to
+        ``pending``.
         """
-        validate_query(q)
         key = categorize(q)
         qid = query_id if query_id is not None else f"q{next(self._query_ids)}"
 
@@ -109,13 +114,13 @@ class ChaincodeEngine:
 
         if not self.dp_enabled:
             self.evaluation_count += 1
-            exact_value = evaluate_exact(q, state)
+            exact_value = evaluate_exact(q, state, key)
             self.last_record = None
             return PerturbedResponse(exact_value, 0.0, False, qid)
 
         acct.try_spend(eps_f, qid, q.requester_id)
         self.evaluation_count += 1
-        exact_value = evaluate_exact(q, state)
+        exact_value = evaluate_exact(q, state, key)
         spec = SensitivitySpec(q.aggregate, self.sensitivity_bound)
         noisy = perturb(exact_value, eps_f, spec, rng)
         self.noise_draws += 1

@@ -92,7 +92,7 @@ class ReceiptStatus(Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseRecord:
     phase: str
     tick: int
@@ -100,7 +100,7 @@ class PhaseRecord:
     info: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionReceipt:
     """Outcome of one submission across the four flow phases."""
 

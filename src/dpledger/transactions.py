@@ -3,7 +3,10 @@
 A channel ledger records two transaction kinds: purchase writes and
 read-only statistical queries (COUNT/SUM over the write attributes).
 Canonical encodings are length-prefixed and field-ordered so that every
-hash derived from them is reproducible across platforms and runs.
+hash derived from them is reproducible across platforms and runs. A
+transaction body encodes itself once: ``canonical_bytes()`` is computed on
+first use and kept on the frozen object, so the tx id and the envelope's
+payload digest read the same bytes.
 """
 
 from __future__ import annotations
@@ -41,16 +44,9 @@ def normalize(value: str) -> str:
 # ---------------------------------------------------------------------------
 # encoding helpers
 
-def _u32(n: int) -> bytes:
-    return struct.pack(">I", n)
-
-
-def _i64(n: int) -> bytes:
-    return struct.pack(">q", n)
-
-
-def _f64(x: float) -> bytes:
-    return struct.pack(">d", x)
+_u32 = struct.Struct(">I").pack
+_i64 = struct.Struct(">q").pack
+_f64 = struct.Struct(">d").pack
 
 
 def _text(s: str) -> bytes:
@@ -79,19 +75,25 @@ class WriteTransaction:
     color: str
     quantity: int
     customer_name: str
+    # Not a field (no annotation): set on first use of canonical_bytes.
+    _canonical = None
 
     def canonical_bytes(self) -> bytes:
-        return b"".join((
-            b"W",
-            _text(self.contract_id),
-            _text(self.contract_version),
-            _text(self.contract_function),
-            _i64(self.timeout_ms),
-            _text(self.product_name),
-            _text(self.color),
-            _i64(self.quantity),
-            _text(self.customer_name),
-        ))
+        raw = self._canonical
+        if raw is None:
+            raw = b"".join((
+                b"W",
+                _text(self.contract_id),
+                _text(self.contract_version),
+                _text(self.contract_function),
+                _i64(self.timeout_ms),
+                _text(self.product_name),
+                _text(self.color),
+                _i64(self.quantity),
+                _text(self.customer_name),
+            ))
+            object.__setattr__(self, "_canonical", raw)
+        return raw
 
     def to_dict(self) -> dict:
         return {
@@ -175,19 +177,25 @@ class QueryTransaction:
     predicate: QueryPredicate
     aggregate: Aggregate
     requester_id: str
+    # Not a field (no annotation): set on first use of canonical_bytes.
+    _canonical = None
 
     def canonical_bytes(self) -> bytes:
-        return b"".join((
-            b"Q",
-            _text(self.contract_id),
-            _text(self.contract_version),
-            _text(self.contract_function),
-            _i64(self.timeout_ms),
-            b"\x01" if self.read_only else b"\x00",
-            self.predicate.canonical_bytes(),
-            _text(self.aggregate.value),
-            _text(self.requester_id),
-        ))
+        raw = self._canonical
+        if raw is None:
+            raw = b"".join((
+                b"Q",
+                _text(self.contract_id),
+                _text(self.contract_version),
+                _text(self.contract_function),
+                _i64(self.timeout_ms),
+                b"\x01" if self.read_only else b"\x00",
+                self.predicate.canonical_bytes(),
+                _text(self.aggregate.value),
+                _text(self.requester_id),
+            ))
+            object.__setattr__(self, "_canonical", raw)
+        return raw
 
     def to_dict(self) -> dict:
         return {

@@ -51,6 +51,22 @@ def test_config_validation_rejects_bad_values():
         WorkloadConfig(epsilon_t=0.0).validate()
 
 
+@pytest.mark.parametrize("names", [
+    {"customers": ("",)},
+    {"customers": ("Bob", "  ")},
+    {"products": ("bolt", "")},
+    {"colors": ("\t",)},
+    {"requesters": ("distributor-a", "")},
+], ids=["empty-customer", "blank-customer", "empty-product", "blank-color",
+        "empty-requester"])
+def test_config_rejects_blank_names(names):
+    cfg = WorkloadConfig(n_writes=20, n_queries=3, **names)
+    with pytest.raises(ConfigInvalid):
+        cfg.validate()
+    with pytest.raises(ConfigInvalid):
+        generate_workload(cfg)
+
+
 def test_config_round_trips_through_dict():
     cfg = scenario_config("budget-155")
     again = WorkloadConfig.from_dict(cfg.to_dict())

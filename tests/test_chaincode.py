@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -47,7 +48,7 @@ def test_absent_and_present_attributes_differ():
 
 def test_unsupported_aggregate_rejected():
     q = make_query(Aggregate.SUM)
-    bad = q.__class__(**{**q.__dict__, "aggregate": "AVERAGE"})
+    bad = dataclasses.replace(q, aggregate="AVERAGE")
     with pytest.raises(UnsupportedAggregate):
         categorize(bad)
 

@@ -117,6 +117,32 @@ def test_query_over_exhausted_budget_rejected_without_ledger_change():
     assert channel.chain[-1].height == height + 1  # only the two fresh answers
 
 
+@pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
+@pytest.mark.parametrize("change,reason", [
+    ({"read_only": False}, "ValidationFailure"),
+    ({"requester_id": ""}, "MissingField"),
+], ids=["not-read-only", "no-requester"])
+def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
+    net = _network(reuse_enabled=reuse_enabled)
+    _load(net)
+    channel = net.channels["mychannel"]
+    q = make_query(Aggregate.SUM, color="red")
+    # A valid twin is already answered; with reuse on its category is a cache hit.
+    net.submit("distributor-a", q, eps_f=0.2)
+    pending = dict(channel.engine.pending)
+    events = list(channel.accountant.events)
+    queue = {ch: list(items) for ch, items in net.orderer._pending.items()}
+    receipt = net.submit("distributor-a", dataclasses.replace(q, **change), eps_f=0.2)
+    assert receipt.status is ReceiptStatus.REJECTED
+    assert receipt.reject_reason == reason
+    assert [p.phase for p in receipt.phases] == ["proposal", "endorsement"]
+    assert not receipt.phases[-1].ok
+    assert receipt.response is None
+    assert channel.engine.pending == pending
+    assert channel.accountant.events == events
+    assert {ch: list(items) for ch, items in net.orderer._pending.items()} == queue
+
+
 def test_repeated_query_served_from_cache_without_new_block():
     net = _network()
     _load(net)

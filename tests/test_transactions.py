@@ -5,15 +5,21 @@ import pytest
 
 from dpledger import (
     Aggregate,
+    CategoryKey,
     Envelope,
     MissingField,
+    PerturbedResponse,
+    QueryEffect,
     QueryPredicate,
+    QueryRecord,
     UnsupportedAggregate,
+    make_genesis,
     normalize,
     validate_query,
     validate_write,
 )
-from dpledger.transactions import QueryTransaction
+from dpledger.ledger import compute_block_hash
+from dpledger.network import sign_endorsement
 
 from conftest import make_query, make_write
 
@@ -35,21 +41,21 @@ def test_write_validation_covers_every_string_field():
     for field in ("contract_id", "contract_version", "contract_function",
                   "product_name", "color", "customer_name"):
         tx = make_write()
-        broken = tx.__class__(**{**tx.__dict__, field: ""})
+        broken = dataclasses.replace(tx, **{field: ""})
         with pytest.raises(MissingField):
             validate_write(broken)
 
 
 def test_query_must_be_read_only():
     q = make_query()
-    broken = QueryTransaction(**{**q.__dict__, "read_only": False})
+    broken = dataclasses.replace(q, read_only=False)
     with pytest.raises(Exception):
         validate_query(broken)
 
 
 def test_query_requires_supported_aggregate():
     q = make_query()
-    broken = QueryTransaction(**{**q.__dict__, "aggregate": "MEDIAN"})
+    broken = dataclasses.replace(q, aggregate="MEDIAN")
     with pytest.raises(UnsupportedAggregate):
         validate_query(broken)
 
@@ -81,3 +87,54 @@ def test_envelope_payload_digest_comes_from_its_own_fields():
     assert Envelope.from_dict({**altered.to_dict(), "_payload_digest": digest}
                               ).payload_digest == altered.payload_digest
     assert env.with_endorsements(()).payload_digest is env.payload_digest
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_encodings():
+    # Pinned before bodies kept their encodings; any change to a canonical
+    # encoding changes every tx id, payload digest and block hash.
+    write = make_write()
+    query = make_query(Aggregate.SUM, customer="Bob", color="red")
+    record = QueryRecord(CategoryKey(Aggregate.SUM, "bob", None, "red"), 0.25,
+                         PerturbedResponse(123.456, 0.25, False, "q1"), 3)
+    qenv = Envelope("q1", query, QueryEffect(record, eps_rem=0.75))
+    wenv = Envelope("w1", write)
+    wenv = wenv.with_endorsements(tuple(sign_endorsement(p, wenv.payload_digest)
+                                        for p in ("peer0.org1", "peer0.org2")))
+    for _ in range(2):  # computed, then kept
+        assert _sha256(write.canonical_bytes()) == (
+            "2b258fe7d85404a983e99e7ab18a2032a6fc18c97740c09449c6df295fd5ae9d")
+        assert _sha256(query.canonical_bytes()) == (
+            "032a5fc72bf2bb848a9b586635d7458a700dba5e732ebe39ed68c7e0af1ebea5")
+    assert _sha256(qenv.payload_bytes()) == (
+        "3d2db2fc4b4c5f688c1222ae7fefb79091793e81bfca6cfaf5d46cad2a837c9e")
+    block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
+    assert block_hash.hex() == (
+        "baa92f2c051f689bad4ebb45b97a8ee78d0edd522809d25e64732b17c68c0c45")
+
+
+_COMMON = [("contract_id", "other"), ("contract_version", "2.0"),
+           ("contract_function", "other"), ("timeout_ms", 1)]
+_WRITE = _COMMON + [("product_name", "nut"), ("color", "blue"), ("quantity", 11),
+                    ("customer_name", "Alice")]
+_QUERY = _COMMON + [("read_only", False), ("predicate", QueryPredicate("Bob", "bolt")),
+                    ("aggregate", Aggregate.COUNT), ("requester_id", "other")]
+
+
+@pytest.mark.parametrize("body,field,value", [
+    *[pytest.param(make_write(), f, v, id=f"write-{f}") for f, v in _WRITE],
+    *[pytest.param(make_query(Aggregate.SUM, customer="Bob"), f, v, id=f"query-{f}")
+      for f, v in _QUERY],
+])
+def test_kept_encoding_belongs_to_its_own_object(body, field, value):
+    kept = body.canonical_bytes()
+    assert body.canonical_bytes() is kept
+    copy = dataclasses.replace(body, **{field: value})
+    assert copy.canonical_bytes() != kept
+    fresh = type(body)(**{f.name: getattr(copy, f.name)
+                          for f in dataclasses.fields(copy)})
+    assert copy.canonical_bytes() == fresh.canonical_bytes()
+    assert body == dataclasses.replace(copy, **{field: getattr(body, field)})
