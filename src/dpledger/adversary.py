@@ -10,7 +10,6 @@ what an insider competitor can actually recover.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -87,20 +86,6 @@ class AttackReport:
                    queries_consumed=queries_consumed,
                    epsilon_observed=epsilon_observed, details=details or {})
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "estimate": self.estimate,
-            "true_value": self.true_value,
-            "abs_error": self.abs_error,
-            "tolerance": self.tolerance,
-            "success": self.success,
-            "queries_consumed": self.queries_consumed,
-            "epsilon_observed": self.epsilon_observed,
-            "details": self.details,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
 
 def _response_values(responses: Sequence) -> List[float]:
     return [r.value if isinstance(r, PerturbedResponse) else float(r) for r in responses]
@@ -175,7 +160,6 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
                        answers_b: Mapping[CategoryKey, Sequence[float]],
                        repeats: int,
                        true_values: Mapping[CategoryKey, float],
-                       target_key: Optional[CategoryKey] = None,
                        tolerance: float = DEFAULT_TOLERANCE,
                        combine: str = "mean",
                        epsilon_observed: float = 0.0) -> AttackReport:
@@ -206,10 +190,7 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
     var_single = statistics.fmean(e * e for e in single_errors)
     n_collected = sum(len(v) for v in per_key_values.values())
 
-    key = target_key if target_key is not None else common[0]
-    if key not in per_key_values:
-        raise NoCommonQueries(f"target category {key.label()} was not answered by both")
-
+    key = common[0]
     within = statistics.fmean(
         statistics.pvariance(v) if len(v) > 1 else 0.0
         for v in per_key_values.values()

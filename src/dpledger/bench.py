@@ -16,9 +16,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import SensitivitySpec, laplace_scale
 from .ledger import WorldState, export_blocks, export_transactions, write_text
-from .network import Network, ReceiptStatus
+from .network import DEFAULT_ORGS, Network, ReceiptStatus
 from .transactions import (
     Aggregate,
     CategoryKey,
@@ -81,18 +81,11 @@ class EpsilonSchedule:
     weights: Optional[Dict[str, float]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "value": self.value, "low": self.low,
-            "high": self.high, "fresh_total": self.fresh_total,
-            "repeat_total": self.repeat_total, "weights": self.weights,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpsilonSchedule":
-        return cls(**{k: d[k] for k in
-                      ("kind", "value", "low", "high", "fresh_total",
-                       "repeat_total", "weights")
-                      if k in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass
@@ -176,35 +169,9 @@ class WorkloadConfig:
             raise ConfigInvalid(f"unknown attack kinds: {sorted(bad_attacks)}")
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "n_writes": self.n_writes,
-            "customers": list(self.customers),
-            "products": list(self.products),
-            "colors": list(self.colors),
-            "quantity_range": list(self.quantity_range),
-            "n_queries": self.n_queries,
-            "repeat_ratio": self.repeat_ratio,
-            "n_repeats": self.n_repeats,
-            "sum_only": self.sum_only,
-            "requesters": list(self.requesters),
-            "epsilon_t": self.epsilon_t,
-            "epsilon_schedule": self.epsilon_schedule.to_dict(),
-            "write_rate": self.write_rate,
-            "query_rate": self.query_rate,
-            "rate_sweep": None if self.rate_sweep is None else list(self.rate_sweep),
-            "attacks": list(self.attacks),
-            "dp_enabled": self.dp_enabled,
-            "orgs": None if self.orgs is None else [
-                [org, list(peer_ids)] for org, peer_ids in self.orgs
-            ],
-            "batch_size": self.batch_size,
-            "batch_timeout": self.batch_timeout,
-            "endorsement_policy": self.endorsement_policy,
-            "sensitivity_bound": self.sensitivity_bound,
-            "seed": self.seed,
-        }
-        return d
+        """Every field, the schedule as a nested dict; tuples stay tuples,
+        which JSON writes as arrays."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadConfig":
@@ -214,13 +181,10 @@ class WorkloadConfig:
             merged = base.to_dict()
             merged.update(kwargs)
             kwargs = merged
-        for key in ("customers", "products", "colors", "requesters", "attacks"):
-            if key in kwargs and kwargs[key] is not None:
+        for key in ("customers", "products", "colors", "quantity_range", "requesters",
+                    "rate_sweep", "attacks"):
+            if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
-        if "quantity_range" in kwargs:
-            kwargs["quantity_range"] = tuple(kwargs["quantity_range"])
-        if kwargs.get("rate_sweep") is not None:
-            kwargs["rate_sweep"] = tuple(kwargs["rate_sweep"])
         if kwargs.get("orgs") is not None:
             kwargs["orgs"] = tuple(
                 (org, tuple(peer_ids)) for org, peer_ids in kwargs["orgs"]
@@ -425,18 +389,15 @@ def relative_error(a: float, a_prime: float) -> float:
 class ExecResult:
     net: Network
     query_receipts: list
-    channel_id: str
 
     @property
     def channel(self):
-        return self.net.channels[self.channel_id]
+        return self.net.channels["mychannel"]
 
 
 def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
-    kwargs = {}
-    if cfg.orgs is not None:
-        kwargs["orgs"] = cfg.orgs
     net = Network(
+        orgs=cfg.orgs or DEFAULT_ORGS,
         endorsement_policy=cfg.endorsement_policy,
         batch_size=cfg.batch_size,
         batch_timeout=cfg.batch_timeout,
@@ -445,7 +406,6 @@ def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
         dp_enabled=cfg.dp_enabled,
         reuse_enabled=reuse_enabled,
         seed=cfg.seed,
-        **kwargs,
     )
     net.register_client(LOADER_CLIENT)
     for requester in cfg.requesters:
@@ -471,16 +431,7 @@ def _execute(cfg: WorkloadConfig, schedule: WorkloadSchedule,
         receipt = net.submit(plan.tx.requester_id, plan.tx, eps_f=plan.eps_f)
         query_receipts.append(receipt)
     net.run_until_idle()
-    return ExecResult(net=net, query_receipts=query_receipts, channel_id="mychannel")
-
-
-def _loaded_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
-    """A network whose channel has committed the write round of ``cfg``."""
-    net = _build_network(cfg, reuse_enabled)
-    for _, tx in generate_workload(cfg).writes:
-        net.submit(LOADER_CLIENT, tx)
-    net.run_until_idle()
-    return net
+    return ExecResult(net=net, query_receipts=query_receipts)
 
 
 def _committed_state(net: Network) -> WorldState:
@@ -489,108 +440,108 @@ def _committed_state(net: Network) -> WorldState:
     return net.peers[channel.members[0]].states["mychannel"]
 
 
-def _mode_metrics(res: ExecResult, rows: List[dict], err_field: str) -> dict:
-    receipts = res.net.receipts
-    committed = [r for r in receipts if r.status is ReceiptStatus.COMMITTED]
-    cached = [r for r in receipts if r.status is ReceiptStatus.CACHED]
-    rejected = [r for r in receipts if r.status is ReceiptStatus.REJECTED]
-    latencies = [r.latency for r in committed]
-    elapsed = max(res.net.clock, 1)
-    errors = [row[err_field] for row in rows if row[err_field] is not None]
-    mean_err = float(np.mean(errors)) if errors else 0.0
+def _flow(receipts, clock: int) -> dict:
+    """Committed count, committed per tick, and mean and max commit latency
+    of ``receipts``."""
+    latencies = [r.latency for r in receipts if r.status is ReceiptStatus.COMMITTED]
     return {
-        "committed": len(committed),
-        "cached": len(cached),
-        "rejected": len(rejected),
-        "elapsed_ticks": res.net.clock,
-        "throughput": len(committed) / elapsed,
+        "committed": len(latencies),
+        "throughput": len(latencies) / max(clock, 1),
         "mean_latency": float(np.mean(latencies)) if latencies else 0.0,
         "max_latency": int(max(latencies)) if latencies else 0,
+    }
+
+
+def _mode_metrics(res: ExecResult, errors: List[Optional[float]]) -> dict:
+    """Flow, budget and accuracy of one pass; no accuracy when no error was measured."""
+    receipts = res.net.receipts
+    measured = [e for e in errors if e is not None]
+    mean_err = float(np.mean(measured)) if measured else None
+    return {
+        **_flow(receipts, res.net.clock),
+        "cached": sum(1 for r in receipts if r.status is ReceiptStatus.CACHED),
+        "rejected": sum(1 for r in receipts if r.status is ReceiptStatus.REJECTED),
+        "elapsed_ticks": res.net.clock,
         "eps_sum": res.channel.accountant.accumulated(),
         "mean_relative_error": mean_err,
-        "accuracy": 100.0 - mean_err,
+        "accuracy": None if mean_err is None else 100.0 - mean_err,
     }
+
+
+def _error(exact: float, response, dp_enabled: bool) -> Optional[float]:
+    """Relative error of one answer in percent: 0 without noise, None when
+    the query went unanswered or its exact answer is 0."""
+    if response is None:
+        return None
+    if not dp_enabled:
+        return 0.0
+    return relative_error(exact, response.value) if exact != 0 else None
 
 
 def run_scenario(cfg: WorkloadConfig) -> dict:
     """Run naive and reuse passes on one schedule and assemble the report."""
-    cfg.validate()
     schedule = generate_workload(cfg)
-    res_naive = _execute(cfg, schedule, reuse_enabled=False)
-    res_reuse = _execute(cfg, schedule, reuse_enabled=True)
+    passes = {"naive": _execute(cfg, schedule, reuse_enabled=False),
+              "reuse": _execute(cfg, schedule, reuse_enabled=True)}
 
-    state = _committed_state(res_reuse.net)
-    naive_events = {e.query_id: e for e in res_naive.channel.accountant.events}
-    reuse_events = {e.query_id: e for e in res_reuse.channel.accountant.events}
+    state = _committed_state(passes["reuse"].net)
+    events = {mode: {e.query_id: e for e in res.channel.accountant.events}
+              for mode, res in passes.items()}
 
+    # Built once, so that every row shares its key strings.
+    columns = {mode: (f"value_{mode}", f"rel_err_{mode}", f"cum_eps_{mode}")
+               for mode in passes}
     rows: List[dict] = []
-    cum_naive = 0.0
-    cum_reuse = 0.0
+    cum_eps = dict.fromkeys(passes, 0.0)
     for i, plan in enumerate(schedule.queries):
-        rec_n = res_naive.query_receipts[i]
-        rec_r = res_reuse.query_receipts[i]
         exact = state.aggregate_cell(plan.key.customer_name, plan.key.product_name,
                                      plan.key.color)
         exact_value = float(exact[0] if plan.key.aggregate is Aggregate.COUNT else exact[1])
-        ev_n = naive_events.get(rec_n.tx_id)
-        ev_r = reuse_events.get(rec_r.tx_id)
-        if ev_n is not None and not ev_n.reused:
-            cum_naive += ev_n.epsilon_f
-        if ev_r is not None and not ev_r.reused:
-            cum_reuse += ev_r.epsilon_f
-        value_n = rec_n.response.value if rec_n.response is not None else None
-        value_r = rec_r.response.value if rec_r.response is not None else None
-        err_n = relative_error(exact_value, value_n) if (
-            value_n is not None and cfg.dp_enabled and exact_value != 0) else (
-            0.0 if value_n is not None and not cfg.dp_enabled else None)
-        err_r = relative_error(exact_value, value_r) if (
-            value_r is not None and cfg.dp_enabled and exact_value != 0) else (
-            0.0 if value_r is not None and not cfg.dp_enabled else None)
-        rows.append({
+        reuse_receipt = passes["reuse"].query_receipts[i]
+        row = {
             "index": i,
-            "tx_id": rec_r.tx_id,
+            "tx_id": reuse_receipt.tx_id,
             "category": plan.key.label(),
             "requester": plan.tx.requester_id,
             "eps_f": plan.eps_f,
             "repeat_of": plan.repeat_of,
             "exact": exact_value,
-            "value_naive": value_n,
-            "value_reuse": value_r,
-            "reused": rec_r.status is ReceiptStatus.CACHED,
-            "rel_err_naive": err_n,
-            "rel_err_reuse": err_r,
-            "cum_eps_naive": cum_naive,
-            "cum_eps_reuse": cum_reuse,
-        })
+            "reused": reuse_receipt.status is ReceiptStatus.CACHED,
+        }
+        for mode, res in passes.items():
+            receipt = res.query_receipts[i]
+            event = events[mode].get(receipt.tx_id)
+            if event is not None and not event.reused:
+                cum_eps[mode] += event.epsilon_f
+            response = receipt.response
+            value_key, err_key, cum_key = columns[mode]
+            row[value_key] = response.value if response is not None else None
+            row[err_key] = _error(exact_value, response, cfg.dp_enabled)
+            row[cum_key] = cum_eps[mode]
+        rows.append(row)
 
-    naive_metrics = _mode_metrics(res_naive, rows, "rel_err_naive")
-    reuse_metrics = _mode_metrics(res_reuse, rows, "rel_err_reuse")
-    naive_sum = naive_metrics["eps_sum"]
-    reuse_sum = reuse_metrics["eps_sum"]
+    metrics = {mode: _mode_metrics(res, [row[columns[mode][1]] for row in rows])
+               for mode, res in passes.items()}
+    naive_sum = metrics["naive"]["eps_sum"]
+    reuse_sum = metrics["reuse"]["eps_sum"]
     savings = 0.0 if naive_sum == 0 else (naive_sum - reuse_sum) / naive_sum * 100.0
 
-    performance: List[dict] = []
-    if cfg.rate_sweep:
-        performance = performance_scan(cfg, cfg.rate_sweep)
-
-    report = {
+    return {
         "config": cfg.to_dict(),
         "rows": rows,
-        "naive": naive_metrics,
-        "reuse": reuse_metrics,
+        **metrics,
         "naive_eps_sum": naive_sum,
         "reuse_eps_sum": reuse_sum,
         "savings_pct": savings,
-        "performance": performance,
+        "performance": performance_scan(cfg, cfg.rate_sweep) if cfg.rate_sweep else [],
         "attacks": [run_attack(kind, seed=cfg.seed) for kind in cfg.attacks],
         "artifacts": {
-            "budget_events_naive.csv": res_naive.channel.accountant.to_csv(),
-            "budget_events_reuse.csv": res_reuse.channel.accountant.to_csv(),
-            "receipts_naive.csv": res_naive.net.receipts_csv(),
-            "receipts_reuse.csv": res_reuse.net.receipts_csv(),
+            **{f"budget_events_{mode}.csv": res.channel.accountant.to_csv()
+               for mode, res in passes.items()},
+            **{f"receipts_{mode}.csv": res.net.receipts_csv()
+               for mode, res in passes.items()},
         },
     }
-    return report
 
 
 def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
@@ -598,17 +549,12 @@ def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
     out = []
     for rate in rates:
         sub = replace(cfg, write_rate=rate, query_rate=rate, rate_sweep=None)
-        schedule = generate_workload(sub)
-        res = _execute(sub, schedule, reuse_enabled=True)
-        elapsed = max(res.net.clock, 1)
+        res = _execute(sub, generate_workload(sub), reuse_enabled=True)
         row: dict = {"rate": rate, "elapsed_ticks": res.net.clock}
         for kind in ("write", "query"):
-            committed = [r for r in res.net.receipts
-                         if r.kind == kind and r.status is ReceiptStatus.COMMITTED]
-            lat = [r.latency for r in committed]
-            row[f"{kind}_committed"] = len(committed)
-            row[f"{kind}_throughput"] = len(committed) / elapsed
-            row[f"{kind}_mean_latency"] = float(np.mean(lat)) if lat else 0.0
+            flow = _flow([r for r in res.net.receipts if r.kind == kind], res.net.clock)
+            for name in ("committed", "throughput", "mean_latency"):
+                row[f"{kind}_{name}"] = flow[name]
         out.append(row)
     return out
 
@@ -719,7 +665,7 @@ def run_attack(kind: str, *, seed: int = 7) -> dict:
         on = run_linking_attack(dp_enabled=True, n_trials=2000, seed=seed)
         return {
             "kind": kind,
-            "noise_off": json.loads(off["report"].to_json()),
+            "noise_off": asdict(off["report"]),
             "noise_on": {
                 "success_rate": on["success_rate"],
                 "expected_rate": on["expected_rate"],
@@ -727,24 +673,14 @@ def run_attack(kind: str, *, seed: int = 7) -> dict:
             },
         }
     if kind == "composition":
-        defended = run_composition_attack(reuse_enabled=True, categories=100,
-                                          repeats=25, n_writes=200, seed=seed)
-        vulnerable = run_composition_attack(reuse_enabled=False, categories=100,
-                                            repeats=25, n_writes=200, seed=seed)
-        return {
-            "kind": kind,
-            "reuse": json.loads(defended.to_json()),
-            "naive": json.loads(vulnerable.to_json()),
-        }
-    if kind == "averaging":
-        defended = run_averaging_attack(reuse_enabled=True, n=50, seed=seed)
-        vulnerable = run_averaging_attack(reuse_enabled=False, n=50, seed=seed)
-        return {
-            "kind": kind,
-            "reuse": json.loads(defended.to_json()),
-            "naive": json.loads(vulnerable.to_json()),
-        }
-    raise ConfigInvalid(f"unknown attack kind {kind!r}")
+        attack, knobs = run_composition_attack, dict(categories=100, repeats=25, n_writes=200)
+    elif kind == "averaging":
+        attack, knobs = run_averaging_attack, dict(n=50)
+    else:
+        raise ConfigInvalid(f"unknown attack kind {kind!r}")
+    defended = attack(reuse_enabled=True, seed=seed, **knobs)
+    vulnerable = attack(reuse_enabled=False, seed=seed, **knobs)
+    return {"kind": kind, "reuse": asdict(defended), "naive": asdict(vulnerable)}
 
 
 def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
@@ -759,7 +695,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          dp_enabled=dp_enabled, epsilon_t=max(1.0, epsilon * (n_trials + 1)),
                          seed=seed)
-    net = _loaded_network(cfg, reuse_enabled=False)
+    net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
     records = [r.tx for r in _committed_state(net).records]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -793,7 +729,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     needed = 2 * repeats * categories * epsilon + 1
     cfg = WorkloadConfig(name="attack-composition", n_writes=n_writes, n_queries=0,
                          epsilon_t=needed, seed=seed)
-    net = _loaded_network(cfg, reuse_enabled)
+    net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
     state = _committed_state(net)
     peers = net.channels["mychannel"].members[:2]
 
@@ -831,7 +767,7 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     eps_t = epsilon_t if epsilon_t is not None else n * epsilon + 1
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
-    net = _loaded_network(cfg, reuse_enabled)
+    net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
     query = _query(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
                    "distributor-a")
     key = categorize(query)
@@ -862,26 +798,35 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def export_report(report: dict, out_dir) -> List[Path]:
-    """Write the report as one JSON summary plus one CSV per metric series.
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    Output is deterministic: re-exporting the same report produces
-    byte-identical files.
-    """
+
+def _writer(out_dir) -> Callable[[str, str], Path]:
+    """Create ``out_dir`` and return ``emit(name, text)``, which writes one
+    file there and returns its path."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise IoFailure(str(err)) from err
 
-    written: List[Path] = []
-
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, text: str) -> Path:
         path = out / name
         write_text(path, text)
-        written.append(path)
+        return path
 
-    emit("report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return emit
+
+
+def export_report(report: dict, out_dir) -> List[Path]:
+    """Write the report as one JSON summary plus one CSV per metric series.
+
+    Output is deterministic: re-exporting the same report produces
+    byte-identical files.
+    """
+    emit = _writer(out_dir)
+    written = [emit("report.json", _json_text(report))]
 
     summary = {
         "scenario": report["config"]["name"],
@@ -896,65 +841,43 @@ def export_report(report: dict, out_dir) -> List[Path]:
         "naive": report["naive"],
         "reuse": report["reuse"],
     }
-    emit("summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    written.append(emit("summary.json", _json_text(summary)))
 
-    emit("budget_curve.csv", _csv_text(
+    written.append(emit("budget_curve.csv", _csv_text(
         ["query_index", "naive_eps_sum", "reuse_eps_sum"],
         [(r["index"], r["cum_eps_naive"], r["cum_eps_reuse"]) for r in report["rows"]],
-    ))
-    emit("relative_errors.csv", _csv_text(
+    )))
+    written.append(emit("relative_errors.csv", _csv_text(
         ["query_index", "category", "exact", "value_naive", "value_reuse",
          "rel_err_naive", "rel_err_reuse", "reused"],
         [(r["index"], r["category"], r["exact"], r["value_naive"], r["value_reuse"],
           r["rel_err_naive"], r["rel_err_reuse"], int(r["reused"])) for r in report["rows"]],
-    ))
+    )))
     if report.get("performance"):
         keys = list(report["performance"][0])
-        emit("performance.csv", _csv_text(
+        written.append(emit("performance.csv", _csv_text(
             keys, [[row[k] for k in keys] for row in report["performance"]],
-        ))
-    for name, text in report.get("artifacts", {}).items():
-        emit(name, text)
+        )))
+    written += [emit(name, text) for name, text in report.get("artifacts", {}).items()]
     return written
 
 
 def export_sweep(sweep_result: dict, out_dir) -> List[Path]:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise IoFailure(str(err)) from err
-    written = []
-    path = out / "sweep.json"
-    write_text(path, json.dumps(sweep_result, sort_keys=True, indent=2) + "\n")
-    written.append(path)
-    rows = sweep_result["rows"]
-    path = out / "error_vs_epsilon.csv"
-    write_text(path, _csv_text(
-        ["epsilon_t", "per_query_epsilon", "noise_scale", "mean_relative_error",
-         "accuracy", "expected_error", "expected_error_se"],
-        [(r["epsilon_t"], r["per_query_epsilon"], r["noise_scale"],
-          r["mean_relative_error"], r["accuracy"], r["expected_error"],
-          r["expected_error_se"]) for r in rows],
-    ))
-    written.append(path)
-    return written
+    emit = _writer(out_dir)
+    columns = ["epsilon_t", "per_query_epsilon", "noise_scale", "mean_relative_error",
+               "accuracy", "expected_error", "expected_error_se"]
+    return [
+        emit("sweep.json", _json_text(sweep_result)),
+        emit("error_vs_epsilon.csv", _csv_text(
+            columns, [[r[k] for k in columns] for r in sweep_result["rows"]])),
+    ]
 
 
 def export_ledger(cfg: WorkloadConfig, out_dir) -> List[Path]:
     """Populate a ledger with the write round only and dump it to files."""
     sub = replace(cfg, n_queries=0, rate_sweep=None)
-    schedule = generate_workload(sub)
-    res = _execute(sub, schedule, reuse_enabled=True)
-    peer = next(iter(res.net.peers.values()))
-    chain = peer.chains["mychannel"]
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise IoFailure(str(err)) from err
-    tx_path = out / "ledger.jsonl"
-    write_text(tx_path, export_transactions(chain, "mychannel"))
-    block_path = out / "blocks.jsonl"
-    write_text(block_path, export_blocks(chain))
-    return [tx_path, block_path]
+    res = _execute(sub, generate_workload(sub), reuse_enabled=True)
+    chain = next(iter(res.net.peers.values())).chains["mychannel"]
+    emit = _writer(out_dir)
+    return [emit("ledger.jsonl", export_transactions(chain, "mychannel")),
+            emit("blocks.jsonl", export_blocks(chain))]

@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import asdict, replace
 
 from . import bench
 from .errors import ConfigInvalid, DPLedgerError, IoFailure
@@ -23,14 +22,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise IoFailure(str(err)) from err
+
+
+def _pct(value, spec: str) -> str:
+    """A percentage for printing; ``n/a`` for a pass that measured none."""
+    return "n/a" if value is None else f"{value:{spec}}%"
+
+
 def _load_config(args) -> bench.WorkloadConfig:
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as err:
-            raise IoFailure(str(err)) from err
-        cfg = bench.WorkloadConfig.from_dict(data)
+        cfg = bench.WorkloadConfig.from_dict(_read_json(args.config))
     elif args.scenario is not None:
         cfg = bench.scenario_config(args.scenario)
     else:
@@ -100,7 +107,7 @@ def _cmd_run(args) -> int:
     print(f"scenario {cfg.name}: naive eps_sum={report['naive_eps_sum']:.4f} "
           f"reuse eps_sum={report['reuse_eps_sum']:.4f} "
           f"savings={report['savings_pct']:.2f}% "
-          f"mean relative error={report['reuse']['mean_relative_error']:.3f}%")
+          f"mean relative error={_pct(report['reuse']['mean_relative_error'], '.3f')}")
     print(f"report written to {args.out}")
     return 0
 
@@ -112,20 +119,14 @@ def _cmd_sweep(args) -> int:
     bench.export_sweep(result, args.out)
     for row in result["rows"]:
         print(f"epsilon_t={row['epsilon_t']:g}: "
-              f"mean relative error={row['mean_relative_error']:.3f}% "
-              f"accuracy={row['accuracy']:.2f}%")
+              f"mean relative error={_pct(row['mean_relative_error'], '.3f')} "
+              f"accuracy={_pct(row['accuracy'], '.2f')}")
     return 0
 
 
 def _cmd_attack(args) -> int:
     reuse = args.mode == "reuse"
-    knobs = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                knobs = json.load(fh)
-        except OSError as err:
-            raise IoFailure(str(err)) from err
+    knobs = _read_json(args.config) if args.config is not None else {}
     try:
         if args.kind == "linking":
             result = bench.run_linking_attack(epsilon=args.epsilon, seed=args.seed,
@@ -146,14 +147,8 @@ def _cmd_attack(args) -> int:
             extra = {}
     except TypeError as err:
         raise ConfigInvalid(f"bad attack config: {err}") from err
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"attack_{args.kind}.json"
-    doc = json.loads(report.to_json())
-    doc.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = bench._writer(args.out)(f"attack_{args.kind}.json",
+                                   bench._json_text({**asdict(report), **extra}))
     print(f"{args.kind} attack: estimate={report.estimate:.3f} "
           f"true={report.true_value:.3f} error={report.abs_error:.3f} "
           f"success={report.success}")
@@ -162,12 +157,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as err:
-        raise IoFailure(str(err)) from err
-    paths = bench.export_report(report, args.out)
+    paths = bench.export_report(_read_json(args.report), args.out)
     print(f"re-exported {len(paths)} files to {args.out}")
     return 0
 

@@ -110,17 +110,15 @@ def laplace_samples(params: LaplaceParams, rng: np.random.Generator, n: int) -> 
 
 
 def perturb(true_value: float, epsilon: float, spec: SensitivitySpec,
-            rng: np.random.Generator, *, round_result: bool = False) -> float:
+            rng: np.random.Generator) -> float:
     """Add calibrated noise to an exact answer.
 
-    No clamping and no rounding by default, which keeps the output
-    unbiased; negative or fractional COUNTs are returned as-is. The
-    round_result flag is presentation-layer only.
+    No clamping and no rounding, which keeps the output unbiased;
+    negative or fractional COUNTs are returned as-is.
     """
     check_epsilon(epsilon)
     lam = laplace_scale(epsilon, sensitivity(spec))
-    noisy = true_value + laplace_sample(LaplaceParams(0.0, lam), rng)
-    return float(round(noisy)) if round_result else noisy
+    return true_value + laplace_sample(LaplaceParams(0.0, lam), rng)
 
 
 # ---------------------------------------------------------------------------

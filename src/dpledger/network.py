@@ -61,16 +61,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _signature(peer_id: str, payload_digest: str) -> str:
+    return _digest(peer_id.encode("utf-8") + bytes.fromhex(payload_digest))
+
+
 def sign_endorsement(peer_id: str, payload_digest: str) -> Endorsement:
-    sig = _digest(peer_id.encode("utf-8") + bytes.fromhex(payload_digest))
-    return Endorsement(peer_id=peer_id, payload_digest=payload_digest, signature=sig)
+    return Endorsement(peer_id=peer_id, payload_digest=payload_digest,
+                       signature=_signature(peer_id, payload_digest))
 
 
 def endorsement_valid(end: Endorsement, payload_digest: str) -> bool:
-    if end.payload_digest != payload_digest:
-        return False
-    expected = _digest(end.peer_id.encode("utf-8") + bytes.fromhex(payload_digest))
-    return end.signature == expected
+    return (end.payload_digest == payload_digest
+            and end.signature == _signature(end.peer_id, payload_digest))
 
 
 def _effect_problem(effect: QueryEffect) -> str:
@@ -308,20 +310,15 @@ class Network:
 
         # Phase 1: proposal from a known, authorized participant.
         if client_id not in self.clients or channel_id not in self.clients[client_id]:
-            receipt.record_phase("proposal", self.clock, False, "client not authorized")
-            receipt.status = ReceiptStatus.REJECTED
-            receipt.reject_reason = NotAuthorized.__name__
-            return receipt
+            return self._reject(receipt, "proposal", "client not authorized",
+                                NotAuthorized.__name__)
         receipt.record_phase("proposal", self.clock, True)
 
         # Phase 2: endorsement (queries execute the privacy module here).
         try:
             envelope, response = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
         except DPLedgerError as err:
-            receipt.record_phase("endorsement", self.clock, False, str(err))
-            receipt.status = ReceiptStatus.REJECTED
-            receipt.reject_reason = type(err).__name__
-            return receipt
+            return self._reject(receipt, "endorsement", str(err), type(err).__name__)
         info = ""
         if envelope is None:
             source = channel.engine.last_record
@@ -338,6 +335,13 @@ class Network:
         # Phase 3: hand over to the ordering service.
         self.orderer.enqueue(channel.channel_id, envelope, self.clock)
         receipt.record_phase("ordering", self.clock, True, "enqueued")
+        return receipt
+
+    def _reject(self, receipt: TransactionReceipt, phase: str, info: str,
+                reason: str) -> TransactionReceipt:
+        receipt.record_phase(phase, self.clock, False, info)
+        receipt.status = ReceiptStatus.REJECTED
+        receipt.reject_reason = reason
         return receipt
 
     # -- phase 4: ordering output, validation, commit
@@ -394,10 +398,9 @@ class Network:
             for env in block.envelopes:
                 receipt = self._receipts_by_id.get(env.tx_id)
                 if receipt is not None:
-                    receipt.record_phase("validation", self.clock, False,
-                                         "; ".join(problems) or "broken chain link")
-                    receipt.status = ReceiptStatus.REJECTED
-                    receipt.reject_reason = "ValidationFailure"
+                    self._reject(receipt, "validation",
+                                 "; ".join(problems) or "broken chain link",
+                                 "ValidationFailure")
             return results
 
         channel.chain.append(block)
@@ -416,9 +419,6 @@ class Network:
         return results
 
     # -- metrics
-
-    def committed_receipts(self) -> List[TransactionReceipt]:
-        return [r for r in self.receipts if r.status is ReceiptStatus.COMMITTED]
 
     def receipts_csv(self) -> str:
         buf = io.StringIO()

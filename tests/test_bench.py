@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -270,6 +271,17 @@ def test_dp_disabled_baseline_has_zero_error():
     assert report["naive_eps_sum"] == 0.0
 
 
+def test_unanswered_pass_reports_no_accuracy():
+    # epsilon_t 1.0 cannot pay for one query at 2.0, so every query is rejected.
+    report = run_scenario(WorkloadConfig(
+        n_writes=20, n_queries=3,
+        epsilon_schedule=EpsilonSchedule(kind="fixed", value=2.0)))
+    for mode in ("naive", "reuse"):
+        assert report[mode]["rejected"] == 3
+        assert report[mode]["mean_relative_error"] is None
+        assert report[mode]["accuracy"] is None
+
+
 def test_budget_155_hits_published_totals():
     report = run_scenario(scenario_config("budget-155"))
     assert report["naive_eps_sum"] == pytest.approx(8.9, abs=0.05)
@@ -355,3 +367,27 @@ def test_performance_scan_rows():
     for row in rows:
         assert row["write_committed"] == 40
         assert row["query_throughput"] > 0
+
+
+# Digests of every file ``export_report`` writes for ``_GOLDEN_CFG``; a change
+# to the report's fields, their order or their float formatting moves them.
+_GOLDEN_CFG = dict(n_writes=60, n_queries=10, n_repeats=3, epsilon_t=5.0,
+                   rate_sweep=(5, 10), attacks=("linking", "composition", "averaging"),
+                   seed=3)
+_GOLDEN_SHA256 = {
+    "budget_curve.csv": "5f237c8c19af7bbf7a444428a7aa6dcaa3f3af1fc25947c6a7e5d9945388ff51",
+    "budget_events_naive.csv": "68ea85c9a07c0f2fd37b49b554a74057c1224da701fa234fd069f2db4306f942",
+    "budget_events_reuse.csv": "8f1ab462962d939867c84daadfb29af953601334219ba00e8499ea96ec9610cc",
+    "performance.csv": "90abef57f764d0d3518ad29ea95e705321500c5ac14fd2bd8faae9c14d0538bd",
+    "receipts_naive.csv": "12137f2c240f5fd1ce16ce3b29d2184d230b40862fd0afedf9f228f662ce7387",
+    "receipts_reuse.csv": "9938184c3ce856235334a1c5dd55c143a5ee8df890a84582cc510738a8ac3712",
+    "relative_errors.csv": "b1a69dfc0c26b4eb72ce4c4f9f753d682db01cee65f7c256ec89add90ed5e204",
+    "report.json": "aff83fea75ae027661274e6fb0b41159fa88d96b1cf2ed5ff9d03f443c8ae882",
+    "summary.json": "8d2736491323e29521b35135f5b7ab2c7a0fd0014ca8f5b19fd805ce6938b618",
+}
+
+
+def test_export_report_golden_digests(tmp_path):
+    paths = export_report(run_scenario(WorkloadConfig(**_GOLDEN_CFG)), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == _GOLDEN_SHA256

@@ -97,6 +97,19 @@ def test_errors_emit_machine_readable_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid"
 
+    code = _run(["attack", "--kind", "averaging", "--out", str(bad / "sub")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IoFailure"
+
+
+def test_run_prints_na_for_an_unanswered_pass(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_writes": 20, "n_queries": 3, "epsilon_schedule":
+                                {"kind": "fixed", "value": 2.0}}))
+    assert _run(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "mean relative error=n/a" in capsys.readouterr().out
+
 
 def test_usage_errors_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -174,13 +174,6 @@ def test_perturb_is_unbiased():
     assert abs(draws.mean()) <= 3 * math.sqrt(2) * lam / math.sqrt(n)
 
 
-def test_perturb_round_flag_is_presentation_only():
-    spec = SensitivitySpec(Aggregate.COUNT, 1.0)
-    raw = perturb(10.0, 1.0, spec, np.random.default_rng(4))
-    rounded = perturb(10.0, 1.0, spec, np.random.default_rng(4), round_result=True)
-    assert rounded == round(raw)
-
-
 def test_perturb_rejects_tiny_epsilon(rng):
     with pytest.raises(NonPositiveEpsilon):
         perturb(10.0, 1e-8, SensitivitySpec(Aggregate.SUM, 100.0), rng)
