@@ -88,6 +88,13 @@ class EpsilonSchedule:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
+def _array(name: str, value) -> tuple:
+    """A config field that JSON holds as an array, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigInvalid(f"{name} must be a JSON array, got {type(value).__name__}")
+    return tuple(value)
+
+
 @dataclass
 class WorkloadConfig:
     """Everything a scenario run depends on; validated up front."""
@@ -175,6 +182,8 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadConfig":
+        if not isinstance(d, dict):
+            raise ConfigInvalid(f"a config must be a JSON object, got {type(d).__name__}")
         kwargs = dict(d)
         if "scenario" in kwargs:
             base = scenario_config(kwargs.pop("scenario"))
@@ -182,15 +191,23 @@ class WorkloadConfig:
             merged.update(kwargs)
             kwargs = merged
         for key in ("customers", "products", "colors", "quantity_range", "requesters",
-                    "rate_sweep", "attacks"):
+                    "rate_sweep", "attacks", "orgs"):
             if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
+                kwargs[key] = _array(key, kwargs[key])
         if kwargs.get("orgs") is not None:
+            if any(not isinstance(org, (list, tuple)) or len(org) != 2
+                   for org in kwargs["orgs"]):
+                raise ConfigInvalid("orgs must be a list of [org id, [peer ids]] pairs")
             kwargs["orgs"] = tuple(
-                (org, tuple(peer_ids)) for org, peer_ids in kwargs["orgs"]
+                (org, _array("orgs peer ids", peer_ids)) for org, peer_ids in kwargs["orgs"]
             )
-        if "epsilon_schedule" in kwargs and isinstance(kwargs["epsilon_schedule"], dict):
-            kwargs["epsilon_schedule"] = EpsilonSchedule.from_dict(kwargs["epsilon_schedule"])
+        schedule = kwargs.get("epsilon_schedule")
+        if isinstance(schedule, dict):
+            kwargs["epsilon_schedule"] = EpsilonSchedule.from_dict(schedule)
+        elif schedule is not None and not isinstance(schedule, EpsilonSchedule):
+            raise ConfigInvalid(
+                f"epsilon_schedule must be a JSON object, got {type(schedule).__name__}"
+            )
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")

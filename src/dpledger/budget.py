@@ -1,10 +1,17 @@
 """Privacy budget accounting for one data provider on one channel ledger.
 
-Balances are tracked as exact rationals built from the decimal (printed)
-value of each float, so a threshold can be spent down to exactly zero
-and no spend sequence can push the accumulated total past it. Floats
-appear only at the API surface. ``exact`` is memoized: the ε values of a
-run repeat (a fixed schedule has one), so each is parsed once.
+Every ε means the decimal value its float prints as (``repr``), so a
+threshold can be spent down to exactly zero and no spend sequence can
+push the accumulated total past it. The accountant keeps its balance as
+an exact ``decimal.Decimal`` and subtracts in ``_EXACT``, a 700-digit
+context that traps ``Inexact``: every finite float's repr is a multiple
+of 10**-340 below 10**309, and so is any balance built from such values,
+so no subtraction ever needs to round, and the trap would raise if one
+did. Floats appear only at the API surface.
+
+``exact`` is the public rational view of the same decimal value; the
+allocators use it. It is memoized: the ε values of a run repeat (a fixed
+schedule has one), so each is parsed once.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, Inexact
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence
@@ -21,10 +29,19 @@ from typing import Dict, List, Mapping, Sequence
 from .errors import BudgetExhausted, EmptyProfiles, ZeroQueries
 
 
+# Balance arithmetic: wide enough that no difference of float reprs rounds.
+_EXACT = Context(prec=700, traps=[Inexact])
+
+
 @functools.lru_cache(maxsize=4096)
 def exact(value: float) -> Fraction:
     """Decimal-value interpretation of a float (the number repr prints)."""
     return Fraction(str(float(value)))
+
+
+def _decimal(value: float) -> Decimal:
+    """The same decimal value as ``exact(value)``, as a ``Decimal``."""
+    return Decimal(repr(float(value)))
 
 
 class TrustClass(Enum):
@@ -61,6 +78,8 @@ class BudgetAccountant:
 
     Owned by one peer process and mutated only inside its serialized
     chaincode execution; snapshots handed out are plain floats.
+    ``epsilon_rem`` is the float nearest the exact balance, kept up to
+    date by each spend.
 
     Args:
         epsilon_t: maximum cumulative budget this provider will ever
@@ -70,17 +89,17 @@ class BudgetAccountant:
     def __init__(self, epsilon_t: float):
         if not (math.isfinite(epsilon_t) and epsilon_t > 0):
             raise ValueError(f"epsilon_t must be positive, got {epsilon_t!r}")
-        self._threshold = exact(epsilon_t)
-        self._rem = self._threshold
+        self._epsilon_t = self._epsilon_rem = float(epsilon_t)
+        self._threshold = self._rem = _decimal(epsilon_t)
         self.events: List[SpendRecord] = []
 
     @property
     def epsilon_t(self) -> float:
-        return float(self._threshold)
+        return self._epsilon_t
 
     @property
     def epsilon_rem(self) -> float:
-        return float(self._rem)
+        return self._epsilon_rem
 
     @property
     def spend_log(self) -> List[SpendRecord]:
@@ -89,23 +108,24 @@ class BudgetAccountant:
 
     def try_spend(self, epsilon_f: float, query_id: str, requester_id: str) -> SpendRecord:
         """Spend epsilon_f or raise BudgetExhausted leaving state untouched."""
-        need = exact(epsilon_f)
-        if need <= 0:
-            raise ValueError(f"epsilon_f must be positive, got {epsilon_f!r}")
+        if not (math.isfinite(epsilon_f) and epsilon_f > 0):
+            raise ValueError(f"epsilon_f must be positive and finite, got {epsilon_f!r}")
+        need = _decimal(epsilon_f)
         if need > self._rem:
             raise BudgetExhausted(
-                f"remaining budget {float(self._rem)} cannot cover {epsilon_f}"
+                f"remaining budget {self._epsilon_rem} cannot cover {epsilon_f}"
             )
-        self._rem -= need
+        self._rem = _EXACT.subtract(self._rem, need)
+        self._epsilon_rem = float(self._rem)
         rec = SpendRecord(query_id, requester_id, float(epsilon_f),
-                          float(self._rem), reused=False)
+                          self._epsilon_rem, reused=False)
         self.events.append(rec)
         return rec
 
     def record_reuse(self, query_id: str, requester_id: str, epsilon_f: float) -> SpendRecord:
         """Log a cache-served answer; balances do not move."""
         rec = SpendRecord(query_id, requester_id, float(epsilon_f),
-                          float(self._rem), reused=True)
+                          self._epsilon_rem, reused=True)
         self.events.append(rec)
         return rec
 
@@ -114,10 +134,10 @@ class BudgetAccountant:
         return float(self.accumulated_exact())
 
     def accumulated_exact(self) -> Fraction:
-        return self._threshold - self._rem
+        return Fraction(_EXACT.subtract(self._threshold, self._rem))
 
     def remaining_exact(self) -> Fraction:
-        return self._rem
+        return Fraction(self._rem)
 
     def to_csv(self) -> str:
         """Spend log as CSV: query_id, requester_id, epsilon_f, epsilon_rem, reused_flag."""

@@ -25,6 +25,7 @@ from .transactions import (
     PerturbedResponse,
     QueryRecord,
     QueryTransaction,
+    normalize,
 )
 
 
@@ -32,12 +33,12 @@ def categorize(q: QueryTransaction) -> CategoryKey:
     """Deterministic cache key: aggregate plus trimmed, case-folded attributes."""
     if not isinstance(q.aggregate, Aggregate):
         raise UnsupportedAggregate(f"unsupported aggregate {q.aggregate!r}")
-    pred = q.predicate.normalized()
+    pred = q.predicate
     return CategoryKey(
         aggregate=q.aggregate,
-        customer_name=pred.customer_name,
-        product_name=pred.product_name,
-        color=pred.color,
+        customer_name=None if pred.customer_name is None else normalize(pred.customer_name),
+        product_name=None if pred.product_name is None else normalize(pred.product_name),
+        color=None if pred.color is None else normalize(pred.color),
     )
 
 
@@ -64,6 +65,11 @@ class ChaincodeEngine:
     behind the response of the last call that returned (None on the
     noise-free path), so the caller need not categorize the query again.
 
+    Category keys are interned per query shape, ``(aggregate, predicate)``:
+    equal queries get the one key object, whose encoding is computed once.
+    The sensitivity spec of each aggregate is built on its first query, so
+    a bad ``sensitivity_bound`` is rejected there.
+
     Instrumented with probe/evaluation/noise counters so the linear-cost
     claim can be asserted, not assumed. reuse_enabled=False disables the
     cached-answer path (fresh noise for every query); dp_enabled=False
@@ -81,6 +87,16 @@ class ChaincodeEngine:
         self.pending: Dict[CategoryKey, QueryRecord] = {}
         self.last_record: Optional[QueryRecord] = None
         self._query_ids = itertools.count()
+        self._keys: Dict[tuple, CategoryKey] = {}
+        self._specs: Dict[Aggregate, SensitivitySpec] = {}
+
+    def category(self, q: QueryTransaction) -> CategoryKey:
+        """``categorize(q)``, the same object for every query of its shape."""
+        shape = (q.aggregate, q.predicate)
+        key = self._keys.get(shape)
+        if key is None:
+            key = self._keys[shape] = categorize(q)
+        return key
 
     def answer_query(self, q: QueryTransaction, state: WorldState,
                      acct: BudgetAccountant, eps_f: float,
@@ -92,11 +108,12 @@ class ChaincodeEngine:
         endorsement); it is categorized once here. ``state`` is only read.
         A pending answer is preferred to a committed one, and a reuse is
         recorded by the accountant alone. On the fresh path the budget is
-        charged first; a BudgetExhausted propagates with ``pending``
+        charged before the query is evaluated (a bad sensitivity bound is
+        rejected before that); a BudgetExhausted propagates with ``pending``
         untouched. With reuse enabled the fresh answer is added to
         ``pending``.
         """
-        key = categorize(q)
+        key = self.category(q)
         qid = query_id if query_id is not None else f"q{next(self._query_ids)}"
 
         if self.dp_enabled and self.reuse_enabled:
@@ -118,10 +135,13 @@ class ChaincodeEngine:
             self.last_record = None
             return PerturbedResponse(exact_value, 0.0, False, qid)
 
+        spec = self._specs.get(q.aggregate)
+        if spec is None:
+            spec = self._specs[q.aggregate] = SensitivitySpec(q.aggregate,
+                                                              self.sensitivity_bound)
         acct.try_spend(eps_f, qid, q.requester_id)
         self.evaluation_count += 1
         exact_value = evaluate_exact(q, state, key)
-        spec = SensitivitySpec(q.aggregate, self.sensitivity_bound)
         noisy = perturb(exact_value, eps_f, spec, rng)
         self.noise_draws += 1
         resp = PerturbedResponse(noisy, eps_f, False, qid)

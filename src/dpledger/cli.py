@@ -28,6 +28,9 @@ def _read_json(path):
             return json.load(fh)
     except OSError as err:
         raise IoFailure(str(err)) from err
+    except ValueError as err:
+        # json.JSONDecodeError, or a file that is not UTF-8 text.
+        raise ConfigInvalid(f"{path} is not valid JSON: {err}") from err
 
 
 def _pct(value, spec: str) -> str:

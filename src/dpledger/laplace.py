@@ -31,6 +31,11 @@ from .transactions import Aggregate
 EPSILON_MIN = 1e-6
 
 
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+
+
 @dataclass(frozen=True)
 class LaplaceParams:
     """Location and scale of a Laplace distribution."""
@@ -41,8 +46,7 @@ class LaplaceParams:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _check_scale(self.scale)
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,12 @@ def perturb(true_value: float, epsilon: float, spec: SensitivitySpec,
     """Add calibrated noise to an exact answer.
 
     No clamping and no rounding, which keeps the output unbiased;
-    negative or fractional COUNTs are returned as-is.
+    negative or fractional COUNTs are returned as-is. Bit-identical to
+    ``true_value + laplace_sample(LaplaceParams(0.0, scale), rng)``.
     """
-    check_epsilon(epsilon)
-    lam = laplace_scale(epsilon, sensitivity(spec))
-    return true_value + laplace_sample(LaplaceParams(0.0, lam), rng)
+    scale = laplace_scale(epsilon, sensitivity(spec))
+    _check_scale(scale)
+    return true_value + _inverse_cdf(rng.random(), 0.0, scale)
 
 
 # ---------------------------------------------------------------------------

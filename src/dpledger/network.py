@@ -6,7 +6,9 @@ privacy-preserving execution for queries, (3) Solo ordering into blocks,
 tick counter and the whole simulation is a pure function of the
 topology, seeds, and submission schedule.
 
-Each channel has one chaincode engine and one budget accountant. The
+Each channel has one chaincode engine and one budget accountant. With
+noise enabled a query's ε is checked at endorsement before the engine
+sees it, so a rejected ε is neither spent nor logged as a reuse. The
 engine answers a query from the executor peer's committed world state
 plus its overlay of fresh answers endorsed but not yet committed, so
 every member serves the identical answer. A block that commits or goes
@@ -43,6 +45,7 @@ from .errors import (
     NotAuthorized,
     NotMember,
 )
+from .laplace import check_epsilon
 from .ledger import Block, WorldState, apply_block, build_block, make_genesis
 from .transactions import (
     Endorsement,
@@ -277,6 +280,9 @@ class Network:
             if engine.dp_enabled:
                 raise ConfigInvalid("eps_f is required for queries when noise is enabled")
             eps_f = 0.0
+        elif engine.dp_enabled:
+            # Before any spend or reuse is logged.
+            check_epsilon(eps_f)
         response = engine.answer_query(tx, executor.states[channel.channel_id],
                                        channel.accountant, eps_f, executor.rng,
                                        query_id=tx_id)

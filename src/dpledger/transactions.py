@@ -4,9 +4,10 @@ A channel ledger records two transaction kinds: purchase writes and
 read-only statistical queries (COUNT/SUM over the write attributes).
 Canonical encodings are length-prefixed and field-ordered so that every
 hash derived from them is reproducible across platforms and runs. A
-transaction body encodes itself once: ``canonical_bytes()`` is computed on
-first use and kept on the frozen object, so the tx id and the envelope's
-payload digest read the same bytes.
+transaction body or category key encodes itself once: ``canonical_bytes()``
+is computed on first use and kept on the frozen object, so the tx id and
+the envelope's payload digest read the same bytes, and a key shared by
+many query effects is encoded once.
 """
 
 from __future__ import annotations
@@ -248,12 +249,18 @@ class CategoryKey:
     customer_name: Optional[str]
     product_name: Optional[str]
     color: Optional[str]
+    # Not a field (no annotation): set on first use of canonical_bytes.
+    _canonical = None
 
     def canonical_bytes(self) -> bytes:
-        return (b"K" + _text(self.aggregate.value)
-                + _opt_text(self.customer_name)
-                + _opt_text(self.product_name)
-                + _opt_text(self.color))
+        raw = self._canonical
+        if raw is None:
+            raw = (b"K" + _text(self.aggregate.value)
+                   + _opt_text(self.customer_name)
+                   + _opt_text(self.product_name)
+                   + _opt_text(self.color))
+            object.__setattr__(self, "_canonical", raw)
+        return raw
 
     def label(self) -> str:
         parts = [self.aggregate.value]

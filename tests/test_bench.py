@@ -79,6 +79,32 @@ def test_config_rejects_unknown_fields():
         WorkloadConfig.from_dict({"n_writes": 10, "bogus": 1})
 
 
+@pytest.mark.parametrize("doc", [[{"n_writes": 10}], "error-150", 5, None],
+                         ids=["array", "string", "number", "null"])
+def test_config_must_be_a_json_object(doc):
+    with pytest.raises(ConfigInvalid):
+        WorkloadConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("change", [
+    {"customers": 5},
+    {"customers": "Bob"},
+    {"products": {"bolt": 1}},
+    {"colors": True},
+    {"quantity_range": 7},
+    {"requesters": "distributor-a"},
+    {"rate_sweep": 5},
+    {"attacks": "linking"},
+    {"orgs": "org1"},
+    {"orgs": [["org1"]]},
+    {"orgs": [["org1", "peer0.org1"]]},
+    {"epsilon_schedule": "equal"},
+], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+def test_config_rejects_badly_shaped_fields(change):
+    with pytest.raises(ConfigInvalid):
+        WorkloadConfig.from_dict({"n_writes": 10, **change})
+
+
 def test_named_scenarios_resolve():
     for name in ("error-150", "budget-155", "throughput-755"):
         cfg = scenario_config(name, seed=42)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpledger import (
     BudgetAccountant,
@@ -210,3 +212,39 @@ def test_invalid_constructor_and_spends():
     acct = BudgetAccountant(1.0)
     with pytest.raises(ValueError):
         acct.try_spend(0.0, "q", "r")
+
+
+# ---------------------------------------------------------------------------
+# exactness over the whole float range
+
+FLOAT_MIN, FLOAT_NEAR_MAX = 5e-324, 1.7e308
+POSITIVE_FLOATS = st.floats(min_value=FLOAT_MIN, max_value=FLOAT_NEAR_MAX)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(epsilon_t=POSITIVE_FLOATS, data=st.data())
+def test_balance_equals_the_rational_oracle_after_every_call(epsilon_t, data):
+    """Spends of any positive finite floats, tiny or huge, stay exact: the
+    balance is the repr-decimal rational the oracle computes, epsilon_rem is
+    its nearest float, and no subtraction rounds (it would raise Inexact)."""
+    acct = BudgetAccountant(epsilon_t)
+    oracle = Fraction(str(epsilon_t))
+    for i in range(data.draw(st.integers(1, 12), label="calls")):
+        rem = max(acct.epsilon_rem, FLOAT_MIN)
+        spend = data.draw(st.one_of(
+            POSITIVE_FLOATS,
+            st.floats(min_value=FLOAT_MIN, max_value=rem),
+            st.just(rem),
+        ), label=f"spend {i}")
+        events = list(acct.events)
+        if Fraction(str(spend)) > oracle:
+            with pytest.raises(BudgetExhausted):
+                acct.try_spend(spend, f"q{i}", "r")
+            assert acct.events == events
+        else:
+            acct.try_spend(spend, f"q{i}", "r")
+            oracle -= Fraction(str(spend))
+            assert acct.events[-1].epsilon_rem == float(oracle)
+        assert acct.remaining_exact() == oracle
+        assert acct.epsilon_rem == float(oracle)
+        assert acct.accumulated_exact() == Fraction(str(epsilon_t)) - oracle

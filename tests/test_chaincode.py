@@ -8,6 +8,7 @@ from dpledger import (
     BudgetAccountant,
     BudgetExhausted,
     ChaincodeEngine,
+    NonPositiveBound,
     UnsupportedAggregate,
     WorldState,
     categorize,
@@ -203,3 +204,30 @@ def test_instrumentation_counts_probes_and_evaluations(rng):
     assert engine.probe_count == 5
     assert engine.evaluation_count == 2
     assert engine.noise_draws == 2
+
+
+def test_equal_queries_share_one_interned_key(rng):
+    state, acct, engine = _setup(reuse_enabled=False)
+    a = make_query(Aggregate.SUM, customer="Bob", color="red")
+    b = make_query(Aggregate.SUM, customer="Bob", color="red")
+    assert a == b and a is not b
+    key = engine.category(a)
+    assert engine.category(b) is key
+    assert key == categorize(a)
+    records = []
+    for q in (a, b):
+        engine.answer_query(q, state, acct, 0.5, rng)
+        records.append(engine.last_record)
+    assert records[0].key is records[1].key is key
+    assert records[0].key.canonical_bytes() is records[1].key.canonical_bytes()
+    # A different shape of the same category gets its own, equal key.
+    assert engine.category(make_query(Aggregate.SUM, customer=" BOB ", color="Red")) == key
+
+
+def test_bad_sensitivity_bound_is_rejected_before_the_spend(rng):
+    state, acct, engine = _setup(sensitivity_bound=0.0)
+    with pytest.raises(NonPositiveBound):
+        engine.answer_query(make_query(Aggregate.SUM), state, acct, 0.5, rng)
+    assert acct.events == []
+    assert acct.accumulated_exact() == 0
+    assert engine.pending == {}

@@ -103,6 +103,24 @@ def test_errors_emit_machine_readable_json(tmp_path, capsys):
     assert err["error"] == "IoFailure"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{bad}"],
+    ["init-ledger", "{bad}"],
+    ["sweep", "{bad}"],
+    ["attack", "--kind", "averaging", "--config", "{bad}"],
+    ["export", "--report", "{bad}"],
+], ids=["run", "init-ledger", "sweep", "attack", "export"])
+def test_invalid_json_file_is_config_invalid(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n_writes": 5,')
+    argv = [arg.format(bad=bad) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert _run(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert str(bad) in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_prints_na_for_an_unanswered_pass(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_writes": 20, "n_queries": 3, "epsilon_schedule":

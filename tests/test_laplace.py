@@ -179,6 +179,30 @@ def test_perturb_rejects_tiny_epsilon(rng):
         perturb(10.0, 1e-8, SensitivitySpec(Aggregate.SUM, 100.0), rng)
 
 
+@pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.01, 0.37, 1.0, 5.0, 1e6])
+def test_perturb_is_bit_identical_to_a_laplace_sample(aggregate, epsilon):
+    spec = SensitivitySpec(aggregate, 100.0)
+    params = LaplaceParams(0.0, sensitivity(spec) / epsilon)
+    lean = np.random.default_rng(41)
+    reference = np.random.default_rng(41)
+    for value in (0.0, 7.0, 1234.5, -3.0):
+        got = perturb(value, epsilon, spec, lean)
+        want = value + laplace_sample(params, reference)
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("bound, epsilon", [(1e308, 1e-6), (5e-324, 1e300)],
+                         ids=["scale-overflows", "scale-underflows"])
+def test_perturb_keeps_the_finite_scale_check(bound, epsilon, rng):
+    spec = SensitivitySpec(Aggregate.SUM, bound)
+    scale = laplace_scale(epsilon, bound)
+    with pytest.raises(ValueError):
+        LaplaceParams(0.0, scale)
+    with pytest.raises(ValueError):
+        perturb(10.0, epsilon, spec, rng)
+
+
 # ---------------------------------------------------------------------------
 # empirical privacy inequality
 

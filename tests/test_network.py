@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +142,34 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     assert channel.engine.pending == pending
     assert channel.accountant.events == events
     assert {ch: list(items) for ch, items in net.orderer._pending.items()} == queue
+
+
+@pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
+@pytest.mark.parametrize("eps_f", [1e-9, float("nan"), float("inf"), float("-inf"), 0.0, -1.0],
+                         ids=["sub-floor", "nan", "inf", "-inf", "zero", "negative"])
+def test_bad_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled, eps_f):
+    net = _network(epsilon_t=5.0, reuse_enabled=reuse_enabled)
+    _load(net)
+    channel = net.channels["mychannel"]
+    q = make_query(Aggregate.SUM, color="red")
+    # A valid twin is already answered; with reuse on its category is a cache hit.
+    net.submit("distributor-a", q, eps_f=0.2)
+    total = channel.accountant.accumulated_exact()
+    events = list(channel.accountant.events)
+    pending = dict(channel.engine.pending)
+    receipt = net.submit("distributor-a", q, eps_f=eps_f)
+    assert receipt.status is ReceiptStatus.REJECTED
+    assert receipt.reject_reason == "NonPositiveEpsilon"
+    assert [p.phase for p in receipt.phases] == ["proposal", "endorsement"]
+    assert receipt.response is None
+    assert channel.accountant.accumulated_exact() == total
+    assert channel.accountant.events == events
+    assert channel.engine.pending == pending
+    net.run_until_idle()
+    on_chain = sum((Fraction(repr(env.effect.record.epsilon_spent))
+                    for block in channel.chain for env in block.envelopes
+                    if env.effect is not None), Fraction(0))
+    assert on_chain == channel.accountant.accumulated_exact() == Fraction("0.2")
 
 
 def test_repeated_query_served_from_cache_without_new_block():
