@@ -58,7 +58,6 @@ from .budget import (
     BudgetAccountant,
     RequesterProfile,
     SpendRecord,
-    TrustClass,
     allocate_equal,
     allocate_weighted,
 )

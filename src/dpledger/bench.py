@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from .adversary import (
     linking_trials,
     repeated_query_averaging,
 )
-from .budget import RequesterProfile, TrustClass, allocate_equal, allocate_weighted
+from .budget import RequesterProfile, allocate_equal, allocate_weighted
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import SensitivitySpec, laplace_scale
@@ -85,7 +86,10 @@ class EpsilonSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpsilonSchedule":
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigInvalid(f"unknown epsilon_schedule fields: {sorted(unknown)}")
+        return cls(**d)
 
 
 def _array(name: str, value) -> tuple:
@@ -93,6 +97,19 @@ def _array(name: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigInvalid(f"{name} must be a JSON array, got {type(value).__name__}")
     return tuple(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _failing(obj, check: Callable, names: Sequence[str], prefix: str = "") -> List[str]:
+    return [prefix + name for name in names if not check(getattr(obj, name))]
 
 
 @dataclass
@@ -130,6 +147,25 @@ class WorkloadConfig:
         return int(self.repeat_ratio * self.n_queries + 0.5)
 
     def validate(self) -> None:
+        # Types first: a bool is not a number and a float must be finite.
+        sched = self.epsilon_schedule
+        bad = (_failing(self, _is_int, ("n_writes", "n_queries", "write_rate", "query_rate",
+                                        "batch_size", "batch_timeout",
+                                        "endorsement_policy", "seed"))
+               + _failing(self, _is_finite, ("repeat_ratio", "epsilon_t",
+                                             "sensitivity_bound"))
+               + _failing(self, lambda v: isinstance(v, bool), ("sum_only", "dp_enabled"))
+               + _failing(self, lambda v: v is None or _is_int(v), ("n_repeats",))
+               + _failing(self, lambda v: v is None or all(map(_is_int, v)), ("rate_sweep",))
+               + _failing(self, lambda v: len(v) == 2 and all(map(_is_int, v)),
+                          ("quantity_range",))
+               + _failing(sched, _is_finite, ("value", "low", "high", "fresh_total",
+                                              "repeat_total"), "epsilon_schedule.")
+               + _failing(sched, lambda v: v is None or (
+                   isinstance(v, dict) and all(_is_finite(w) and w > 0 for w in v.values())),
+                          ("weights",), "epsilon_schedule."))
+        if bad:
+            raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
         lo, hi = self.quantity_range
         if not (1 <= lo <= hi <= 100):
             raise ConfigInvalid(f"quantity_range {self.quantity_range} not within [1, 100]")
@@ -151,6 +187,10 @@ class WorkloadConfig:
             raise ConfigInvalid("rate_sweep entries must be positive")
         if self.epsilon_t <= 0:
             raise ConfigInvalid("epsilon_t must be positive")
+        if self.sensitivity_bound <= 0:
+            raise ConfigInvalid("sensitivity_bound must be positive")
+        if self.batch_size < 1:
+            raise ConfigInvalid("batch_size must be >= 1")
         if not self.customers or not self.products or not self.colors:
             raise ConfigInvalid("customers, products, and colors must be non-empty")
         blank = [name for name in (*self.customers, *self.products, *self.colors,
@@ -160,15 +200,15 @@ class WorkloadConfig:
             raise ConfigInvalid(f"blank customer, product, color or requester names: {blank}")
         if not self.requesters or len(set(self.requesters)) != len(self.requesters):
             raise ConfigInvalid("requesters must be non-empty and unique")
-        if self.orgs is not None:
-            if not self.orgs or any(not peer_ids for _, peer_ids in self.orgs):
-                raise ConfigInvalid("every org needs at least one peer")
-            n_peers = sum(len(peer_ids) for _, peer_ids in self.orgs)
-            if not 1 <= self.endorsement_policy <= n_peers:
-                raise ConfigInvalid(
-                    f"endorsement policy {self.endorsement_policy} outside "
-                    f"[1, {n_peers}] for the configured topology"
-                )
+        if self.orgs is not None and (
+                not self.orgs or any(not peer_ids for _, peer_ids in self.orgs)):
+            raise ConfigInvalid("every org needs at least one peer")
+        n_peers = sum(len(peer_ids) for _, peer_ids in self.orgs or DEFAULT_ORGS)
+        if not 1 <= self.endorsement_policy <= n_peers:
+            raise ConfigInvalid(
+                f"endorsement policy {self.endorsement_policy} outside "
+                f"[1, {n_peers}] for the configured topology"
+            )
         if self.epsilon_schedule.kind not in ("equal", "weighted", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {self.epsilon_schedule.kind!r}")
         bad_attacks = set(self.attacks) - {"linking", "composition", "averaging"}
@@ -268,10 +308,7 @@ def _epsilon_values(cfg: WorkloadConfig, rng: np.random.Generator,
         requester_of = [cfg.requesters[i % len(cfg.requesters)] for i in range(n)]
         counts = {r: requester_of.count(r) for r in cfg.requesters}
         weights = sched.weights or {}
-        profiles = [
-            RequesterProfile(r, TrustClass.WEIGHTED, weights.get(r, 1.0))
-            for r in cfg.requesters
-        ]
+        profiles = [RequesterProfile(r, weights.get(r, 1.0)) for r in cfg.requesters]
         shares = allocate_weighted(profiles, counts, cfg.epsilon_t)
         return [shares[r] for r in requester_of]
     if sched.kind == "fixed":

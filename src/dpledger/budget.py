@@ -22,9 +22,8 @@ import io
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact
-from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, EmptyProfiles, ZeroQueries
 
@@ -44,17 +43,11 @@ def _decimal(value: float) -> Decimal:
     return Decimal(repr(float(value)))
 
 
-class TrustClass(Enum):
-    EQUAL = "equal"
-    WEIGHTED = "weighted"
-
-
 @dataclass(frozen=True)
 class RequesterProfile:
     """Per-requester privacy treatment; lower weight means stronger privacy."""
 
     requester_id: str
-    trust_class: TrustClass = TrustClass.EQUAL
     weight: float = 1.0
 
     def __post_init__(self):
@@ -62,8 +55,7 @@ class RequesterProfile:
             raise ValueError(f"weight must be positive and finite, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class SpendRecord:
+class SpendRecord(NamedTuple):
     """One accounting event. Reused rows log the allocation without spending it."""
 
     query_id: str
@@ -77,7 +69,7 @@ class BudgetAccountant:
     """Tracks spending of the privacy budget against a fixed threshold.
 
     Owned by one peer process and mutated only inside its serialized
-    chaincode execution; snapshots handed out are plain floats.
+    chaincode execution; the balances it hands out are plain floats.
     ``epsilon_rem`` is the float nearest the exact balance, kept up to
     date by each spend.
 

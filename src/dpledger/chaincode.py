@@ -145,7 +145,7 @@ class ChaincodeEngine:
         noisy = perturb(exact_value, eps_f, spec, rng)
         self.noise_draws += 1
         resp = PerturbedResponse(noisy, eps_f, False, qid)
-        self.last_record = QueryRecord(key, eps_f, resp, state.height + 1)
+        self.last_record = QueryRecord(key, eps_f, resp)
         if self.reuse_enabled:
             self.pending[key] = self.last_record
         return resp

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -115,9 +116,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _epsilon_list(text: str) -> list:
+    """The swept thresholds: a non-empty list of positive, finite numbers."""
+    try:
+        epsilons = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as err:
+        raise ConfigInvalid(f"--epsilon-list {text!r}: {err}") from err
+    if not epsilons or not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ConfigInvalid(f"--epsilon-list {text!r} must list positive, finite numbers")
+    return epsilons
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    epsilons = [float(tok) for tok in args.epsilon_list.split(",") if tok.strip()]
+    epsilons = _epsilon_list(args.epsilon_list)
     result = bench.sweep(cfg, epsilons)
     bench.export_sweep(result, args.out)
     for row in result["rows"]:

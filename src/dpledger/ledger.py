@@ -7,11 +7,10 @@ of the chain, which keeps brute-force verification cheap at desk scale.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EmptyBatch, IoFailure
@@ -115,21 +114,13 @@ class CommittedWrite:
 
     tx: WriteTransaction
     height: int
-    norm_customer: str = field(init=False)
-    norm_product: str = field(init=False)
-    norm_color: str = field(init=False)
-
-    def __post_init__(self):
-        self.norm_customer = normalize(self.tx.customer_name)
-        self.norm_product = normalize(self.tx.product_name)
-        self.norm_color = normalize(self.tx.color)
 
 
 class WorldState:
     """Materialized key-value view of one channel ledger.
 
     Holds the committed purchase records, the append-only query log, and
-    the remaining-budget snapshots written alongside each log entry.
+    the remaining budget written alongside each log entry.
     """
 
     def __init__(self, channel_id: str = "mychannel"):
@@ -147,9 +138,9 @@ class WorldState:
     def apply_write(self, tx: WriteTransaction, height: Optional[int] = None) -> None:
         """Fold one validated write into the record multiset."""
         validate_write(tx)
-        rec = CommittedWrite(tx=tx, height=self.height if height is None else height)
-        self.records.append(rec)
-        for cell in _cells(rec.norm_customer, rec.norm_product, rec.norm_color):
+        self.records.append(CommittedWrite(tx, self.height if height is None else height))
+        for cell in _cells(normalize(tx.customer_name), normalize(tx.product_name),
+                           normalize(tx.color)):
             slot = self._agg.setdefault(cell, [0, 0])
             slot[0] += 1
             slot[1] += tx.quantity
@@ -166,7 +157,7 @@ class WorldState:
     # -- query log
 
     def record_query(self, rec: QueryRecord, eps_rem: float) -> None:
-        """Append a query record and the budget snapshot; idempotent per query id.
+        """Append a query record and the budget left; idempotent per query id.
 
         Fresh answers must carry the budget they consumed.
         """
@@ -184,10 +175,7 @@ class WorldState:
         """Most recent record with exactly this key, if any."""
         return self._latest.get(key)
 
-    # -- snapshots and serialization
-
-    def snapshot(self) -> "WorldState":
-        return copy.deepcopy(self)
+    # -- serialization
 
     def serialize(self) -> bytes:
         """Canonical JSON encoding; equal states serialize bit-identically."""

@@ -21,9 +21,11 @@ under fresh noise.
 Each envelope's payload digest (SHA-256 over its tx id, body and query
 effect) is computed once: endorsers sign it, committers check signatures
 against it, and the block hash binds the height, the previous hash, and
-each envelope's payload digest plus its endorsements. A block commits
-only if every envelope has endorsements from enough distinct channel
-members and every query effect is a fresh, positive ε spend.
+each envelope's payload digest plus its endorsements. An endorsement is
+only (peer id, signature): the signature binds that peer to the digest
+of the envelope carrying it, so it verifies on no other payload. A block
+commits only if every envelope has endorsements from enough distinct
+channel members and every query effect is a fresh, positive ε spend.
 """
 
 from __future__ import annotations
@@ -69,13 +71,12 @@ def _signature(peer_id: str, payload_digest: str) -> str:
 
 
 def sign_endorsement(peer_id: str, payload_digest: str) -> Endorsement:
-    return Endorsement(peer_id=peer_id, payload_digest=payload_digest,
-                       signature=_signature(peer_id, payload_digest))
+    return Endorsement(peer_id=peer_id, signature=_signature(peer_id, payload_digest))
 
 
 def endorsement_valid(end: Endorsement, payload_digest: str) -> bool:
-    return (end.payload_digest == payload_digest
-            and end.signature == _signature(end.peer_id, payload_digest))
+    """True iff ``end`` signs ``payload_digest``, the carrying envelope's."""
+    return end.signature == _signature(end.peer_id, payload_digest)
 
 
 def _effect_problem(effect: QueryEffect) -> str:

@@ -312,23 +312,22 @@ class PerturbedResponse:
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """Entry of the on-ledger query log: key, spent budget, cached answer."""
+    """Entry of the on-ledger query log: key, spent budget, cached answer.
+    Its height is that of the block committing it."""
 
     key: CategoryKey
     epsilon_spent: float
     response: PerturbedResponse
-    recorded_at: int
 
     def canonical_bytes(self) -> bytes:
         return (b"L" + self.key.canonical_bytes() + _f64(self.epsilon_spent)
-                + self.response.canonical_bytes() + _i64(self.recorded_at))
+                + self.response.canonical_bytes())
 
     def to_dict(self) -> dict:
         return {
             "key": self.key.to_dict(),
             "epsilon_spent": self.epsilon_spent,
             "response": self.response.to_dict(),
-            "recorded_at": self.recorded_at,
         }
 
     @classmethod
@@ -337,7 +336,6 @@ class QueryRecord:
             key=CategoryKey.from_dict(d["key"]),
             epsilon_spent=d["epsilon_spent"],
             response=PerturbedResponse.from_dict(d["response"]),
-            recorded_at=d["recorded_at"],
         )
 
 
@@ -346,22 +344,18 @@ class QueryRecord:
 
 @dataclass(frozen=True)
 class Endorsement:
-    """Simulated signed approval: signature = digest of (peer id, payload digest)."""
+    """Simulated signed approval of the envelope that carries it: signature =
+    digest of (peer id, that envelope's payload digest), not stored here."""
 
     peer_id: str
-    payload_digest: str
     signature: str
 
     def to_dict(self) -> dict:
-        return {
-            "peer_id": self.peer_id,
-            "payload_digest": self.payload_digest,
-            "signature": self.signature,
-        }
+        return {"peer_id": self.peer_id, "signature": self.signature}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Endorsement":
-        return cls(d["peer_id"], d["payload_digest"], d["signature"])
+        return cls(d["peer_id"], d["signature"])
 
 
 @dataclass(frozen=True)
@@ -427,7 +421,7 @@ class Envelope:
         """Block-level encoding: the 32-byte payload digest, then each endorsement."""
         body = bytes.fromhex(self.payload_digest)
         for end in self.endorsements:
-            body += _text(end.peer_id) + _text(end.payload_digest) + _text(end.signature)
+            body += _text(end.peer_id) + _text(end.signature)
         return body
 
     def to_dict(self) -> dict:

@@ -99,6 +99,21 @@ def test_config_must_be_a_json_object(doc):
     {"orgs": [["org1"]]},
     {"orgs": [["org1", "peer0.org1"]]},
     {"epsilon_schedule": "equal"},
+    {"epsilon_schedule": {"kind": "fixed", "valeu": 0.5}},
+    {"n_writes": "5"},
+    {"n_writes": True},
+    {"seed": 1.5},
+    # json.load reads NaN and Infinity in a config file as these floats.
+    {"epsilon_t": float("nan")},
+    {"epsilon_t": float("inf")},
+    {"sensitivity_bound": 0},
+    {"quantity_range": ["1", 5]},
+    {"rate_sweep": [10, "20"]},
+    {"sum_only": 1},
+    {"epsilon_schedule": {"kind": "fixed", "value": float("nan")}},
+    {"epsilon_schedule": {"kind": "weighted", "weights": {"distributor-a": "2"}}},
+    {"endorsement_policy": 3},
+    {"batch_size": 0},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
 def test_config_rejects_badly_shaped_fields(change):
     with pytest.raises(ConfigInvalid):

@@ -11,7 +11,6 @@ from dpledger import (
     BudgetExhausted,
     EmptyProfiles,
     RequesterProfile,
-    TrustClass,
     ZeroQueries,
     allocate_equal,
     allocate_weighted,
@@ -56,8 +55,8 @@ def test_equal_split_always_fits_the_threshold():
 
 def test_weighted_allocation_hand_solved():
     profiles = [
-        RequesterProfile("manufacturer", TrustClass.WEIGHTED, weight=2.0),
-        RequesterProfile("distributor", TrustClass.WEIGHTED, weight=1.0),
+        RequesterProfile("manufacturer", weight=2.0),
+        RequesterProfile("distributor", weight=1.0),
     ]
     shares = allocate_weighted(profiles, {"manufacturer": 1, "distributor": 1}, 0.3)
     assert shares["manufacturer"] == pytest.approx(0.2, abs=1e-12)
@@ -66,8 +65,8 @@ def test_weighted_allocation_hand_solved():
 
 def test_weighted_lower_weight_means_lower_epsilon():
     profiles = [
-        RequesterProfile("trusted", TrustClass.WEIGHTED, weight=3.0),
-        RequesterProfile("suspect", TrustClass.WEIGHTED, weight=0.5),
+        RequesterProfile("trusted", weight=3.0),
+        RequesterProfile("suspect", weight=0.5),
     ]
     shares = allocate_weighted(profiles, {"trusted": 10, "suspect": 10}, 1.0)
     assert shares["suspect"] < shares["trusted"]
@@ -85,8 +84,7 @@ def test_weighted_equal_weights_collapse_to_equal_split():
 def test_weighted_allocation_sums_back(rng):
     for _ in range(50):
         profiles = [
-            RequesterProfile(f"r{i}", TrustClass.WEIGHTED,
-                             weight=float(rng.uniform(0.1, 5.0)))
+            RequesterProfile(f"r{i}", weight=float(rng.uniform(0.1, 5.0)))
             for i in range(int(rng.integers(1, 6)))
         ]
         counts = {p.requester_id: int(rng.integers(1, 40)) for p in profiles}

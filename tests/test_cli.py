@@ -121,6 +121,16 @@ def test_invalid_json_file_is_config_invalid(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epsilons", ["1,x", "", " , ", "1,nan", "inf", "0", "2,-1"])
+def test_sweep_rejects_a_bad_epsilon_list(tmp_path, capsys, epsilons):
+    path = tmp_path / "cfg.json"  # the default schedule splits each threshold equally
+    path.write_text(json.dumps({"n_writes": 20, "n_queries": 3}))
+    out = tmp_path / "out"
+    assert _run(["sweep", str(path), "--epsilon-list", epsilons, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not out.exists()
+
+
 def test_run_prints_na_for_an_unanswered_pass(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_writes": 20, "n_queries": 3, "epsilon_schedule":

@@ -45,7 +45,7 @@ def _chain_of(n_blocks, txs_per_block=3):
 def _record(key_color="red", qid="q0", eps=0.05, value=42.0, reused=False):
     key = CategoryKey(Aggregate.SUM, None, None, key_color)
     resp = PerturbedResponse(value=value, epsilon_used=eps, reused=reused, query_id=qid)
-    return QueryRecord(key=key, epsilon_spent=eps, response=resp, recorded_at=1)
+    return QueryRecord(key=key, epsilon_spent=eps, response=resp)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +252,6 @@ def test_export_import_round_trip(tmp_path):
     for height, env in rows:
         rebuilt.apply_write(env.tx, height=height)
     assert len(rebuilt.records) == 15
-
-
-def test_snapshot_is_isolated_from_later_commits():
-    state = WorldState()
-    state.apply_write(make_write(quantity=10))
-    frozen = state.snapshot()
-    state.apply_write(make_write(quantity=20))
-    assert len(frozen.records) == 1
-    assert frozen.aggregate_cell(None, None, None) == (1, 10)
-    assert state.aggregate_cell(None, None, None) == (2, 30)
 
 
 def test_block_dump_lists_metadata():

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,13 @@ from dpledger import (
     QueryRecord,
     ReceiptStatus,
     build_block,
+    export_blocks,
     export_transactions,
+    import_transactions,
     replay_chain,
     verify_chain,
 )
+from dpledger.ledger import compute_block_hash
 from dpledger.network import endorsement_valid, sign_endorsement
 
 from conftest import make_query, make_write
@@ -52,6 +57,35 @@ def _assert_audited(net, channel, results, height, n_audited=1):
     assert channel.chain[-1].height == height
     assert len(channel.audit) == n_audited
     assert all(len(p.chains["mychannel"]) == height + 1 for p in net.peers.values())
+
+
+# ---------------------------------------------------------------------------
+# ledger export
+
+def test_exported_ledger_rebuilds_every_block_hash():
+    net = _network()
+    _load(net, 12)
+    for _ in range(2):
+        for color in ("red", "blue", "green"):
+            net.submit("distributor-a", make_query(color=color), eps_f=0.5)
+        net.submit("loader-app", make_write(quantity=7))
+        net.tick()
+    net.run_until_idle()
+    statuses = [r.status for r in net.receipts]
+    assert ReceiptStatus.CACHED in statuses and ReceiptStatus.REJECTED not in statuses
+    chain = net.channels["mychannel"].chain
+    assert any(env.effect is not None for block in chain for env in block.envelopes)
+
+    header, rows = import_transactions(export_transactions(chain, "mychannel"))
+    assert header["genesis_hash"] == chain[0].block_hash.hex()
+    hashes = [chain[0].block_hash]
+    for height, group in itertools.groupby(rows, key=lambda row: row[0]):
+        envelopes = [env for _, env in group]
+        assert envelopes == list(chain[height].envelopes)
+        hashes.append(compute_block_hash(height, hashes[-1], envelopes))
+    assert hashes == [block.block_hash for block in chain]
+    dumped = [json.loads(line)["block_hash"] for line in export_blocks(chain).splitlines()]
+    assert dumped == [h.hex() for h in hashes]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +395,7 @@ def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
     height = channel.chain[-1].height
     key = CategoryKey(Aggregate.SUM, None, None, "red")
     resp = PerturbedResponse(value=5.0, epsilon_used=eps_used, reused=reused, query_id="q")
-    effect = QueryEffect(QueryRecord(key, eps_spent, resp, height + 1), eps_rem=9.9)
+    effect = QueryEffect(QueryRecord(key, eps_spent, resp), eps_rem=9.9)
     env = _signed(Envelope(tx_id="q", tx=make_query(color="red"), effect=effect),
                   channel.members)
     results = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))

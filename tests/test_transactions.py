@@ -99,7 +99,7 @@ def test_golden_encodings():
     write = make_write()
     query = make_query(Aggregate.SUM, customer="Bob", color="red")
     record = QueryRecord(CategoryKey(Aggregate.SUM, "bob", None, "red"), 0.25,
-                         PerturbedResponse(123.456, 0.25, False, "q1"), 3)
+                         PerturbedResponse(123.456, 0.25, False, "q1"))
     qenv = Envelope("q1", query, QueryEffect(record, eps_rem=0.75))
     wenv = Envelope("w1", write)
     wenv = wenv.with_endorsements(tuple(sign_endorsement(p, wenv.payload_digest)
@@ -110,10 +110,10 @@ def test_golden_encodings():
         assert _sha256(query.canonical_bytes()) == (
             "032a5fc72bf2bb848a9b586635d7458a700dba5e732ebe39ed68c7e0af1ebea5")
     assert _sha256(qenv.payload_bytes()) == (
-        "3d2db2fc4b4c5f688c1222ae7fefb79091793e81bfca6cfaf5d46cad2a837c9e")
+        "c5c6cdb98d332d6aec91cfc1babaf949d122a5276e46d214675150610265690a")
     block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
     assert block_hash.hex() == (
-        "baa92f2c051f689bad4ebb45b97a8ee78d0edd522809d25e64732b17c68c0c45")
+        "3841357e84b958871353e760a7705b0a756f8b15f63ae1a6e85a251986730e3d")
 
 
 _COMMON = [("contract_id", "other"), ("contract_version", "2.0"),
