@@ -622,7 +622,11 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
     Every run reuses the same seed, so the mean relative error scales
     exactly with the noise magnitude. Rows carry the analytic
     expectation mean(100 * scale / a) for cross-checking.
+    ``epsilon_list`` must be a non-empty list of positive, finite numbers.
     """
+    if not epsilon_list or not all(_is_finite(e) and e > 0 for e in epsilon_list):
+        raise ConfigInvalid(
+            f"epsilon list {list(epsilon_list)!r} must hold positive, finite numbers")
     rows = []
     for eps_t in epsilon_list:
         if cfg.epsilon_schedule.kind == "fixed":

@@ -1,8 +1,14 @@
 """Append-only hash-chained block store and the world state it folds into.
 
 Commits are serialized per channel (single writer); committed values are
-immutable and safe to share. The world state is a full rebuildable fold
-of the chain, which keeps brute-force verification cheap at desk scale.
+immutable and safe to share. A block is folded once (``fold_block``): each
+write is validated and normalized once, its eight attribute cells are
+summed into a per-block delta, and one immutable ``CommittedWrite`` is
+built per write. Every member then applies that one fold to its own world
+state (``apply_block``), sharing the committed records but keeping its own
+cell counters; replaying a chain applies the same folds. The world state
+is a full rebuildable fold of the chain, which keeps brute-force
+verification cheap at desk scale.
 """
 
 from __future__ import annotations
@@ -11,14 +17,14 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import EmptyBatch, IoFailure
+from .errors import DPLedgerError, EmptyBatch, IoFailure
 from .transactions import (
     CategoryKey,
     Envelope,
+    QueryEffect,
     QueryRecord,
-    QueryTransaction,
     WriteTransaction,
     normalize,
     validate_write,
@@ -27,13 +33,23 @@ from .transactions import (
 GENESIS_PREV_HASH = bytes(32)
 
 
-def _cells(customer: str, product: str, color: str) -> tuple:
-    """The eight aggregation cells a write falls in: one per subset of its
-    three normalized attributes, with the others wildcarded as None."""
-    return ((None, None, None), (None, None, color),
-            (None, product, None), (None, product, color),
-            (customer, None, None), (customer, None, color),
-            (customer, product, None), (customer, product, color))
+def _add_write(cells: dict, tx: WriteTransaction) -> None:
+    """Count ``tx`` in each of the eight aggregation cells it falls in: one
+    per subset of its three normalized attributes, the others wildcarded as
+    None. A cell's value is a ``[count, quantity sum]`` list."""
+    customer, product, color = (normalize(tx.customer_name), normalize(tx.product_name),
+                                normalize(tx.color))
+    qty = tx.quantity
+    for cell in ((None, None, None), (None, None, color),
+                 (None, product, None), (None, product, color),
+                 (customer, None, None), (customer, None, color),
+                 (customer, product, None), (customer, product, color)):
+        slot = cells.get(cell)
+        if slot is None:
+            cells[cell] = [1, qty]
+        else:
+            slot[0] += 1
+            slot[1] += qty
 
 
 def _sha256(data: bytes) -> bytes:
@@ -108,12 +124,48 @@ def verify_chain(chain: Sequence[Block]) -> bool:
         return False
 
 
-@dataclass
-class CommittedWrite:
-    """A write transaction folded into world state at a commit height."""
+class CommittedWrite(NamedTuple):
+    """A write transaction folded into world state at a commit height;
+    immutable, so every member's world state shares the same one."""
 
     tx: WriteTransaction
     height: int
+
+
+class BlockFold(NamedTuple):
+    """A block's effect on a world state, computed once for every member.
+
+    ``cells`` maps each attribute cell the block's writes fall in to their
+    ``[count, quantity sum]``; it is only read, and each member adds it into
+    counters of its own.
+    """
+
+    height: int
+    writes: Tuple[CommittedWrite, ...]
+    cells: Dict[tuple, List[int]]
+    effects: Tuple[QueryEffect, ...]
+
+
+def fold_block(block: Block) -> BlockFold:
+    """Validate and normalize each write of ``block`` once, and collect its
+    query effects. Raises the error of the first invalid write, prefixed
+    with that write's tx id."""
+    height = block.height
+    writes = []
+    cells: dict = {}
+    effects = []
+    for env in block.envelopes:
+        tx = env.tx
+        if isinstance(tx, WriteTransaction):
+            try:
+                validate_write(tx)
+            except DPLedgerError as err:
+                raise type(err)(f"{env.tx_id}: {err}") from err
+            writes.append(CommittedWrite(tx, height))
+            _add_write(cells, tx)
+        elif env.effect is not None:
+            effects.append(env.effect)
+    return BlockFold(height, tuple(writes), cells, tuple(effects))
 
 
 class WorldState:
@@ -139,11 +191,7 @@ class WorldState:
         """Fold one validated write into the record multiset."""
         validate_write(tx)
         self.records.append(CommittedWrite(tx, self.height if height is None else height))
-        for cell in _cells(normalize(tx.customer_name), normalize(tx.product_name),
-                           normalize(tx.color)):
-            slot = self._agg.setdefault(cell, [0, 0])
-            slot[0] += 1
-            slot[1] += tx.quantity
+        _add_write(self._agg, tx)
 
     def aggregate_cell(self, customer: Optional[str], product: Optional[str],
                        color: Optional[str]) -> Tuple[int, int]:
@@ -191,21 +239,29 @@ class WorldState:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def apply_block(state: WorldState, block: Block) -> None:
-    """Fold one committed block into a world state."""
-    for env in block.envelopes:
-        if isinstance(env.tx, WriteTransaction):
-            state.apply_write(env.tx, height=block.height)
-        elif isinstance(env.tx, QueryTransaction) and env.effect is not None:
-            state.record_query(env.effect.record, env.effect.eps_rem)
-    state.height = block.height
+def apply_block(state: WorldState, fold: BlockFold) -> None:
+    """Apply one block's fold to a world state: share its committed
+    records, add its cell delta into the state's own counters, and log its
+    query effects."""
+    state.records.extend(fold.writes)
+    agg = state._agg
+    for cell, (count, qty) in fold.cells.items():
+        slot = agg.get(cell)
+        if slot is None:
+            agg[cell] = [count, qty]
+        else:
+            slot[0] += count
+            slot[1] += qty
+    for effect in fold.effects:
+        state.record_query(effect.record, effect.eps_rem)
+    state.height = fold.height
 
 
 def replay_chain(chain: Sequence[Block], channel_id: str = "mychannel") -> WorldState:
     """Rebuild world state by folding the whole chain in block order."""
     state = WorldState(channel_id=channel_id)
     for block in chain[1:] if chain and chain[0].height == 0 else chain:
-        apply_block(state, block)
+        apply_block(state, fold_block(block))
     return state
 
 

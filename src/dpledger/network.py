@@ -19,13 +19,19 @@ digest without re-executing, which keeps endorsement deterministic
 under fresh noise.
 
 Each envelope's payload digest (SHA-256 over its tx id, body and query
-effect) is computed once: endorsers sign it, committers check signatures
-against it, and the block hash binds the height, the previous hash, and
-each envelope's payload digest plus its endorsements. An endorsement is
-only (peer id, signature): the signature binds that peer to the digest
-of the envelope carrying it, so it verifies on no other payload. A block
-commits only if every envelope has endorsements from enough distinct
-channel members and every query effect is a fresh, positive ε spend.
+effect) is computed once and kept as raw bytes: endorsers sign it,
+committers check signatures against it, and the block hash binds the
+height, the previous hash, and each envelope's payload digest plus its
+endorsements. An endorsement is only (peer id, signature), both raw in
+memory: the signature binds that peer to the digest of the envelope
+carrying it, so it verifies on no other payload. Each member signs a
+proposal once and the endorsed envelope is built once. A block commits
+only if every envelope has endorsements from enough distinct channel
+members, every query effect is a fresh, positive ε spend, and every write
+is valid. The block is then folded once (``fold_block``: each write
+validated, normalized and summed into one per-block cell delta) and every
+member applies that same fold; an invalid block goes to audit and no
+member changes.
 """
 
 from __future__ import annotations
@@ -48,7 +54,14 @@ from .errors import (
     NotMember,
 )
 from .laplace import check_epsilon
-from .ledger import Block, WorldState, apply_block, build_block, make_genesis
+from .ledger import (
+    Block,
+    WorldState,
+    apply_block,
+    build_block,
+    fold_block,
+    make_genesis,
+)
 from .transactions import (
     Endorsement,
     Envelope,
@@ -62,19 +75,15 @@ from .transactions import (
 DEFAULT_ORGS = (("org1", ("peer0.org1",)), ("org2", ("peer0.org2",)))
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _signature(peer_id: str, payload_digest: bytes) -> bytes:
+    return hashlib.sha256(peer_id.encode("utf-8") + payload_digest).digest()
 
 
-def _signature(peer_id: str, payload_digest: str) -> str:
-    return _digest(peer_id.encode("utf-8") + bytes.fromhex(payload_digest))
+def sign_endorsement(peer_id: str, payload_digest: bytes) -> Endorsement:
+    return Endorsement(peer_id, _signature(peer_id, payload_digest))
 
 
-def sign_endorsement(peer_id: str, payload_digest: str) -> Endorsement:
-    return Endorsement(peer_id=peer_id, signature=_signature(peer_id, payload_digest))
-
-
-def endorsement_valid(end: Endorsement, payload_digest: str) -> bool:
+def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     """True iff ``end`` signs ``payload_digest``, the carrying envelope's."""
     return end.signature == _signature(end.peer_id, payload_digest)
 
@@ -173,6 +182,10 @@ class SoloOrderer:
     """Single ordering peer: FIFO batching per channel by arrival tick."""
 
     def __init__(self, max_batch_size: int = 10, batch_timeout: int = 2):
+        if max_batch_size < 1:
+            raise ConfigInvalid(f"batch size {max_batch_size} must be >= 1")
+        if batch_timeout < 0:
+            raise ConfigInvalid(f"batch timeout {batch_timeout} must be >= 0")
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
         self._pending: Dict[str, List[Tuple[int, Envelope]]] = {}
@@ -249,18 +262,20 @@ class Network:
 
     # -- phase 2: endorsement
 
-    def endorse(self, peer: Peer, payload_digest: str, channel_id: str) -> Endorsement:
+    def endorse(self, peer: Peer, payload_digest: bytes, channel_id: str) -> Endorsement:
         """Signed approval of a proposal payload by a channel member."""
         channel = self.channels[channel_id]
         if peer.peer_id not in channel.members:
             raise NotMember(f"{peer.peer_id} is not a member of {channel_id}")
         return sign_endorsement(peer.peer_id, payload_digest)
 
-    def _collect_endorsements(self, channel: Channel, env: Envelope) -> Envelope:
-        digest = env.payload_digest
-        ends = tuple(self.endorse(self.peers[m], digest, channel.channel_id)
-                     for m in channel.members)
-        return env.with_endorsements(ends)
+    def _collect_endorsements(self, channel: Channel, tx_id: str, tx: Transaction,
+                              effect: Optional[QueryEffect] = None) -> Envelope:
+        """The envelope endorsed once by every channel member."""
+        members = channel.members
+        return Envelope.endorsed(
+            tx_id, tx, effect,
+            lambda digest: tuple(sign_endorsement(m, digest) for m in members))
 
     def _endorse_tx(self, channel: Channel, tx: Transaction, tx_id: str,
                     eps_f: Optional[float],
@@ -268,8 +283,7 @@ class Network:
         """Run phase 2. Returns (envelope or None, response or None)."""
         if isinstance(tx, WriteTransaction):
             validate_write(tx)
-            env = self._collect_endorsements(channel, Envelope(tx_id=tx_id, tx=tx))
-            return env, None
+            return self._collect_endorsements(channel, tx_id, tx), None
 
         validate_query(tx)
         executor_id = target_peer if target_peer is not None else channel.members[0]
@@ -295,8 +309,7 @@ class Network:
         if record is not None:
             # The fresh answer just endorsed; noise-free answers have none.
             effect = QueryEffect(record=record, eps_rem=channel.accountant.epsilon_rem)
-        env = self._collect_endorsements(channel, Envelope(tx_id=tx_id, tx=tx, effect=effect))
-        return env, response
+        return self._collect_endorsements(channel, tx_id, tx, effect), response
 
     # -- submission (phases 1-3; phase 4 happens on tick)
 
@@ -308,9 +321,9 @@ class Network:
         channel = self.channels[channel_id]
         self._submit_seq += 1
         kind = "write" if isinstance(tx, WriteTransaction) else "query"
-        tx_id = _digest(
+        tx_id = hashlib.sha256(
             channel_id.encode() + self._submit_seq.to_bytes(8, "big") + tx.canonical_bytes()
-        )
+        ).hexdigest()
         receipt = TransactionReceipt(tx_id=tx_id, kind=kind, submit_tick=self.clock)
         self.receipts.append(receipt)
         self._receipts_by_id[tx_id] = receipt
@@ -380,25 +393,25 @@ class Network:
                          if e.peer_id in members and endorsement_valid(e, digest)}
             if len(endorsers) < channel.endorsement_policy:
                 problems.append(f"{env.tx_id}: endorsement policy not met")
-                continue
-            if isinstance(env.tx, WriteTransaction):
-                try:
-                    validate_write(env.tx)
-                except DPLedgerError as err:
-                    problems.append(f"{env.tx_id}: {err}")
-            if env.effect is not None:
+            elif env.effect is not None:
                 problem = _effect_problem(env.effect)
                 if problem:
                     problems.append(f"{env.tx_id}: {problem}")
 
         link_ok = (block.prev_hash == channel.chain[-1].block_hash
                    and block.height == channel.chain[-1].height + 1)
+        fold = None
+        if not problems and link_ok:
+            try:
+                fold = fold_block(block)
+            except DPLedgerError as err:
+                problems.append(str(err))
         # Committed or audited, the block's answers stop being pending.
         if channel.engine.pending:
             for env in block.envelopes:
                 if env.effect is not None:
                     channel.engine.settle(env.effect.record)
-        if problems or not link_ok:
+        if fold is None:
             channel.audit.append(block)
             for peer_id in channel.members:
                 results[peer_id] = False
@@ -414,7 +427,7 @@ class Network:
         for peer_id in channel.members:
             peer = self.peers[peer_id]
             peer.chains[channel.channel_id].append(block)
-            apply_block(peer.states[channel.channel_id], block)
+            apply_block(peer.states[channel.channel_id], fold)
             results[peer_id] = True
         for env in block.envelopes:
             receipt = self._receipts_by_id.get(env.tx_id)

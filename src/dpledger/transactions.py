@@ -7,7 +7,9 @@ hash derived from them is reproducible across platforms and runs. A
 transaction body or category key encodes itself once: ``canonical_bytes()``
 is computed on first use and kept on the frozen object, so the tx id and
 the envelope's payload digest read the same bytes, and a key shared by
-many query effects is encoded once.
+many query effects is encoded once. Payload digests and endorsement
+signatures stay raw 32-byte values in memory; only exports write them as
+hex.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     InvalidQuantity,
@@ -342,20 +344,20 @@ class QueryRecord:
 # ---------------------------------------------------------------------------
 # endorsement and committed envelopes
 
-@dataclass(frozen=True)
-class Endorsement:
+class Endorsement(NamedTuple):
     """Simulated signed approval of the envelope that carries it: signature =
-    digest of (peer id, that envelope's payload digest), not stored here."""
+    SHA-256 of (peer id, that envelope's payload digest), 32 raw bytes; the
+    digest is not stored here. Exported as hex."""
 
     peer_id: str
-    signature: str
+    signature: bytes
 
     def to_dict(self) -> dict:
-        return {"peer_id": self.peer_id, "signature": self.signature}
+        return {"peer_id": self.peer_id, "signature": self.signature.hex()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Endorsement":
-        return cls(d["peer_id"], d["signature"])
+        return cls(d["peer_id"], bytes.fromhex(d["signature"]))
 
 
 @dataclass(frozen=True)
@@ -383,11 +385,11 @@ Transaction = Union[WriteTransaction, QueryTransaction]
 class Envelope:
     """A transaction as committed to a block: id, body, effects, endorsements.
 
-    ``payload_digest`` is the SHA-256 hex digest of ``payload_bytes()``:
-    what endorsers sign, committers check and block hashes bind. It is
-    computed from the envelope's own fields on first use and then kept,
-    never taken from input, so ``dataclasses.replace``, ``from_dict`` and
-    direct construction all start without it.
+    ``payload_digest`` is the raw 32-byte SHA-256 digest of
+    ``payload_bytes()``: what endorsers sign, committers check and block
+    hashes bind. It is computed from the envelope's own fields on first use
+    and then kept, never taken from input, so ``dataclasses.replace``,
+    ``from_dict`` and direct construction all start without it.
     """
 
     tx_id: str
@@ -397,6 +399,18 @@ class Envelope:
     # Not a field (no annotation): set on first use of payload_digest.
     _payload_digest = None
 
+    @classmethod
+    def endorsed(cls, tx_id: str, tx: Transaction, effect: Optional[QueryEffect],
+                 sign: Callable[[bytes], tuple]) -> "Envelope":
+        """The envelope carrying ``sign(payload_digest)`` as its endorsements.
+
+        Built once: the endorsements are set before the envelope is returned,
+        so no unendorsed copy exists and the digest is computed once.
+        """
+        env = cls(tx_id, tx, effect)
+        object.__setattr__(env, "endorsements", sign(env.payload_digest))
+        return env
+
     def payload_bytes(self) -> bytes:
         body = _text(self.tx_id) + self.tx.canonical_bytes()
         if self.effect is not None:
@@ -404,24 +418,19 @@ class Envelope:
         return body
 
     @property
-    def payload_digest(self) -> str:
+    def payload_digest(self) -> bytes:
         digest = self._payload_digest
         if digest is None:
-            digest = hashlib.sha256(self.payload_bytes()).hexdigest()
+            digest = hashlib.sha256(self.payload_bytes()).digest()
             object.__setattr__(self, "_payload_digest", digest)
         return digest
 
-    def with_endorsements(self, endorsements: tuple) -> "Envelope":
-        """The same payload carrying ``endorsements``; the digest carries over."""
-        env = Envelope(self.tx_id, self.tx, self.effect, endorsements)
-        object.__setattr__(env, "_payload_digest", self.payload_digest)
-        return env
-
     def canonical_bytes(self) -> bytes:
-        """Block-level encoding: the 32-byte payload digest, then each endorsement."""
-        body = bytes.fromhex(self.payload_digest)
-        for end in self.endorsements:
-            body += _text(end.peer_id) + _text(end.signature)
+        """Block-level encoding: the 32-byte payload digest, then each
+        endorsement's peer id and length-prefixed raw signature."""
+        body = self.payload_digest
+        for peer_id, signature in self.endorsements:
+            body += _text(peer_id) + _u32(len(signature)) + signature
         return body
 
     def to_dict(self) -> dict:

@@ -400,6 +400,14 @@ def test_sweep_export_writes_one_row_per_epsilon(tmp_path):
     assert lines[0].startswith("epsilon_t,")
 
 
+@pytest.mark.parametrize("epsilons", [[], [float("nan")], [0.0], [1.0, -2.0],
+                                      [float("inf")], [True]],
+                         ids=["empty", "nan", "zero", "negative", "inf", "bool"])
+def test_sweep_rejects_a_bad_epsilon_list(epsilons):
+    with pytest.raises(ConfigInvalid):
+        sweep(WorkloadConfig(n_writes=20, n_queries=3), epsilons)
+
+
 def test_performance_scan_rows():
     cfg = _tiny_cfg(rate_sweep=(5, 10))
     report = run_scenario(cfg)

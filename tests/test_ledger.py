@@ -24,7 +24,7 @@ from dpledger import (
     verify_chain,
 )
 from dpledger.bench import WorkloadConfig, generate_workload
-from dpledger.ledger import GENESIS_PREV_HASH, apply_block
+from dpledger.ledger import GENESIS_PREV_HASH, apply_block, fold_block
 from dpledger.network import sign_endorsement
 
 from conftest import make_query, make_write
@@ -111,8 +111,9 @@ def _endorsed_chain():
             Envelope(tx_id="q1", tx=make_query(),
                      effect=QueryEffect(record=_record(qid="q1"), eps_rem=0.95)),
             Envelope(tx_id="w2", tx=make_write(quantity=7))]
-    envs = [env.with_endorsements(tuple(sign_endorsement(p, env.payload_digest)
-                                        for p in ("peer0.org1", "peer0.org2")))
+    envs = [Envelope.endorsed(env.tx_id, env.tx, env.effect,
+                              lambda digest: tuple(sign_endorsement(p, digest)
+                                                   for p in ("peer0.org1", "peer0.org2")))
             for env in envs]
     chain.append(build_block(envs, chain[-1]))
     chain.append(build_block([Envelope(tx_id="w3", tx=make_write())], chain[-1]))
@@ -128,7 +129,7 @@ def _alter_eps_rem(env):
 
 
 def _alter_signature(env):
-    forged = dataclasses.replace(env.endorsements[0], signature="00" * 32)
+    forged = env.endorsements[0]._replace(signature=bytes(32))
     return dataclasses.replace(env, endorsements=(forged,) + env.endorsements[1:])
 
 
@@ -235,7 +236,7 @@ def test_replay_is_deterministic_and_matches_incremental():
 
     incremental = WorldState()
     for block in chain[1:]:
-        apply_block(incremental, block)
+        apply_block(incremental, fold_block(block))
     assert incremental.serialize() == state_a.serialize()
 
 

@@ -9,6 +9,7 @@ import pytest
 from dpledger import (
     Aggregate,
     CategoryKey,
+    ConfigInvalid,
     Envelope,
     Network,
     NotMember,
@@ -16,6 +17,7 @@ from dpledger import (
     QueryEffect,
     QueryRecord,
     ReceiptStatus,
+    SoloOrderer,
     build_block,
     export_blocks,
     export_transactions,
@@ -47,7 +49,7 @@ def _load(net, n=12):
 
 def _signed(env, signers):
     """``env`` carrying endorsements by ``signers`` over its payload digest."""
-    digest = hashlib.sha256(env.payload_bytes()).hexdigest()
+    digest = hashlib.sha256(env.payload_bytes()).digest()
     ends = tuple(sign_endorsement(s, digest) for s in signers)
     return dataclasses.replace(env, endorsements=ends)
 
@@ -289,9 +291,9 @@ def test_query_to_non_member_peer_rejected():
 # endorsement tokens
 
 def test_endorsement_token_verifies_against_digest():
-    end = sign_endorsement("peer0.org1", "ab" * 32)
-    assert endorsement_valid(end, "ab" * 32)
-    assert not endorsement_valid(end, "cd" * 32)
+    end = sign_endorsement("peer0.org1", b"\xab" * 32)
+    assert endorsement_valid(end, b"\xab" * 32)
+    assert not endorsement_valid(end, b"\xcd" * 32)
 
 
 def test_endorse_requires_membership():
@@ -299,7 +301,7 @@ def test_endorse_requires_membership():
     outsider = net.peers["peer0.org2"]
     net.create_channel("side", ["peer0.org1"], endorsement_policy=1, epsilon_t=1.0)
     with pytest.raises(NotMember):
-        net.endorse(outsider, "ab" * 32, "side")
+        net.endorse(outsider, b"\xab" * 32, "side")
 
 
 def test_policy_one_needs_a_single_endorsement():
@@ -322,6 +324,16 @@ def test_full_batches_cut_in_arrival_order():
     assert [len(b.envelopes) for b in chain[1:]] == [5, 5]
     quantities = [env.tx.quantity for b in chain[1:] for env in b.envelopes]
     assert quantities == list(range(1, 11))
+
+
+@pytest.mark.parametrize("batch_size,batch_timeout", [(0, 2), (-3, 2), (10, -1)],
+                         ids=["size-0", "size-negative", "timeout-negative"])
+def test_bad_batching_rejected_at_construction(batch_size, batch_timeout):
+    # Only constructs: a batch size of 0 would make cut_due loop forever.
+    with pytest.raises(ConfigInvalid):
+        SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
+    with pytest.raises(ConfigInvalid):
+        Network(batch_size=batch_size, batch_timeout=batch_timeout)
 
 
 def test_timeout_flushes_partial_batch():
@@ -360,7 +372,7 @@ def test_unendorsed_transaction_sends_block_to_audit():
     _assert_audited(net, channel, results, height)
 
     # Endorsed, then given another body: the endorsements no longer match.
-    endorsed = net._collect_endorsements(channel, Envelope(tx_id="swap", tx=make_write()))
+    endorsed = net._collect_endorsements(channel, "swap", make_write())
     swapped = dataclasses.replace(endorsed, tx=make_write(quantity=99))
     results = net.deliver_and_commit(channel, build_block([swapped], channel.chain[-1]))
     _assert_audited(net, channel, results, height, n_audited=2)
@@ -381,6 +393,33 @@ def test_policy_counts_only_distinct_channel_members(signers, commits):
         assert channel.chain[-1].height == 1
     else:
         _assert_audited(net, channel, results, 0)
+
+
+def test_endorsed_invalid_write_sends_block_to_audit():
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    height = channel.chain[-1].height
+    before = [(p.chains["mychannel"][:], p.states["mychannel"].serialize())
+              for p in net.peers.values()]
+    good = _signed(Envelope(tx_id="w1", tx=make_write(quantity=5)), channel.members)
+    bad = _signed(Envelope(tx_id="w0", tx=make_write(quantity=0)), channel.members)
+    results = net.deliver_and_commit(channel, build_block([good, bad], channel.chain[-1]))
+    _assert_audited(net, channel, results, height)
+    assert [(p.chains["mychannel"], p.states["mychannel"].serialize())
+            for p in net.peers.values()] == before
+
+
+def test_members_share_no_mutable_cell():
+    net = _network()
+    _load(net, 12)
+    mine, other = (p.states["mychannel"] for p in net.peers.values())
+    cells, serialized = dict(other.cells()), other.serialize()
+    assert dict(mine.cells()) == cells
+    mine.apply_write(make_write(quantity=5, color="red"))
+    assert mine.aggregate_cell(None, None, None) == (13, 83)
+    assert {cell: other.aggregate_cell(*cell) for cell in cells} == cells
+    assert other.serialize() == serialized
 
 
 @pytest.mark.parametrize("eps_spent,eps_used,reused", [

@@ -78,15 +78,18 @@ def test_envelope_dict_round_trip():
 
 def test_envelope_payload_digest_comes_from_its_own_fields():
     env = Envelope(tx_id="t1", tx=make_write())
-    digest = hashlib.sha256(env.payload_bytes()).hexdigest()
+    digest = hashlib.sha256(env.payload_bytes()).digest()
     assert env.payload_digest == digest
     with pytest.raises(TypeError):
-        Envelope(tx_id="t1", tx=make_write(), _payload_digest="00" * 32)
+        Envelope(tx_id="t1", tx=make_write(), _payload_digest=bytes(32))
     altered = dataclasses.replace(env, tx=make_write(quantity=11))
     assert altered.payload_digest != digest
     assert Envelope.from_dict({**altered.to_dict(), "_payload_digest": digest}
                               ).payload_digest == altered.payload_digest
-    assert env.with_endorsements(()).payload_digest is env.payload_digest
+    signed = []
+    endorsed = Envelope.endorsed("t1", make_write(), None,
+                                 lambda d: signed.append(d) or ())
+    assert signed == [digest] and endorsed.payload_digest is signed[0]
 
 
 def _sha256(data: bytes) -> str:
@@ -101,9 +104,9 @@ def test_golden_encodings():
     record = QueryRecord(CategoryKey(Aggregate.SUM, "bob", None, "red"), 0.25,
                          PerturbedResponse(123.456, 0.25, False, "q1"))
     qenv = Envelope("q1", query, QueryEffect(record, eps_rem=0.75))
-    wenv = Envelope("w1", write)
-    wenv = wenv.with_endorsements(tuple(sign_endorsement(p, wenv.payload_digest)
-                                        for p in ("peer0.org1", "peer0.org2")))
+    wenv = Envelope.endorsed("w1", write, None,
+                             lambda digest: tuple(sign_endorsement(p, digest)
+                                                  for p in ("peer0.org1", "peer0.org2")))
     for _ in range(2):  # computed, then kept
         assert _sha256(write.canonical_bytes()) == (
             "2b258fe7d85404a983e99e7ab18a2032a6fc18c97740c09449c6df295fd5ae9d")
@@ -113,7 +116,7 @@ def test_golden_encodings():
         "c5c6cdb98d332d6aec91cfc1babaf949d122a5276e46d214675150610265690a")
     block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
     assert block_hash.hex() == (
-        "3841357e84b958871353e760a7705b0a756f8b15f63ae1a6e85a251986730e3d")
+        "f13c8cecbb7f3c56e5bac7bab186a3ac90986e15faa25df51bee5e431c75a5e6")
 
 
 _COMMON = [("contract_id", "other"), ("contract_version", "2.0"),
