@@ -16,13 +16,13 @@ import csv
 import io
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import codec
 from .adversary import (
     AttackReport,
     BackgroundKnowledge,
@@ -81,36 +81,6 @@ class EpsilonSchedule:
     repeat_total: float = 0.0
     weights: Optional[Dict[str, float]] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpsilonSchedule":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigInvalid(f"unknown epsilon_schedule fields: {sorted(unknown)}")
-        return cls(**d)
-
-
-def _array(name: str, value) -> tuple:
-    """A config field that JSON holds as an array, as a tuple."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigInvalid(f"{name} must be a JSON array, got {type(value).__name__}")
-    return tuple(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _failing(obj, check: Callable, names: Sequence[str], prefix: str = "") -> List[str]:
-    return [prefix + name for name in names if not check(getattr(obj, name))]
-
 
 @dataclass
 class WorkloadConfig:
@@ -147,23 +117,9 @@ class WorkloadConfig:
         return int(self.repeat_ratio * self.n_queries + 0.5)
 
     def validate(self) -> None:
-        # Types first: a bool is not a number and a float must be finite.
-        sched = self.epsilon_schedule
-        bad = (_failing(self, _is_int, ("n_writes", "n_queries", "write_rate", "query_rate",
-                                        "batch_size", "batch_timeout",
-                                        "endorsement_policy", "seed"))
-               + _failing(self, _is_finite, ("repeat_ratio", "epsilon_t",
-                                             "sensitivity_bound"))
-               + _failing(self, lambda v: isinstance(v, bool), ("sum_only", "dp_enabled"))
-               + _failing(self, lambda v: v is None or _is_int(v), ("n_repeats",))
-               + _failing(self, lambda v: v is None or all(map(_is_int, v)), ("rate_sweep",))
-               + _failing(self, lambda v: len(v) == 2 and all(map(_is_int, v)),
-                          ("quantity_range",))
-               + _failing(sched, _is_finite, ("value", "low", "high", "fresh_total",
-                                              "repeat_total"), "epsilon_schedule.")
-               + _failing(sched, lambda v: v is None or (
-                   isinstance(v, dict) and all(_is_finite(w) and w > 0 for w in v.values())),
-                          ("weights",), "epsilon_schedule."))
+        # Types first, by the annotations: a bool is not a number, a float is finite.
+        bad = [name for name, annotation, _ in codec.fields(WorkloadConfig)
+               if not codec.conforms(getattr(self, name), annotation)]
         if bad:
             raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
         lo, hi = self.quantity_range
@@ -194,8 +150,7 @@ class WorkloadConfig:
         if not self.customers or not self.products or not self.colors:
             raise ConfigInvalid("customers, products, and colors must be non-empty")
         blank = [name for name in (*self.customers, *self.products, *self.colors,
-                                   *self.requesters)
-                 if not isinstance(name, str) or not name.strip()]
+                                   *self.requesters) if not name.strip()]
         if blank:
             raise ConfigInvalid(f"blank customer, product, color or requester names: {blank}")
         if not self.requesters or len(set(self.requesters)) != len(self.requesters):
@@ -211,6 +166,8 @@ class WorkloadConfig:
             )
         if self.epsilon_schedule.kind not in ("equal", "weighted", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {self.epsilon_schedule.kind!r}")
+        if any(w <= 0 for w in (self.epsilon_schedule.weights or {}).values()):
+            raise ConfigInvalid("epsilon_schedule weights must be positive")
         bad_attacks = set(self.attacks) - {"linking", "composition", "averaging"}
         if bad_attacks:
             raise ConfigInvalid(f"unknown attack kinds: {sorted(bad_attacks)}")
@@ -221,37 +178,13 @@ class WorkloadConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "WorkloadConfig":
-        if not isinstance(d, dict):
-            raise ConfigInvalid(f"a config must be a JSON object, got {type(d).__name__}")
-        kwargs = dict(d)
-        if "scenario" in kwargs:
-            base = scenario_config(kwargs.pop("scenario"))
-            merged = base.to_dict()
-            merged.update(kwargs)
-            kwargs = merged
-        for key in ("customers", "products", "colors", "quantity_range", "requesters",
-                    "rate_sweep", "attacks", "orgs"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = _array(key, kwargs[key])
-        if kwargs.get("orgs") is not None:
-            if any(not isinstance(org, (list, tuple)) or len(org) != 2
-                   for org in kwargs["orgs"]):
-                raise ConfigInvalid("orgs must be a list of [org id, [peer ids]] pairs")
-            kwargs["orgs"] = tuple(
-                (org, _array("orgs peer ids", peer_ids)) for org, peer_ids in kwargs["orgs"]
-            )
-        schedule = kwargs.get("epsilon_schedule")
-        if isinstance(schedule, dict):
-            kwargs["epsilon_schedule"] = EpsilonSchedule.from_dict(schedule)
-        elif schedule is not None and not isinstance(schedule, EpsilonSchedule):
-            raise ConfigInvalid(
-                f"epsilon_schedule must be a JSON object, got {type(schedule).__name__}"
-            )
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**kwargs)
+    def from_dict(cls, d) -> "WorkloadConfig":
+        """A config from its JSON object; ``"scenario"`` names a shipped
+        preset whose fields the others override."""
+        if isinstance(d, dict) and "scenario" in d:
+            d = {**scenario_config(d["scenario"]).to_dict(),
+                 **{k: v for k, v in d.items() if k != "scenario"}}
+        cfg = codec.from_json(cls, d, ConfigInvalid, "config")
         cfg.validate()
         return cfg
 
@@ -624,7 +557,7 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
     expectation mean(100 * scale / a) for cross-checking.
     ``epsilon_list`` must be a non-empty list of positive, finite numbers.
     """
-    if not epsilon_list or not all(_is_finite(e) and e > 0 for e in epsilon_list):
+    if not epsilon_list or not all(codec.conforms(e, float) and e > 0 for e in epsilon_list):
         raise ConfigInvalid(
             f"epsilon list {list(epsilon_list)!r} must hold positive, finite numbers")
     rows = []

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .codec import from_json, to_json
 from .errors import DPLedgerError, EmptyBatch, IoFailure
 from .transactions import (
     CategoryKey,
@@ -230,10 +231,8 @@ class WorldState:
         doc = {
             "channel_id": self.channel_id,
             "height": self.height,
-            "records": [
-                {"height": r.height, **r.tx.to_dict()} for r in self.records
-            ],
-            "query_log": [r.to_dict() for r in self.query_log],
+            "records": [{"height": r.height, **to_json(r.tx)} for r in self.records],
+            "query_log": [to_json(r) for r in self.query_log],
             "eps_rem_log": self.eps_rem_log,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -277,22 +276,33 @@ def export_transactions(chain: Sequence[Block], channel_id: str) -> str:
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for block in chain:
         for env in block.envelopes:
-            row = {"height": block.height, **env.to_dict()}
+            row = {"height": block.height, **to_json(env)}
             lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
 
 def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
-    """Parse a transaction export back into (header, [(height, envelope)])."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse a transaction export back into (header, [(height, envelope)]).
+    Raises ``IoFailure`` naming the line on a line that is not a JSON object,
+    a row without an integer height, or an envelope that does not read back."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as err:
+            raise IoFailure(f"line {number} is not JSON: {err}") from err
+        if not isinstance(row, dict):
+            raise IoFailure(f"line {number}: expected a JSON object, got {row!r}")
+        rows.append((number, row))
+    if not rows:
         raise IoFailure("transaction export is empty")
-    header = json.loads(lines[0])
     out = []
-    for ln in lines[1:]:
-        row = json.loads(ln)
-        out.append((row["height"], Envelope.from_dict(row)))
-    return header, out
+    for number, row in rows[1:]:
+        height = from_json(int, row.pop("height", None), IoFailure, f"line {number}.height")
+        out.append((height, from_json(Envelope, row, IoFailure, f"line {number}")))
+    return rows[0][1], out
 
 
 def export_blocks(chain: Sequence[Block]) -> str:

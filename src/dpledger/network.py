@@ -47,6 +47,7 @@ import numpy as np
 
 from .budget import BudgetAccountant
 from .chaincode import ChaincodeEngine
+from .codec import conforms
 from .errors import (
     ConfigInvalid,
     DPLedgerError,
@@ -182,10 +183,10 @@ class SoloOrderer:
     """Single ordering peer: FIFO batching per channel by arrival tick."""
 
     def __init__(self, max_batch_size: int = 10, batch_timeout: int = 2):
-        if max_batch_size < 1:
-            raise ConfigInvalid(f"batch size {max_batch_size} must be >= 1")
-        if batch_timeout < 0:
-            raise ConfigInvalid(f"batch timeout {batch_timeout} must be >= 0")
+        if not conforms(max_batch_size, int) or max_batch_size < 1:
+            raise ConfigInvalid(f"batch size {max_batch_size!r} must be an integer >= 1")
+        if not conforms(batch_timeout, int) or batch_timeout < 0:
+            raise ConfigInvalid(f"batch timeout {batch_timeout!r} must be an integer >= 0")
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
         self._pending: Dict[str, List[Tuple[int, Envelope]]] = {}

@@ -9,7 +9,8 @@ is computed on first use and kept on the frozen object, so the tx id and
 the envelope's payload digest read the same bytes, and a key shared by
 many query effects is encoded once. Payload digests and endorsement
 signatures stay raw 32-byte values in memory; only exports write them as
-hex.
+hex. The JSON form of every record here is read from its field annotations
+by ``codec``; the two transaction bodies carry the tag ``json_kind``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
+from .codec import from_json, to_json
 from .errors import (
     InvalidQuantity,
+    IoFailure,
     MissingField,
     UnsupportedAggregate,
     ValidationFailure,
@@ -78,7 +81,8 @@ class WriteTransaction:
     color: str
     quantity: int
     customer_name: str
-    # Not a field (no annotation): set on first use of canonical_bytes.
+    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
+    json_kind = "write"
     _canonical = None
 
     def canonical_bytes(self) -> bytes:
@@ -97,32 +101,6 @@ class WriteTransaction:
             ))
             object.__setattr__(self, "_canonical", raw)
         return raw
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "write",
-            "contract_id": self.contract_id,
-            "contract_version": self.contract_version,
-            "contract_function": self.contract_function,
-            "timeout_ms": self.timeout_ms,
-            "product_name": self.product_name,
-            "color": self.color,
-            "quantity": self.quantity,
-            "customer_name": self.customer_name,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WriteTransaction":
-        return cls(
-            contract_id=d["contract_id"],
-            contract_version=d["contract_version"],
-            contract_function=d["contract_function"],
-            timeout_ms=d["timeout_ms"],
-            product_name=d["product_name"],
-            color=d["color"],
-            quantity=d["quantity"],
-            customer_name=d["customer_name"],
-        )
 
 
 def validate_write(tx: WriteTransaction) -> None:
@@ -156,17 +134,6 @@ class QueryPredicate:
         return (b"P" + _opt_text(self.customer_name)
                 + _opt_text(self.product_name) + _opt_text(self.color))
 
-    def to_dict(self) -> dict:
-        return {
-            "customer_name": self.customer_name,
-            "product_name": self.product_name,
-            "color": self.color,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryPredicate":
-        return cls(d.get("customer_name"), d.get("product_name"), d.get("color"))
-
 
 @dataclass(frozen=True)
 class QueryTransaction:
@@ -180,7 +147,8 @@ class QueryTransaction:
     predicate: QueryPredicate
     aggregate: Aggregate
     requester_id: str
-    # Not a field (no annotation): set on first use of canonical_bytes.
+    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
+    json_kind = "query"
     _canonical = None
 
     def canonical_bytes(self) -> bytes:
@@ -199,32 +167,6 @@ class QueryTransaction:
             ))
             object.__setattr__(self, "_canonical", raw)
         return raw
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "query",
-            "contract_id": self.contract_id,
-            "contract_version": self.contract_version,
-            "contract_function": self.contract_function,
-            "timeout_ms": self.timeout_ms,
-            "read_only": self.read_only,
-            "predicate": self.predicate.to_dict(),
-            "aggregate": self.aggregate.value,
-            "requester_id": self.requester_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryTransaction":
-        return cls(
-            contract_id=d["contract_id"],
-            contract_version=d["contract_version"],
-            contract_function=d["contract_function"],
-            timeout_ms=d["timeout_ms"],
-            read_only=d["read_only"],
-            predicate=QueryPredicate.from_dict(d["predicate"]),
-            aggregate=Aggregate(d["aggregate"]),
-            requester_id=d["requester_id"],
-        )
 
 
 def validate_query(tx: QueryTransaction) -> None:
@@ -272,19 +214,6 @@ class CategoryKey:
             parts.append(f"{name}={'*' if value is None else value}")
         return " ".join(parts)
 
-    def to_dict(self) -> dict:
-        return {
-            "aggregate": self.aggregate.value,
-            "customer_name": self.customer_name,
-            "product_name": self.product_name,
-            "color": self.color,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CategoryKey":
-        return cls(Aggregate(d["aggregate"]), d.get("customer_name"),
-                   d.get("product_name"), d.get("color"))
-
 
 @dataclass(frozen=True)
 class PerturbedResponse:
@@ -298,18 +227,6 @@ class PerturbedResponse:
     def canonical_bytes(self) -> bytes:
         return (b"R" + _f64(self.value) + _f64(self.epsilon_used)
                 + (b"\x01" if self.reused else b"\x00") + _text(self.query_id))
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "epsilon_used": self.epsilon_used,
-            "reused": self.reused,
-            "query_id": self.query_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbedResponse":
-        return cls(d["value"], d["epsilon_used"], d["reused"], d["query_id"])
 
 
 @dataclass(frozen=True)
@@ -325,21 +242,6 @@ class QueryRecord:
         return (b"L" + self.key.canonical_bytes() + _f64(self.epsilon_spent)
                 + self.response.canonical_bytes())
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key.to_dict(),
-            "epsilon_spent": self.epsilon_spent,
-            "response": self.response.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryRecord":
-        return cls(
-            key=CategoryKey.from_dict(d["key"]),
-            epsilon_spent=d["epsilon_spent"],
-            response=PerturbedResponse.from_dict(d["response"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # endorsement and committed envelopes
@@ -352,13 +254,6 @@ class Endorsement(NamedTuple):
     peer_id: str
     signature: bytes
 
-    def to_dict(self) -> dict:
-        return {"peer_id": self.peer_id, "signature": self.signature.hex()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Endorsement":
-        return cls(d["peer_id"], bytes.fromhex(d["signature"]))
-
 
 @dataclass(frozen=True)
 class QueryEffect:
@@ -369,13 +264,6 @@ class QueryEffect:
 
     def canonical_bytes(self) -> bytes:
         return b"E" + self.record.canonical_bytes() + _f64(self.eps_rem)
-
-    def to_dict(self) -> dict:
-        return {"record": self.record.to_dict(), "eps_rem": self.eps_rem}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QueryEffect":
-        return cls(QueryRecord.from_dict(d["record"]), d["eps_rem"])
 
 
 Transaction = Union[WriteTransaction, QueryTransaction]
@@ -390,18 +278,19 @@ class Envelope:
     hashes bind. It is computed from the envelope's own fields on first use
     and then kept, never taken from input, so ``dataclasses.replace``,
     ``from_dict`` and direct construction all start without it.
+    ``from_dict`` raises ``IoFailure`` on a malformed row.
     """
 
     tx_id: str
     tx: Transaction
     effect: Optional[QueryEffect] = None
-    endorsements: tuple = ()
+    endorsements: Tuple[Endorsement, ...] = ()
     # Not a field (no annotation): set on first use of payload_digest.
     _payload_digest = None
 
     @classmethod
     def endorsed(cls, tx_id: str, tx: Transaction, effect: Optional[QueryEffect],
-                 sign: Callable[[bytes], tuple]) -> "Envelope":
+                 sign: Callable[[bytes], Tuple[Endorsement, ...]]) -> "Envelope":
         """The envelope carrying ``sign(payload_digest)`` as its endorsements.
 
         Built once: the endorsements are set before the envelope is returned,
@@ -434,22 +323,8 @@ class Envelope:
         return body
 
     def to_dict(self) -> dict:
-        d = {"tx_id": self.tx_id, "tx": self.tx.to_dict()}
-        if self.effect is not None:
-            d["effect"] = self.effect.to_dict()
-        if self.endorsements:
-            d["endorsements"] = [e.to_dict() for e in self.endorsements]
-        return d
+        return to_json(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Envelope":
-        tx_dict = d["tx"]
-        if tx_dict["kind"] == "write":
-            tx: Transaction = WriteTransaction.from_dict(tx_dict)
-        elif tx_dict["kind"] == "query":
-            tx = QueryTransaction.from_dict(tx_dict)
-        else:
-            raise ValueError(f"unknown transaction kind {tx_dict['kind']!r}")
-        effect = QueryEffect.from_dict(d["effect"]) if "effect" in d else None
-        ends = tuple(Endorsement.from_dict(e) for e in d.get("endorsements", ()))
-        return cls(tx_id=d["tx_id"], tx=tx, effect=effect, endorsements=ends)
+    def from_dict(cls, d) -> "Envelope":
+        return from_json(cls, d, IoFailure, "envelope")

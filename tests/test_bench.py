@@ -50,6 +50,11 @@ def test_config_validation_rejects_bad_values():
         WorkloadConfig(n_queries=10, n_repeats=10).validate()
     with pytest.raises(ConfigInvalid):
         WorkloadConfig(epsilon_t=0.0).validate()
+    # Wrongly typed values built in Python, not read from JSON.
+    with pytest.raises(ConfigInvalid):
+        WorkloadConfig(n_writes="5").validate()
+    with pytest.raises(ConfigInvalid):
+        WorkloadConfig(sum_only=1).validate()
 
 
 @pytest.mark.parametrize("names", [

@@ -24,6 +24,7 @@ from dpledger import (
     verify_chain,
 )
 from dpledger.bench import WorkloadConfig, generate_workload
+from dpledger.errors import IoFailure
 from dpledger.ledger import GENESIS_PREV_HASH, apply_block, fold_block
 from dpledger.network import sign_endorsement
 
@@ -253,6 +254,46 @@ def test_export_import_round_trip(tmp_path):
     for height, env in rows:
         rebuilt.apply_write(env.tx, height=height)
     assert len(rebuilt.records) == 15
+
+
+def _dump(*docs) -> str:
+    return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _with_tx(row: dict, **fields) -> dict:
+    return {**row, "tx": {**row["tx"], **fields}}
+
+
+_MALFORMED = {
+    "not-json": lambda h, r: _dump(h) + _dump(r)[:-2] + "\n",
+    "header-not-object": lambda h, r: _dump([h], r),
+    "row-not-object": lambda h, r: _dump(h, [r]),
+    "height-missing": lambda h, r: _dump(h, _without(r, "height")),
+    "height-string": lambda h, r: _dump(h, {**r, "height": "1"}),
+    "height-bool": lambda h, r: _dump(h, {**r, "height": True}),
+    "tx-missing": lambda h, r: _dump(h, _without(r, "tx")),
+    "tx-kind-unknown": lambda h, r: _dump(h, _with_tx(r, kind="delete")),
+    "quantity-string": lambda h, r: _dump(h, _with_tx(r, quantity="5")),
+    "signature-not-hex": lambda h, r: _dump(h, {**r, "endorsements": [
+        {"peer_id": "peer0.org1", "signature": "not hex"}]}),
+    "unknown-key": lambda h, r: _dump(h, {**r, "note": 1}),
+}
+
+
+@pytest.mark.parametrize("corrupt", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_export_fails_as_io_failure(corrupt):
+    env = Envelope.endorsed("w1", make_write(), None,
+                            lambda digest: (sign_endorsement("peer0.org1", digest),))
+    chain = [make_genesis("mychannel")]
+    chain.append(build_block([env], chain[0]))
+    header, row = map(json.loads, export_transactions(chain, "mychannel").splitlines())
+    assert import_transactions(_dump(header, row))[1] == [(1, env)]
+    with pytest.raises(IoFailure):
+        import_transactions(corrupt(header, row))
 
 
 def test_block_dump_lists_metadata():

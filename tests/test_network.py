@@ -326,8 +326,10 @@ def test_full_batches_cut_in_arrival_order():
     assert quantities == list(range(1, 11))
 
 
-@pytest.mark.parametrize("batch_size,batch_timeout", [(0, 2), (-3, 2), (10, -1)],
-                         ids=["size-0", "size-negative", "timeout-negative"])
+@pytest.mark.parametrize("batch_size,batch_timeout", [
+    (0, 2), (-3, 2), (10, -1), (2.5, 2), ("10", 2), (True, 2), (10, 2.5), (10, "2"),
+], ids=["size-0", "size-negative", "timeout-negative", "size-float", "size-string",
+        "size-bool", "timeout-float", "timeout-string"])
 def test_bad_batching_rejected_at_construction(batch_size, batch_timeout):
     # Only constructs: a batch size of 0 would make cut_due loop forever.
     with pytest.raises(ConfigInvalid):
