@@ -16,7 +16,6 @@ from .errors import (
     InvalidQuantity,
     MissingField,
     NoCommonQueries,
-    NonPositiveBound,
     NonPositiveEpsilon,
     NonPositiveSensitivity,
     NotAuthorized,
@@ -45,7 +44,6 @@ from .laplace import (
     EPSILON_MIN,
     Histogram,
     LaplaceParams,
-    SensitivitySpec,
     build_histogram,
     empirical_dp_ratio,
     laplace_sample,

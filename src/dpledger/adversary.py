@@ -17,9 +17,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExhausted, NoCommonQueries, PredicateMismatch
-from .laplace import SensitivitySpec, perturb
+from .laplace import perturb
 from .ledger import WorldState
 from .transactions import (
+    Aggregate,
     CategoryKey,
     PerturbedResponse,
     QueryTransaction,
@@ -27,7 +28,7 @@ from .transactions import (
     normalize,
 )
 
-DEFAULT_TOLERANCE = 5.0  # quantity units; 5% of the default sensitivity bound
+DEFAULT_TOLERANCE = 5.0  # quantity units; 5% of QUANTITY_MAX, the SUM sensitivity
 
 
 @dataclass
@@ -135,7 +136,7 @@ def linking_attack(query: QueryTransaction, responses: Sequence,
 
 
 def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
-                   true_quantity: float, epsilon: float, spec: SensitivitySpec,
+                   true_quantity: float, epsilon: float,
                    rng: np.random.Generator, n_trials: int,
                    tolerance: float = DEFAULT_TOLERANCE) -> Tuple[float, List[AttackReport]]:
     """Monte-Carlo calibration: success rate of single-response linking.
@@ -148,7 +149,7 @@ def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
     successes = 0
     sample: List[AttackReport] = []
     for i in range(n_trials):
-        observed = perturb(exact_total, epsilon, spec, rng)
+        observed = perturb(exact_total, epsilon, Aggregate.SUM, rng)
         report = linking_attack(query, [observed], bk, true_quantity, tolerance)
         successes += report.success
         if i < 10:

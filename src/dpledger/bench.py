@@ -34,10 +34,12 @@ from .adversary import (
 from .budget import RequesterProfile, allocate_equal, allocate_weighted
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
-from .laplace import SensitivitySpec, laplace_scale
+from .laplace import laplace_scale, sensitivity
 from .ledger import WorldState, export_blocks, export_transactions, write_text
 from .network import DEFAULT_ORGS, Network, ReceiptStatus
 from .transactions import (
+    QUANTITY_MAX,
+    QUANTITY_MIN,
     Aggregate,
     CategoryKey,
     QueryPredicate,
@@ -91,7 +93,7 @@ class WorkloadConfig:
     customers: Tuple[str, ...] = DEFAULT_CUSTOMERS
     products: Tuple[str, ...] = DEFAULT_PRODUCTS
     colors: Tuple[str, ...] = DEFAULT_COLORS
-    quantity_range: Tuple[int, int] = (1, 100)
+    quantity_range: Tuple[int, int] = (QUANTITY_MIN, QUANTITY_MAX)
     n_queries: int = 150
     repeat_ratio: float = 0.0
     n_repeats: Optional[int] = None
@@ -108,7 +110,6 @@ class WorkloadConfig:
     batch_size: int = 10
     batch_timeout: int = 2
     endorsement_policy: int = 1
-    sensitivity_bound: float = 100.0
     seed: int = 7
 
     def resolved_repeats(self) -> int:
@@ -123,8 +124,9 @@ class WorkloadConfig:
         if bad:
             raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
         lo, hi = self.quantity_range
-        if not (1 <= lo <= hi <= 100):
-            raise ConfigInvalid(f"quantity_range {self.quantity_range} not within [1, 100]")
+        if not (QUANTITY_MIN <= lo <= hi <= QUANTITY_MAX):
+            raise ConfigInvalid(f"quantity_range {self.quantity_range} not within "
+                                f"[{QUANTITY_MIN}, {QUANTITY_MAX}]")
         if self.n_writes < 1:
             raise ConfigInvalid("n_writes must be >= 1")
         if self.n_queries < 0:
@@ -143,8 +145,6 @@ class WorkloadConfig:
             raise ConfigInvalid("rate_sweep entries must be positive")
         if self.epsilon_t <= 0:
             raise ConfigInvalid("epsilon_t must be positive")
-        if self.sensitivity_bound <= 0:
-            raise ConfigInvalid("sensitivity_bound must be positive")
         if self.batch_size < 1:
             raise ConfigInvalid("batch_size must be >= 1")
         if not self.customers or not self.products or not self.colors:
@@ -389,7 +389,6 @@ def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
         batch_size=cfg.batch_size,
         batch_timeout=cfg.batch_timeout,
         epsilon_t=cfg.epsilon_t,
-        sensitivity_bound=cfg.sensitivity_bound,
         dp_enabled=cfg.dp_enabled,
         reuse_enabled=reuse_enabled,
         seed=cfg.seed,
@@ -579,7 +578,7 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
                 f"got {cfg.epsilon_schedule.kind!r}"
             )
         report = run_scenario(sub)
-        lam = laplace_scale(per_query, sub.sensitivity_bound)
+        lam = laplace_scale(per_query, sensitivity(Aggregate.SUM))
         actuals = [row["exact"] for row in report["rows"] if row["exact"] != 0]
         expected = float(np.mean([100.0 * lam / a for a in actuals])) if actuals else 0.0
         se = (100.0 * lam / len(actuals)) * math.sqrt(
@@ -694,7 +693,6 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     bk = BackgroundKnowledge.from_ledger(records, target_index)
     true_qty = float(records[target_index].quantity)
     query = _query(QueryPredicate(), Aggregate.SUM, "distributor-a")
-    spec = SensitivitySpec(Aggregate.SUM, cfg.sensitivity_bound)
 
     if not dp_enabled:
         exact_total = bk.matching_sum(query.predicate) + true_qty
@@ -702,9 +700,8 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
         return {"report": report, "success_rate": 1.0 if report.success else 0.0,
                 "expected_rate": 1.0, "n_trials": 1}
 
-    lam = laplace_scale(epsilon, cfg.sensitivity_bound)
-    rate, sample = linking_trials(query, bk, true_qty, epsilon, spec, rng,
-                                  n_trials, tolerance)
+    lam = laplace_scale(epsilon, sensitivity(Aggregate.SUM))
+    rate, sample = linking_trials(query, bk, true_qty, epsilon, rng, n_trials, tolerance)
     return {
         "report": sample[0],
         "success_rate": rate,

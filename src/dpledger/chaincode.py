@@ -17,7 +17,7 @@ import numpy as np
 
 from .budget import BudgetAccountant
 from .errors import UnsupportedAggregate
-from .laplace import SensitivitySpec, perturb
+from .laplace import check_epsilon, perturb
 from .ledger import WorldState
 from .transactions import (
     Aggregate,
@@ -67,8 +67,6 @@ class ChaincodeEngine:
 
     Category keys are interned per query shape, ``(aggregate, predicate)``:
     equal queries get the one key object, whose encoding is computed once.
-    The sensitivity spec of each aggregate is built on its first query, so
-    a bad ``sensitivity_bound`` is rejected there.
 
     Instrumented with probe/evaluation/noise counters so the linear-cost
     claim can be asserted, not assumed. reuse_enabled=False disables the
@@ -76,11 +74,9 @@ class ChaincodeEngine:
     reproduces the bare evaluation behavior of a default chaincode.
     """
 
-    def __init__(self, *, dp_enabled: bool = True, reuse_enabled: bool = True,
-                 sensitivity_bound: float = 100.0):
+    def __init__(self, *, dp_enabled: bool = True, reuse_enabled: bool = True):
         self.dp_enabled = dp_enabled
         self.reuse_enabled = reuse_enabled
-        self.sensitivity_bound = float(sensitivity_bound)
         self.probe_count = 0
         self.evaluation_count = 0
         self.noise_draws = 0
@@ -88,7 +84,6 @@ class ChaincodeEngine:
         self.last_record: Optional[QueryRecord] = None
         self._query_ids = itertools.count()
         self._keys: Dict[tuple, CategoryKey] = {}
-        self._specs: Dict[Aggregate, SensitivitySpec] = {}
 
     def category(self, q: QueryTransaction) -> CategoryKey:
         """``categorize(q)``, the same object for every query of its shape."""
@@ -107,12 +102,14 @@ class ChaincodeEngine:
         ``q`` must have passed ``validate_query`` (``Network`` checks it at
         endorsement); it is categorized once here. ``state`` is only read.
         A pending answer is preferred to a committed one, and a reuse is
-        recorded by the accountant alone. On the fresh path the budget is
-        charged before the query is evaluated (a bad sensitivity bound is
-        rejected before that); a BudgetExhausted propagates with ``pending``
-        untouched. With reuse enabled the fresh answer is added to
-        ``pending``.
+        recorded by the accountant alone. With noise enabled ``eps_f`` is
+        checked first, so a bad ε is neither spent nor logged as a reuse.
+        On the fresh path the budget is charged before the query is
+        evaluated; a BudgetExhausted propagates with ``pending`` untouched.
+        With reuse enabled the fresh answer is added to ``pending``.
         """
+        if self.dp_enabled:
+            check_epsilon(eps_f)
         key = self.category(q)
         qid = query_id if query_id is not None else f"q{next(self._query_ids)}"
 
@@ -135,14 +132,10 @@ class ChaincodeEngine:
             self.last_record = None
             return PerturbedResponse(exact_value, 0.0, False, qid)
 
-        spec = self._specs.get(q.aggregate)
-        if spec is None:
-            spec = self._specs[q.aggregate] = SensitivitySpec(q.aggregate,
-                                                              self.sensitivity_bound)
         acct.try_spend(eps_f, qid, q.requester_id)
         self.evaluation_count += 1
         exact_value = evaluate_exact(q, state, key)
-        noisy = perturb(exact_value, eps_f, spec, rng)
+        noisy = perturb(exact_value, eps_f, q.aggregate, rng)
         self.noise_draws += 1
         resp = PerturbedResponse(noisy, eps_f, False, qid)
         self.last_record = QueryRecord(key, eps_f, resp)

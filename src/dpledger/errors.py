@@ -29,10 +29,6 @@ class NonPositiveSensitivity(DPLedgerError):
     pass
 
 
-class NonPositiveBound(DPLedgerError):
-    pass
-
-
 class IncompatibleBinning(DPLedgerError):
     """Histograms do not share bin edges, so they cannot be compared."""
 

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IncompatibleBinning,
-    NonPositiveBound,
-    NonPositiveEpsilon,
-    NonPositiveSensitivity,
-)
-from .transactions import Aggregate
+from .errors import IncompatibleBinning, NonPositiveEpsilon, NonPositiveSensitivity
+from .transactions import QUANTITY_MAX, Aggregate
 
 # Epsilon floor enforced at the API edge; below this the scale overflows
 # any useful magnitude.
@@ -49,29 +44,15 @@ class LaplaceParams:
         _check_scale(self.scale)
 
 
-@dataclass(frozen=True)
-class SensitivitySpec:
-    """How much one transaction can move a query answer."""
-
-    aggregate: Aggregate
-    max_contribution: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.max_contribution) and self.max_contribution > 0):
-            raise NonPositiveBound(
-                f"max_contribution must be positive, got {self.max_contribution!r}"
-            )
-
-
-def sensitivity(spec: SensitivitySpec) -> float:
+def sensitivity(aggregate: Aggregate) -> float:
     """Worst-case change of the exact answer between neighboring ledgers.
 
-    One transaction moves a COUNT by exactly 1 and a SUM by at most the
-    per-transaction contribution bound.
+    One write moves a COUNT by exactly 1 and a SUM by at most its
+    quantity, which ``validate_write`` caps at ``QUANTITY_MAX``.
     """
-    if spec.aggregate is Aggregate.COUNT:
+    if aggregate is Aggregate.COUNT:
         return 1.0
-    return float(spec.max_contribution)
+    return float(QUANTITY_MAX)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -113,7 +94,7 @@ def laplace_samples(params: LaplaceParams, rng: np.random.Generator, n: int) -> 
     return np.array([_inverse_cdf(v, params.mu, params.scale) for v in u])
 
 
-def perturb(true_value: float, epsilon: float, spec: SensitivitySpec,
+def perturb(true_value: float, epsilon: float, aggregate: Aggregate,
             rng: np.random.Generator) -> float:
     """Add calibrated noise to an exact answer.
 
@@ -121,8 +102,7 @@ def perturb(true_value: float, epsilon: float, spec: SensitivitySpec,
     negative or fractional COUNTs are returned as-is. Bit-identical to
     ``true_value + laplace_sample(LaplaceParams(0.0, scale), rng)``.
     """
-    scale = laplace_scale(epsilon, sensitivity(spec))
-    _check_scale(scale)
+    scale = laplace_scale(epsilon, sensitivity(aggregate))
     return true_value + _inverse_cdf(rng.random(), 0.0, scale)
 
 

@@ -284,7 +284,9 @@ def export_transactions(chain: Sequence[Block], channel_id: str) -> str:
 def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
     """Parse a transaction export back into (header, [(height, envelope)]).
     Raises ``IoFailure`` naming the line on a line that is not a JSON object,
-    a row without an integer height, or an envelope that does not read back."""
+    a header whose genesis hash is not that of its string channel id, a row
+    without an integer height, heights that start below 1 or decrease, or an
+    envelope that does not read back."""
     rows = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -298,11 +300,21 @@ def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
         rows.append((number, row))
     if not rows:
         raise IoFailure("transaction export is empty")
+    number, header = rows[0]
+    channel_id, genesis_hash = header.get("channel_id"), header.get("genesis_hash")
+    if not (isinstance(channel_id, str) and isinstance(genesis_hash, str)
+            and genesis_hash == make_genesis(channel_id).block_hash.hex()):
+        raise IoFailure(f"line {number}: header {header!r} needs a string channel_id "
+                        "and that channel's genesis_hash")
     out = []
+    floor = 1
     for number, row in rows[1:]:
         height = from_json(int, row.pop("height", None), IoFailure, f"line {number}.height")
+        if height < floor:
+            raise IoFailure(f"line {number}: height {height} is below {floor}")
+        floor = height
         out.append((height, from_json(Envelope, row, IoFailure, f"line {number}")))
-    return rows[0][1], out
+    return header, out
 
 
 def export_blocks(chain: Sequence[Block]) -> str:

@@ -7,16 +7,15 @@ tick counter and the whole simulation is a pure function of the
 topology, seeds, and submission schedule.
 
 Each channel has one chaincode engine and one budget accountant. With
-noise enabled a query's ε is checked at endorsement before the engine
-sees it, so a rejected ε is neither spent nor logged as a reuse. The
-engine answers a query from the executor peer's committed world state
-plus its overlay of fresh answers endorsed but not yet committed, so
-every member serves the identical answer. A block that commits or goes
-to audit takes its answers out of the overlay; an audited answer is
-never served again, and its epsilon stays spent. The peer that executes
-a query produces the effect envelope; other members countersign its
-digest without re-executing, which keeps endorsement deterministic
-under fresh noise.
+noise enabled the engine checks a query's ε before anything else, so a
+rejected ε is neither spent nor logged as a reuse. The engine answers a
+query from the executor peer's committed world state plus its overlay
+of fresh answers endorsed but not yet committed, so every member serves
+the identical answer. A block that commits or goes to audit takes its
+answers out of the overlay; an audited answer is never served again, and
+its epsilon stays spent. The peer that executes a query produces the
+effect envelope; other members countersign its digest without
+re-executing, which keeps endorsement deterministic under fresh noise.
 
 Each envelope's payload digest (SHA-256 over its tx id, body and query
 effect) is computed once and kept as raw bytes: endorsers sign it,
@@ -54,7 +53,6 @@ from .errors import (
     NotAuthorized,
     NotMember,
 )
-from .laplace import check_epsilon
 from .ledger import (
     Block,
     WorldState,
@@ -217,8 +215,7 @@ class Network:
     def __init__(self, *, orgs=DEFAULT_ORGS, channel_id: str = "mychannel",
                  endorsement_policy: int = 1, batch_size: int = 10,
                  batch_timeout: int = 2, epsilon_t: float = 1.0,
-                 sensitivity_bound: float = 100.0, dp_enabled: bool = True,
-                 reuse_enabled: bool = True, seed: int = 0):
+                 dp_enabled: bool = True, reuse_enabled: bool = True, seed: int = 0):
         self.clock = 0
         self.seed = seed
         self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
@@ -230,7 +227,6 @@ class Network:
         self._submit_seq = 0
         self._dp_enabled = dp_enabled
         self._reuse_enabled = reuse_enabled
-        self._sensitivity_bound = sensitivity_bound
 
         root = np.random.SeedSequence([seed, 1])
         peer_seeds = root.spawn(sum(len(peer_ids) for _, peer_ids in orgs))
@@ -247,11 +243,8 @@ class Network:
 
     def create_channel(self, channel_id: str, members: Sequence[str], *,
                        endorsement_policy: int = 1, epsilon_t: float = 1.0) -> Channel:
-        engine = ChaincodeEngine(
-            dp_enabled=self._dp_enabled,
-            reuse_enabled=self._reuse_enabled,
-            sensitivity_bound=self._sensitivity_bound,
-        )
+        engine = ChaincodeEngine(dp_enabled=self._dp_enabled,
+                                 reuse_enabled=self._reuse_enabled)
         channel = Channel(channel_id, members, endorsement_policy, epsilon_t, engine)
         self.channels[channel_id] = channel
         for peer_id in members:
@@ -262,13 +255,6 @@ class Network:
         self.clients[client_id] = set(channels if channels is not None else self.channels)
 
     # -- phase 2: endorsement
-
-    def endorse(self, peer: Peer, payload_digest: bytes, channel_id: str) -> Endorsement:
-        """Signed approval of a proposal payload by a channel member."""
-        channel = self.channels[channel_id]
-        if peer.peer_id not in channel.members:
-            raise NotMember(f"{peer.peer_id} is not a member of {channel_id}")
-        return sign_endorsement(peer.peer_id, payload_digest)
 
     def _collect_endorsements(self, channel: Channel, tx_id: str, tx: Transaction,
                               effect: Optional[QueryEffect] = None) -> Envelope:
@@ -296,9 +282,6 @@ class Network:
             if engine.dp_enabled:
                 raise ConfigInvalid("eps_f is required for queries when noise is enabled")
             eps_f = 0.0
-        elif engine.dp_enabled:
-            # Before any spend or reuse is logged.
-            check_epsilon(eps_f)
         response = engine.answer_query(tx, executor.states[channel.channel_id],
                                        channel.accountant, eps_f, executor.rng,
                                        query_id=tx_id)

@@ -10,7 +10,6 @@ from dpledger import (
     BackgroundKnowledge,
     NoCommonQueries,
     PredicateMismatch,
-    SensitivitySpec,
     composition_attack,
     linking_attack,
     repeated_query_averaging,
@@ -70,10 +69,9 @@ def test_linking_error_follows_noise_cdf(rng):
     records = _ledger()
     bk = BackgroundKnowledge.from_ledger(records, target_index=3)
     q = make_query(Aggregate.SUM)
-    spec = SensitivitySpec(Aggregate.SUM, 100.0)
     tolerance = 20.0
     lam = 100.0
-    rate, sample = linking_trials(q, bk, records[3].quantity, 1.0, spec, rng,
+    rate, sample = linking_trials(q, bk, records[3].quantity, 1.0, rng,
                                   n_trials=4000, tolerance=tolerance)
     expected = 1.0 - math.exp(-tolerance / lam)
     assert abs(rate - expected) <= 0.03

@@ -111,7 +111,8 @@ def test_config_must_be_a_json_object(doc):
     # json.load reads NaN and Infinity in a config file as these floats.
     {"epsilon_t": float("nan")},
     {"epsilon_t": float("inf")},
-    {"sensitivity_bound": 0},
+    # Not a config field: the SUM sensitivity is QUANTITY_MAX, not a knob.
+    {"sensitivity_bound": 100.0},
     {"quantity_range": ["1", 5]},
     {"rate_sweep": [10, "20"]},
     {"sum_only": 1},
@@ -436,7 +437,7 @@ _GOLDEN_SHA256 = {
     "receipts_naive.csv": "12137f2c240f5fd1ce16ce3b29d2184d230b40862fd0afedf9f228f662ce7387",
     "receipts_reuse.csv": "9938184c3ce856235334a1c5dd55c143a5ee8df890a84582cc510738a8ac3712",
     "relative_errors.csv": "b1a69dfc0c26b4eb72ce4c4f9f753d682db01cee65f7c256ec89add90ed5e204",
-    "report.json": "aff83fea75ae027661274e6fb0b41159fa88d96b1cf2ed5ff9d03f443c8ae882",
+    "report.json": "2cc2939cffeff3b07b3b532b42fccb47ff1143be4cc0e186f4371760baa823cd",
     "summary.json": "8d2736491323e29521b35135f5b7ab2c7a0fd0014ca8f5b19fd805ce6938b618",
 }
 

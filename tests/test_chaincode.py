@@ -8,7 +8,7 @@ from dpledger import (
     BudgetAccountant,
     BudgetExhausted,
     ChaincodeEngine,
-    NonPositiveBound,
+    NonPositiveEpsilon,
     UnsupportedAggregate,
     WorldState,
     categorize,
@@ -149,7 +149,7 @@ def test_fresh_noise_of_two_gives_502():
     for qty in (100, 100, 100, 100, 100):
         state.apply_write(make_write(quantity=qty))
     acct = BudgetAccountant(10.0)
-    engine = ChaincodeEngine(sensitivity_bound=100.0)
+    engine = ChaincodeEngine()
     u = 1.0 - math.exp(-2.0 / 100.0) / 2.0
     resp = engine.answer_query(make_query(Aggregate.SUM), state, acct, 1.0,
                                FixedUniformRng([u]))
@@ -224,10 +224,17 @@ def test_equal_queries_share_one_interned_key(rng):
     assert engine.category(make_query(Aggregate.SUM, customer=" BOB ", color="Red")) == key
 
 
-def test_bad_sensitivity_bound_is_rejected_before_the_spend(rng):
-    state, acct, engine = _setup(sensitivity_bound=0.0)
-    with pytest.raises(NonPositiveBound):
-        engine.answer_query(make_query(Aggregate.SUM), state, acct, 0.5, rng)
+@pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
+@pytest.mark.parametrize("eps_f", [1e-9, float("nan"), float("inf"), float("-inf"), 0.0, -1.0],
+                         ids=["sub-floor", "nan", "inf", "-inf", "zero", "negative"])
+def test_bad_epsilon_is_rejected_before_any_spend_or_reuse(reuse_enabled, eps_f, rng):
+    state, _, engine = _setup(reuse_enabled=reuse_enabled)
+    q = make_query(Aggregate.SUM, color="red")
+    # A valid twin is already answered; with reuse on its category is a cache hit.
+    engine.answer_query(q, state, BudgetAccountant(10.0), 0.2, rng)
+    pending = dict(engine.pending)
+    acct = BudgetAccountant(10.0)
+    with pytest.raises(NonPositiveEpsilon):
+        engine.answer_query(q, state, acct, eps_f, rng)
     assert acct.events == []
-    assert acct.accumulated_exact() == 0
-    assert engine.pending == {}
+    assert engine.pending == pending

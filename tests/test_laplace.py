@@ -7,10 +7,8 @@ from dpledger import (
     Aggregate,
     IncompatibleBinning,
     LaplaceParams,
-    NonPositiveBound,
     NonPositiveEpsilon,
     NonPositiveSensitivity,
-    SensitivitySpec,
     WorldState,
     build_histogram,
     empirical_dp_ratio,
@@ -21,6 +19,7 @@ from dpledger import (
     sensitivity,
 )
 from dpledger.chaincode import evaluate_exact
+from dpledger.transactions import QUANTITY_MAX
 
 from conftest import make_query, make_write
 
@@ -49,30 +48,25 @@ class FixedUniformRng:
 # sensitivity and scale
 
 def test_sum_sensitivity_is_contribution_bound():
-    assert sensitivity(SensitivitySpec(Aggregate.SUM, 100.0)) == 100.0
+    assert sensitivity(Aggregate.SUM) == QUANTITY_MAX == 100
 
 
 def test_count_sensitivity_is_one():
-    assert sensitivity(SensitivitySpec(Aggregate.COUNT, 100.0)) == 1.0
-
-
-def test_nonpositive_bound_rejected():
-    with pytest.raises(NonPositiveBound):
-        SensitivitySpec(Aggregate.SUM, 0.0)
+    assert sensitivity(Aggregate.COUNT) == 1.0
 
 
 def test_sum_sensitivity_matches_adjacent_ledger_difference():
-    # Brute force: two ledgers differing in one qty-7 transaction.
+    # Brute force: two ledgers differing in one write of the largest quantity.
     state_x = WorldState()
     state_y = WorldState()
     base = [("Bob", 10), ("Claire", 20), ("David", 30)]
     for customer, qty in base:
         state_x.apply_write(make_write(customer=customer, quantity=qty))
         state_y.apply_write(make_write(customer=customer, quantity=qty))
-    state_x.apply_write(make_write(customer="Ali", quantity=7))
+    state_x.apply_write(make_write(customer="Ali", quantity=QUANTITY_MAX))
     q = make_query(Aggregate.SUM)
     diff = evaluate_exact(q, state_x) - evaluate_exact(q, state_y)
-    assert diff == 7 == sensitivity(SensitivitySpec(Aggregate.SUM, 7.0))
+    assert diff == QUANTITY_MAX == sensitivity(Aggregate.SUM)
 
 
 @pytest.mark.parametrize("epsilon,delta_f,expected", [
@@ -145,29 +139,25 @@ def test_scale_collapse_pins_samples_to_mu():
 def test_perturb_noise_of_two_turns_500_into_502():
     # Solve for the uniform that makes the noise exactly +2 at scale 100.
     u = 1.0 - math.exp(-2.0 / 100.0) / 2.0
-    spec = SensitivitySpec(Aggregate.SUM, 100.0)
-    got = perturb(500.0, 1.0, spec, FixedUniformRng([u]))
+    got = perturb(500.0, 1.0, Aggregate.SUM, FixedUniformRng([u]))
     assert got == pytest.approx(502.0, abs=1e-9)
 
 
 def test_perturb_is_deterministic_for_a_seed():
-    spec = SensitivitySpec(Aggregate.SUM, 100.0)
-    a = perturb(123.0, 0.5, spec, np.random.default_rng(99))
-    b = perturb(123.0, 0.5, spec, np.random.default_rng(99))
+    a = perturb(123.0, 0.5, Aggregate.SUM, np.random.default_rng(99))
+    b = perturb(123.0, 0.5, Aggregate.SUM, np.random.default_rng(99))
     assert a == b
 
 
 def test_perturb_mean_absolute_error_approaches_scale():
-    spec = SensitivitySpec(Aggregate.SUM, 100.0)
     gen = np.random.default_rng(17)
     n = 20_000
-    errors = [abs(perturb(50.0, 1.0, spec, gen) - 50.0) for _ in range(n)]
+    errors = [abs(perturb(50.0, 1.0, Aggregate.SUM, gen) - 50.0) for _ in range(n)]
     # MAD of the noise equals the scale (100); SE is about scale/sqrt(n).
     assert abs(np.mean(errors) - 100.0) < 3 * 100.0 / math.sqrt(n)
 
 
 def test_perturb_is_unbiased():
-    spec = SensitivitySpec(Aggregate.COUNT, 1.0)
     lam = laplace_scale(1.0, 1.0)
     n = 50_000
     draws = laplace_samples(LaplaceParams(0.0, lam), np.random.default_rng(23), n)
@@ -176,31 +166,27 @@ def test_perturb_is_unbiased():
 
 def test_perturb_rejects_tiny_epsilon(rng):
     with pytest.raises(NonPositiveEpsilon):
-        perturb(10.0, 1e-8, SensitivitySpec(Aggregate.SUM, 100.0), rng)
+        perturb(10.0, 1e-8, Aggregate.SUM, rng)
 
 
 @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM])
 @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 0.37, 1.0, 5.0, 1e6])
 def test_perturb_is_bit_identical_to_a_laplace_sample(aggregate, epsilon):
-    spec = SensitivitySpec(aggregate, 100.0)
-    params = LaplaceParams(0.0, sensitivity(spec) / epsilon)
+    params = LaplaceParams(0.0, sensitivity(aggregate) / epsilon)
     lean = np.random.default_rng(41)
     reference = np.random.default_rng(41)
     for value in (0.0, 7.0, 1234.5, -3.0):
-        got = perturb(value, epsilon, spec, lean)
+        got = perturb(value, epsilon, aggregate, lean)
         want = value + laplace_sample(params, reference)
         assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("bound, epsilon", [(1e308, 1e-6), (5e-324, 1e300)],
                          ids=["scale-overflows", "scale-underflows"])
-def test_perturb_keeps_the_finite_scale_check(bound, epsilon, rng):
-    spec = SensitivitySpec(Aggregate.SUM, bound)
+def test_perturb_keeps_the_finite_scale_check(bound, epsilon):
     scale = laplace_scale(epsilon, bound)
     with pytest.raises(ValueError):
         LaplaceParams(0.0, scale)
-    with pytest.raises(ValueError):
-        perturb(10.0, epsilon, spec, rng)
 
 
 # ---------------------------------------------------------------------------

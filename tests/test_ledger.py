@@ -281,6 +281,14 @@ _MALFORMED = {
     "signature-not-hex": lambda h, r: _dump(h, {**r, "endorsements": [
         {"peer_id": "peer0.org1", "signature": "not hex"}]}),
     "unknown-key": lambda h, r: _dump(h, {**r, "note": 1}),
+    "header-without-channel": lambda h, r: _dump({"x": 1}, r),
+    "header-channel-not-string": lambda h, r: _dump({**h, "channel_id": 5}, r),
+    "header-genesis-missing": lambda h, r: _dump(_without(h, "genesis_hash"), r),
+    "header-genesis-of-another-channel": lambda h, r: _dump(
+        {**h, "genesis_hash": make_genesis("other").block_hash.hex()}, r),
+    "height-negative": lambda h, r: _dump(h, {**r, "height": -4}),
+    "height-zero": lambda h, r: _dump(h, {**r, "height": 0}),
+    "height-decreasing": lambda h, r: _dump(h, {**r, "height": 2}, r),
 }
 
 

@@ -12,7 +12,6 @@ from dpledger import (
     ConfigInvalid,
     Envelope,
     Network,
-    NotMember,
     PerturbedResponse,
     QueryEffect,
     QueryRecord,
@@ -294,14 +293,6 @@ def test_endorsement_token_verifies_against_digest():
     end = sign_endorsement("peer0.org1", b"\xab" * 32)
     assert endorsement_valid(end, b"\xab" * 32)
     assert not endorsement_valid(end, b"\xcd" * 32)
-
-
-def test_endorse_requires_membership():
-    net = _network()
-    outsider = net.peers["peer0.org2"]
-    net.create_channel("side", ["peer0.org1"], endorsement_policy=1, epsilon_t=1.0)
-    with pytest.raises(NotMember):
-        net.endorse(outsider, b"\xab" * 32, "side")
 
 
 def test_policy_one_needs_a_single_endorsement():
