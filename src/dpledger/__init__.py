@@ -11,7 +11,6 @@ from .errors import (
     ConfigInvalid,
     DPLedgerError,
     EmptyBatch,
-    EmptyProfiles,
     IncompatibleBinning,
     InvalidQuantity,
     MissingField,
@@ -54,10 +53,8 @@ from .laplace import (
 )
 from .budget import (
     BudgetAccountant,
-    RequesterProfile,
     SpendRecord,
     allocate_equal,
-    allocate_weighted,
 )
 from .ledger import (
     Block,

@@ -31,7 +31,7 @@ from .adversary import (
     linking_trials,
     repeated_query_averaging,
 )
-from .budget import RequesterProfile, allocate_equal, allocate_weighted
+from .budget import allocate_equal
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import laplace_scale, sensitivity
@@ -68,7 +68,6 @@ class EpsilonSchedule:
 
     kinds:
       equal      - threshold split equally across the stream
-      weighted   - threshold split in proportion to requester weights
       fixed      - one explicit value for every query
       uniform    - seeded grid draws in [low, high]
       calibrated - grid draws adjusted so fresh queries sum to
@@ -81,7 +80,6 @@ class EpsilonSchedule:
     high: float = 0.12
     fresh_total: float = 0.0
     repeat_total: float = 0.0
-    weights: Optional[Dict[str, float]] = None
 
 
 @dataclass
@@ -93,10 +91,8 @@ class WorkloadConfig:
     customers: Tuple[str, ...] = DEFAULT_CUSTOMERS
     products: Tuple[str, ...] = DEFAULT_PRODUCTS
     colors: Tuple[str, ...] = DEFAULT_COLORS
-    quantity_range: Tuple[int, int] = (QUANTITY_MIN, QUANTITY_MAX)
     n_queries: int = 150
-    repeat_ratio: float = 0.0
-    n_repeats: Optional[int] = None
+    n_repeats: int = 0
     sum_only: bool = True
     requesters: Tuple[str, ...] = ("distributor-a",)
     epsilon_t: float = 1.0
@@ -104,18 +100,11 @@ class WorkloadConfig:
     write_rate: int = 25
     query_rate: int = 25
     rate_sweep: Optional[Tuple[int, ...]] = None
-    attacks: Tuple[str, ...] = ()
-    dp_enabled: bool = True
     orgs: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
     batch_size: int = 10
     batch_timeout: int = 2
     endorsement_policy: int = 1
     seed: int = 7
-
-    def resolved_repeats(self) -> int:
-        if self.n_repeats is not None:
-            return self.n_repeats
-        return int(self.repeat_ratio * self.n_queries + 0.5)
 
     def validate(self) -> None:
         # Types first, by the annotations: a bool is not a number, a float is finite.
@@ -123,20 +112,15 @@ class WorkloadConfig:
                if not codec.conforms(getattr(self, name), annotation)]
         if bad:
             raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
-        lo, hi = self.quantity_range
-        if not (QUANTITY_MIN <= lo <= hi <= QUANTITY_MAX):
-            raise ConfigInvalid(f"quantity_range {self.quantity_range} not within "
-                                f"[{QUANTITY_MIN}, {QUANTITY_MAX}]")
         if self.n_writes < 1:
             raise ConfigInvalid("n_writes must be >= 1")
         if self.n_queries < 0:
             raise ConfigInvalid("n_queries must be >= 0")
-        if not 0.0 <= self.repeat_ratio <= 1.0:
-            raise ConfigInvalid(f"repeat_ratio {self.repeat_ratio} outside [0, 1]")
-        reps = self.resolved_repeats()
-        if self.n_queries > 0 and not 0 <= reps <= self.n_queries - 1:
+        if self.n_repeats < 0:
+            raise ConfigInvalid("n_repeats must be >= 0")
+        if self.n_queries > 0 and self.n_repeats > self.n_queries - 1:
             raise ConfigInvalid(
-                f"{reps} repeats impossible for {self.n_queries} queries "
+                f"{self.n_repeats} repeats impossible for {self.n_queries} queries "
                 "(the first query of a category is always fresh)"
             )
         if self.write_rate < 1 or self.query_rate < 1:
@@ -164,13 +148,8 @@ class WorkloadConfig:
                 f"endorsement policy {self.endorsement_policy} outside "
                 f"[1, {n_peers}] for the configured topology"
             )
-        if self.epsilon_schedule.kind not in ("equal", "weighted", "fixed", "uniform", "calibrated"):
+        if self.epsilon_schedule.kind not in ("equal", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {self.epsilon_schedule.kind!r}")
-        if any(w <= 0 for w in (self.epsilon_schedule.weights or {}).values()):
-            raise ConfigInvalid("epsilon_schedule weights must be positive")
-        bad_attacks = set(self.attacks) - {"linking", "composition", "averaging"}
-        if bad_attacks:
-            raise ConfigInvalid(f"unknown attack kinds: {sorted(bad_attacks)}")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; tuples stay tuples,
@@ -237,13 +216,6 @@ def _epsilon_values(cfg: WorkloadConfig, rng: np.random.Generator,
     if sched.kind == "equal":
         share = allocate_equal(cfg.epsilon_t, n)
         return [share] * n
-    if sched.kind == "weighted":
-        requester_of = [cfg.requesters[i % len(cfg.requesters)] for i in range(n)]
-        counts = {r: requester_of.count(r) for r in cfg.requesters}
-        weights = sched.weights or {}
-        profiles = [RequesterProfile(r, weights.get(r, 1.0)) for r in cfg.requesters]
-        shares = allocate_weighted(profiles, counts, cfg.epsilon_t)
-        return [shares[r] for r in requester_of]
     if sched.kind == "fixed":
         return [float(sched.value)] * n
     lo_u = round(sched.low / EPS_UNIT)
@@ -301,7 +273,6 @@ def generate_workload(cfg: WorkloadConfig,
     cfg.validate()
     rng = rng if rng is not None else _workload_rng(cfg)
 
-    lo, hi = cfg.quantity_range
     writes: List[Tuple[int, WriteTransaction]] = []
     for i in range(cfg.n_writes):
         tx = WriteTransaction(
@@ -311,7 +282,7 @@ def generate_workload(cfg: WorkloadConfig,
             timeout_ms=3000,
             product_name=cfg.products[int(rng.integers(len(cfg.products)))],
             color=cfg.colors[int(rng.integers(len(cfg.colors)))],
-            quantity=int(rng.integers(lo, hi + 1)),
+            quantity=int(rng.integers(QUANTITY_MIN, QUANTITY_MAX + 1)),
             customer_name=cfg.customers[int(rng.integers(len(cfg.customers)))],
         )
         writes.append((i // cfg.write_rate, tx))
@@ -323,7 +294,7 @@ def generate_workload(cfg: WorkloadConfig,
     for _, tx in writes:
         written.apply_write(tx)
     candidates = _candidate_keys(cfg, written)
-    n_repeats = cfg.resolved_repeats()
+    n_repeats = cfg.n_repeats
     n_fresh = cfg.n_queries - n_repeats
     if n_fresh > len(candidates):
         raise ConfigInvalid(
@@ -389,7 +360,6 @@ def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
         batch_size=cfg.batch_size,
         batch_timeout=cfg.batch_timeout,
         epsilon_t=cfg.epsilon_t,
-        dp_enabled=cfg.dp_enabled,
         reuse_enabled=reuse_enabled,
         seed=cfg.seed,
     )
@@ -454,14 +424,12 @@ def _mode_metrics(res: ExecResult, errors: List[Optional[float]]) -> dict:
     }
 
 
-def _error(exact: float, response, dp_enabled: bool) -> Optional[float]:
-    """Relative error of one answer in percent: 0 without noise, None when
-    the query went unanswered or its exact answer is 0."""
-    if response is None:
+def _error(exact: float, response) -> Optional[float]:
+    """Relative error of one answer in percent; None when the query went
+    unanswered or its exact answer is 0."""
+    if response is None or exact == 0:
         return None
-    if not dp_enabled:
-        return 0.0
-    return relative_error(exact, response.value) if exact != 0 else None
+    return relative_error(exact, response.value)
 
 
 def run_scenario(cfg: WorkloadConfig) -> dict:
@@ -502,7 +470,7 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
             response = receipt.response
             value_key, err_key, cum_key = columns[mode]
             row[value_key] = response.value if response is not None else None
-            row[err_key] = _error(exact_value, response, cfg.dp_enabled)
+            row[err_key] = _error(exact_value, response)
             row[cum_key] = cum_eps[mode]
         rows.append(row)
 
@@ -520,7 +488,6 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
         "reuse_eps_sum": reuse_sum,
         "savings_pct": savings,
         "performance": performance_scan(cfg, cfg.rate_sweep) if cfg.rate_sweep else [],
-        "attacks": [run_attack(kind, seed=cfg.seed) for kind in cfg.attacks],
         "artifacts": {
             **{f"budget_events_{mode}.csv": res.channel.accountant.to_csv()
                for mode, res in passes.items()},
@@ -553,7 +520,9 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
     stream; with an equal split the swept value is the threshold itself.
     Every run reuses the same seed, so the mean relative error scales
     exactly with the noise magnitude. Rows carry the analytic
-    expectation mean(100 * scale / a) for cross-checking.
+    expectation mean(100 * scale / a) for cross-checking, each query's
+    noise scale taken from its own aggregate (1/ε for COUNT, the SUM
+    sensitivity over ε for SUM); a row's ``noise_scale`` is the SUM scale.
     ``epsilon_list`` must be a non-empty list of positive, finite numbers.
     """
     if not epsilon_list or not all(codec.conforms(e, float) and e > 0 for e in epsilon_list):
@@ -579,10 +548,14 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
             )
         report = run_scenario(sub)
         lam = laplace_scale(per_query, sensitivity(Aggregate.SUM))
-        actuals = [row["exact"] for row in report["rows"] if row["exact"] != 0]
-        expected = float(np.mean([100.0 * lam / a for a in actuals])) if actuals else 0.0
-        se = (100.0 * lam / len(actuals)) * math.sqrt(
-            sum(1.0 / (a * a) for a in actuals)) if actuals else 0.0
+        # (noise scale, exact answer) of each query whose exact answer is not 0.
+        answered = [(laplace_scale(per_query, sensitivity(plan.key.aggregate)), row["exact"])
+                    for plan, row in zip(generate_workload(sub).queries, report["rows"])
+                    if row["exact"] != 0]
+        expected = (float(np.mean([100.0 * scale / a for scale, a in answered]))
+                    if answered else 0.0)
+        se = (100.0 * lam / len(answered)) * math.sqrt(
+            sum((scale / lam) ** 2 / (a * a) for scale, a in answered)) if answered else 0.0
         rows.append({
             "epsilon_t": float(eps_t),
             "per_query_epsilon": per_query,
@@ -605,7 +578,7 @@ def scenario_config(name: str, seed: Optional[int] = None) -> WorkloadConfig:
         # Each query is answered at the swept budget; the threshold leaves
         # headroom for exactly the 150-query stream.
         cfg = WorkloadConfig(
-            name=name, n_writes=500, n_queries=150, repeat_ratio=0.0,
+            name=name, n_writes=500, n_queries=150,
             epsilon_t=151.0,
             epsilon_schedule=EpsilonSchedule(kind="fixed", value=1.0),
             sum_only=True, seed=7,
@@ -624,7 +597,7 @@ def scenario_config(name: str, seed: Optional[int] = None) -> WorkloadConfig:
         # Mixed COUNT/SUM stream so 755 distinct categories exist; every
         # query is fresh and therefore flows through ordering and commit.
         cfg = WorkloadConfig(
-            name=name, n_writes=500, n_queries=755, repeat_ratio=0.0,
+            name=name, n_writes=500, n_queries=755,
             epsilon_t=8.0, epsilon_schedule=EpsilonSchedule(kind="equal"),
             sum_only=False, rate_sweep=(10, 20, 30, 40, 50), seed=7,
         )
@@ -643,48 +616,18 @@ SCENARIO_NAMES = ("error-150", "budget-155", "throughput-755")
 # ---------------------------------------------------------------------------
 # attack drivers
 
-def run_attack(kind: str, *, seed: int = 7) -> dict:
-    """One configured attack, run against both provider behaviors.
-
-    Pairs the vulnerable and defended runs so a scenario report shows
-    what the adversary gains with and without the countermeasure.
-    Sizes are kept small; the dedicated drivers expose the full knobs.
-    """
-    if kind == "linking":
-        off = run_linking_attack(dp_enabled=False, seed=seed)
-        on = run_linking_attack(dp_enabled=True, n_trials=2000, seed=seed)
-        return {
-            "kind": kind,
-            "noise_off": asdict(off["report"]),
-            "noise_on": {
-                "success_rate": on["success_rate"],
-                "expected_rate": on["expected_rate"],
-                "n_trials": on["n_trials"],
-            },
-        }
-    if kind == "composition":
-        attack, knobs = run_composition_attack, dict(categories=100, repeats=25, n_writes=200)
-    elif kind == "averaging":
-        attack, knobs = run_averaging_attack, dict(n=50)
-    else:
-        raise ConfigInvalid(f"unknown attack kind {kind!r}")
-    defended = attack(reuse_enabled=True, seed=seed, **knobs)
-    vulnerable = attack(reuse_enabled=False, seed=seed, **knobs)
-    return {"kind": kind, "reuse": asdict(defended), "naive": asdict(vulnerable)}
-
-
 def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
                        n_trials: int = 10_000, tolerance: float = 5.0,
                        n_writes: int = 200, seed: int = 7) -> dict:
     """Difference attack against a small populated ledger.
 
-    With noise disabled one response recovers the target exactly; with
-    noise on, the Monte-Carlo success rate is compared with the noise
+    ``dp_enabled`` picks the attack's arm. Without noise, the exact answer
+    a default chaincode returns recovers the target from one response;
+    with noise, the Monte-Carlo success rate is compared with the noise
     CDF at the tolerance.
     """
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
-                         dp_enabled=dp_enabled, epsilon_t=max(1.0, epsilon * (n_trials + 1)),
-                         seed=seed)
+                         epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
     records = [r.tx for r in _committed_state(net).records]
 

@@ -9,8 +9,8 @@ of 10**-340 below 10**309, and so is any balance built from such values,
 so no subtraction ever needs to round, and the trap would raise if one
 did. Floats appear only at the API surface.
 
-``exact`` is the public rational view of the same decimal value; the
-allocators use it. It is memoized: the ε values of a run repeat (a fixed
+``exact`` is the public rational view of the same decimal value;
+``allocate_equal`` uses it. It is memoized: the ε values of a run repeat (a fixed
 schedule has one), so each is parsed once.
 """
 
@@ -20,12 +20,11 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Sequence
+from typing import List, NamedTuple
 
-from .errors import BudgetExhausted, EmptyProfiles, ZeroQueries
+from .errors import BudgetExhausted, ZeroQueries
 
 
 # Balance arithmetic: wide enough that no difference of float reprs rounds.
@@ -41,18 +40,6 @@ def exact(value: float) -> Fraction:
 def _decimal(value: float) -> Decimal:
     """The same decimal value as ``exact(value)``, as a ``Decimal``."""
     return Decimal(repr(float(value)))
-
-
-@dataclass(frozen=True)
-class RequesterProfile:
-    """Per-requester privacy treatment; lower weight means stronger privacy."""
-
-    requester_id: str
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"weight must be positive and finite, got {self.weight!r}")
 
 
 class SpendRecord(NamedTuple):
@@ -158,34 +145,3 @@ def allocate_equal(epsilon_t: float, n_queries: int) -> float:
     while exact(share) * n_queries > target:
         share = math.nextafter(share, 0.0)
     return share
-
-
-def allocate_weighted(profiles: Sequence[RequesterProfile],
-                      query_counts: Mapping[str, int],
-                      epsilon_t: float) -> Dict[str, float]:
-    """Per-query budget proportional to requester weight.
-
-    epsilon_i = epsilon_t * w_i / sum_j(w_j * c_j), so the whole
-    allocation sums to the threshold and a lower weight buys a lower
-    epsilon, i.e. stronger privacy for that requester. Shares are
-    nudged down by ulps until the exact dot product fits the threshold.
-    """
-    if not profiles:
-        raise EmptyProfiles("no requester profiles given")
-    if len({p.requester_id for p in profiles}) != len(profiles):
-        raise ValueError("requester profiles must have unique ids")
-    counts = {p.requester_id: int(query_counts.get(p.requester_id, 0)) for p in profiles}
-    denom = sum(p.weight * counts[p.requester_id] for p in profiles)
-    if denom <= 0:
-        raise EmptyProfiles("total weighted query count must be positive")
-
-    shares = {p.requester_id: epsilon_t * p.weight / denom for p in profiles}
-    target = exact(epsilon_t)
-
-    def dot() -> Fraction:
-        return sum((exact(shares[r]) * c for r, c in counts.items()), Fraction(0))
-
-    while dot() > target:
-        heaviest = max((r for r, c in counts.items() if c > 0), key=lambda r: shares[r])
-        shares[heaviest] = math.nextafter(shares[heaviest], 0.0)
-    return shares

@@ -25,7 +25,6 @@ from .transactions import (
     PerturbedResponse,
     QueryRecord,
     QueryTransaction,
-    normalize,
 )
 
 
@@ -33,13 +32,8 @@ def categorize(q: QueryTransaction) -> CategoryKey:
     """Deterministic cache key: aggregate plus trimmed, case-folded attributes."""
     if not isinstance(q.aggregate, Aggregate):
         raise UnsupportedAggregate(f"unsupported aggregate {q.aggregate!r}")
-    pred = q.predicate
-    return CategoryKey(
-        aggregate=q.aggregate,
-        customer_name=None if pred.customer_name is None else normalize(pred.customer_name),
-        product_name=None if pred.product_name is None else normalize(pred.product_name),
-        color=None if pred.color is None else normalize(pred.color),
-    )
+    pred = q.predicate.normalized()
+    return CategoryKey(q.aggregate, pred.customer_name, pred.product_name, pred.color)
 
 
 def evaluate_exact(q: QueryTransaction, state: WorldState,
@@ -62,20 +56,18 @@ class ChaincodeEngine:
     yet committed (kept only with reuse enabled, the one mode that serves
     repeats). ``settle`` drops an answer from ``pending`` once its block is
     committed or sent to audit. ``last_record`` is the recorded answer
-    behind the response of the last call that returned (None on the
-    noise-free path), so the caller need not categorize the query again.
+    behind the response of the last call that returned, so the caller need
+    not categorize the query again.
 
     Category keys are interned per query shape, ``(aggregate, predicate)``:
     equal queries get the one key object, whose encoding is computed once.
 
     Instrumented with probe/evaluation/noise counters so the linear-cost
     claim can be asserted, not assumed. reuse_enabled=False disables the
-    cached-answer path (fresh noise for every query); dp_enabled=False
-    reproduces the bare evaluation behavior of a default chaincode.
+    cached-answer path (fresh noise for every query).
     """
 
-    def __init__(self, *, dp_enabled: bool = True, reuse_enabled: bool = True):
-        self.dp_enabled = dp_enabled
+    def __init__(self, *, reuse_enabled: bool = True):
         self.reuse_enabled = reuse_enabled
         self.probe_count = 0
         self.evaluation_count = 0
@@ -102,18 +94,17 @@ class ChaincodeEngine:
         ``q`` must have passed ``validate_query`` (``Network`` checks it at
         endorsement); it is categorized once here. ``state`` is only read.
         A pending answer is preferred to a committed one, and a reuse is
-        recorded by the accountant alone. With noise enabled ``eps_f`` is
-        checked first, so a bad ε is neither spent nor logged as a reuse.
+        recorded by the accountant alone. ``eps_f`` is checked first, so a
+        bad ε is neither spent nor logged as a reuse.
         On the fresh path the budget is charged before the query is
         evaluated; a BudgetExhausted propagates with ``pending`` untouched.
         With reuse enabled the fresh answer is added to ``pending``.
         """
-        if self.dp_enabled:
-            check_epsilon(eps_f)
+        check_epsilon(eps_f)
         key = self.category(q)
         qid = query_id if query_id is not None else f"q{next(self._query_ids)}"
 
-        if self.dp_enabled and self.reuse_enabled:
+        if self.reuse_enabled:
             self.probe_count += 1
             cached = self.pending.get(key) or state.lookup(key)
             if cached is not None:
@@ -125,12 +116,6 @@ class ChaincodeEngine:
                     reused=True,
                     query_id=qid,
                 )
-
-        if not self.dp_enabled:
-            self.evaluation_count += 1
-            exact_value = evaluate_exact(q, state, key)
-            self.last_record = None
-            return PerturbedResponse(exact_value, 0.0, False, qid)
 
         acct.try_spend(eps_f, qid, q.requester_id)
         self.evaluation_count += 1

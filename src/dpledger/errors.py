@@ -43,10 +43,6 @@ class ZeroQueries(DPLedgerError):
     pass
 
 
-class EmptyProfiles(DPLedgerError):
-    pass
-
-
 class BudgetExhausted(DPLedgerError):
     """Remaining budget cannot cover the requested spend; state is unchanged."""
 

@@ -268,11 +268,12 @@ def replay_chain(chain: Sequence[Block], channel_id: str = "mychannel") -> World
 # JSON-lines export / import
 
 def export_transactions(chain: Sequence[Block], channel_id: str) -> str:
-    """One JSON object per committed transaction, after a channel header line."""
-    header = {
-        "channel_id": channel_id,
-        "genesis_hash": chain[0].block_hash.hex() if chain else "",
-    }
+    """One JSON object per committed transaction, after a channel header line.
+    Raises ``IoFailure`` unless ``chain`` starts with ``channel_id``'s genesis
+    block, so that ``import_transactions`` reads back every export."""
+    if not chain or chain[0] != make_genesis(channel_id):
+        raise IoFailure(f"chain does not start with the genesis block of {channel_id!r}")
+    header = {"channel_id": channel_id, "genesis_hash": chain[0].block_hash.hex()}
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for block in chain:
         for env in block.envelopes:

@@ -6,9 +6,9 @@ privacy-preserving execution for queries, (3) Solo ordering into blocks,
 tick counter and the whole simulation is a pure function of the
 topology, seeds, and submission schedule.
 
-Each channel has one chaincode engine and one budget accountant. With
-noise enabled the engine checks a query's ε before anything else, so a
-rejected ε is neither spent nor logged as a reuse. The engine answers a
+Each channel has one chaincode engine and one budget accountant. The
+engine checks a query's ε before anything else, so a rejected ε is
+neither spent nor logged as a reuse. The engine answers a
 query from the executor peer's committed world state plus its overlay
 of fresh answers endorsed but not yet committed, so every member serves
 the identical answer. A block that commits or goes to audit takes its
@@ -215,7 +215,7 @@ class Network:
     def __init__(self, *, orgs=DEFAULT_ORGS, channel_id: str = "mychannel",
                  endorsement_policy: int = 1, batch_size: int = 10,
                  batch_timeout: int = 2, epsilon_t: float = 1.0,
-                 dp_enabled: bool = True, reuse_enabled: bool = True, seed: int = 0):
+                 reuse_enabled: bool = True, seed: int = 0):
         self.clock = 0
         self.seed = seed
         self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
@@ -225,7 +225,6 @@ class Network:
         self.receipts: List[TransactionReceipt] = []
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
         self._submit_seq = 0
-        self._dp_enabled = dp_enabled
         self._reuse_enabled = reuse_enabled
 
         root = np.random.SeedSequence([seed, 1])
@@ -243,8 +242,7 @@ class Network:
 
     def create_channel(self, channel_id: str, members: Sequence[str], *,
                        endorsement_policy: int = 1, epsilon_t: float = 1.0) -> Channel:
-        engine = ChaincodeEngine(dp_enabled=self._dp_enabled,
-                                 reuse_enabled=self._reuse_enabled)
+        engine = ChaincodeEngine(reuse_enabled=self._reuse_enabled)
         channel = Channel(channel_id, members, endorsement_policy, epsilon_t, engine)
         self.channels[channel_id] = channel
         for peer_id in members:
@@ -279,20 +277,15 @@ class Network:
         executor = self.peers[executor_id]
         engine = channel.engine
         if eps_f is None:
-            if engine.dp_enabled:
-                raise ConfigInvalid("eps_f is required for queries when noise is enabled")
-            eps_f = 0.0
+            raise ConfigInvalid("eps_f is required for queries")
         response = engine.answer_query(tx, executor.states[channel.channel_id],
                                        channel.accountant, eps_f, executor.rng,
                                        query_id=tx_id)
         if response.reused:
             # Served from the recorded answer; nothing new goes to ordering.
             return None, response
-        record = engine.last_record
-        effect = None
-        if record is not None:
-            # The fresh answer just endorsed; noise-free answers have none.
-            effect = QueryEffect(record=record, eps_rem=channel.accountant.epsilon_rem)
+        # The fresh answer just endorsed goes to ordering with the balance left.
+        effect = QueryEffect(record=engine.last_record, eps_rem=channel.accountant.epsilon_rem)
         return self._collect_endorsements(channel, tx_id, tx, effect), response
 
     # -- submission (phases 1-3; phase 4 happens on tick)

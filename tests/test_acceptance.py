@@ -347,7 +347,7 @@ def test_criterion_10_linear_probe_and_evaluation_counts():
     for n_queries in (1000, 2000):
         cfg = WorkloadConfig(
             name=f"probe-{n_queries}", n_writes=500, n_queries=n_queries,
-            repeat_ratio=0.5, epsilon_t=100.0,
+            n_repeats=n_queries // 2, epsilon_t=100.0,
             epsilon_schedule=EpsilonSchedule(kind="uniform", low=0.01, high=0.12),
             sum_only=False, seed=10,
         )

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from dpledger import (
+    Aggregate,
     ConfigInvalid,
+    WorldState,
     ZeroActual,
     relative_error,
 )
@@ -21,11 +25,12 @@ from dpledger.bench import (
     sweep,
 )
 from dpledger.budget import exact
+from dpledger.transactions import QUANTITY_MAX
 
 
 def _tiny_cfg(**kwargs):
     defaults = dict(
-        name="tiny", n_writes=40, n_queries=20, repeat_ratio=0.25,
+        name="tiny", n_writes=40, n_queries=20, n_repeats=5,
         epsilon_t=5.0,
         epsilon_schedule=EpsilonSchedule(kind="uniform", low=0.01, high=0.12),
         write_rate=10, query_rate=10, seed=13,
@@ -39,15 +44,12 @@ def _tiny_cfg(**kwargs):
 
 def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(quantity_range=(0, 100)).validate()
-    with pytest.raises(ConfigInvalid):
-        WorkloadConfig(quantity_range=(1, 200)).validate()
-    with pytest.raises(ConfigInvalid):
-        WorkloadConfig(repeat_ratio=1.5).validate()
-    with pytest.raises(ConfigInvalid):
         WorkloadConfig(write_rate=0).validate()
     with pytest.raises(ConfigInvalid):
         WorkloadConfig(n_queries=10, n_repeats=10).validate()
+    with pytest.raises(ConfigInvalid):
+        WorkloadConfig(n_repeats=-1).validate()
+    WorkloadConfig(n_queries=10, n_repeats=9).validate()
     with pytest.raises(ConfigInvalid):
         WorkloadConfig(epsilon_t=0.0).validate()
     # Wrongly typed values built in Python, not read from JSON.
@@ -96,10 +98,8 @@ def test_config_must_be_a_json_object(doc):
     {"customers": "Bob"},
     {"products": {"bolt": 1}},
     {"colors": True},
-    {"quantity_range": 7},
     {"requesters": "distributor-a"},
     {"rate_sweep": 5},
-    {"attacks": "linking"},
     {"orgs": "org1"},
     {"orgs": [["org1"]]},
     {"orgs": [["org1", "peer0.org1"]]},
@@ -111,13 +111,21 @@ def test_config_must_be_a_json_object(doc):
     # json.load reads NaN and Infinity in a config file as these floats.
     {"epsilon_t": float("nan")},
     {"epsilon_t": float("inf")},
-    # Not a config field: the SUM sensitivity is QUANTITY_MAX, not a knob.
-    {"sensitivity_bound": 100.0},
-    {"quantity_range": ["1", 5]},
     {"rate_sweep": [10, "20"]},
     {"sum_only": 1},
     {"epsilon_schedule": {"kind": "fixed", "value": float("nan")}},
+    {"n_repeats": None},
+    # Not config fields: the SUM sensitivity is QUANTITY_MAX, quantities are
+    # drawn from [QUANTITY_MIN, QUANTITY_MAX], every answer carries noise,
+    # n_repeats is the one repeat count and attacks run through their drivers.
+    {"sensitivity_bound": 100.0},
+    {"quantity_range": 7},
+    {"quantity_range": ["1", 5]},
+    {"attacks": "linking"},
+    {"dp_enabled": True},
+    {"repeat_ratio": 0.0},
     {"epsilon_schedule": {"kind": "weighted", "weights": {"distributor-a": "2"}}},
+    {"epsilon_schedule": {"kind": "weighted"}},
     {"endorsement_policy": 3},
     {"batch_size": 0},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
@@ -154,22 +162,22 @@ def test_default_workload_shape():
 
 
 def test_zero_repeat_ratio_gives_distinct_categories():
-    cfg = _tiny_cfg(repeat_ratio=0.0)
+    cfg = _tiny_cfg(n_repeats=0)
     schedule = generate_workload(cfg)
     keys = [plan.key for plan in schedule.queries]
     assert len(set(keys)) == len(keys)
 
 
 def test_repeat_count_realized_exactly():
-    for ratio, n in ((0.25, 20), (0.5, 31), (0.9, 40)):
-        cfg = _tiny_cfg(n_writes=80, n_queries=n, repeat_ratio=ratio)
+    for n_repeats, n in ((5, 20), (16, 31), (36, 40), (39, 40)):
+        cfg = _tiny_cfg(n_writes=80, n_queries=n, n_repeats=n_repeats)
         schedule = generate_workload(cfg)
         repeats = [p for p in schedule.queries if p.repeat_of is not None]
-        assert len(repeats) == int(ratio * n + 0.5)
+        assert len(repeats) == n_repeats
 
 
 def test_repeats_follow_their_source():
-    schedule = generate_workload(_tiny_cfg(repeat_ratio=0.5, n_queries=30, n_writes=80))
+    schedule = generate_workload(_tiny_cfg(n_repeats=15, n_queries=30, n_writes=80))
     seen = set()
     for i, plan in enumerate(schedule.queries):
         if plan.repeat_of is not None:
@@ -201,20 +209,9 @@ def test_calibrated_epsilons_hit_exact_totals():
     assert sum(reps) == round(3.2 / EPS_UNIT) * EPS_UNIT
 
 
-def test_configured_attacks_land_in_the_report():
-    report = run_scenario(_tiny_cfg(attacks=("averaging",)))
-    assert len(report["attacks"]) == 1
-    entry = report["attacks"][0]
-    assert entry["kind"] == "averaging"
-    assert entry["reuse"]["details"]["distinct_values"] == 1
-    assert entry["naive"]["details"]["distinct_values"] == 50
-    # attack entries survive the JSON round trip
-    json.dumps(report)
-
-
 def test_custom_topology_from_config():
     cfg = _tiny_cfg(
-        n_queries=4, repeat_ratio=0.0,
+        n_queries=4, n_repeats=0,
         orgs=(("retailer", ("peer0.retailer",)),
               ("distributor", ("peer0.distributor", "peer1.distributor"))),
         endorsement_policy=2,
@@ -226,28 +223,6 @@ def test_custom_topology_from_config():
     bad["endorsement_policy"] = 5
     with pytest.raises(ConfigInvalid):
         WorkloadConfig.from_dict(bad)
-
-
-def test_weighted_schedule_assigns_per_requester_budgets():
-    cfg = _tiny_cfg(
-        n_queries=20, repeat_ratio=0.0, epsilon_t=1.0,
-        requesters=("manufacturer", "distributor"),
-        epsilon_schedule=EpsilonSchedule(
-            kind="weighted", weights={"manufacturer": 2.0, "distributor": 1.0}),
-    )
-    schedule = generate_workload(cfg)
-    by_requester = {}
-    for plan in schedule.queries:
-        by_requester.setdefault(plan.tx.requester_id, set()).add(plan.eps_f)
-    assert len(by_requester["manufacturer"]) == 1
-    assert len(by_requester["distributor"]) == 1
-    manu = by_requester["manufacturer"].pop()
-    dist = by_requester["distributor"].pop()
-    assert manu == pytest.approx(2 * dist, rel=1e-9)
-    # the full stream is spendable within the threshold
-    report = run_scenario(cfg)
-    assert report["naive"]["rejected"] == 0
-    assert report["naive_eps_sum"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_calibrated_infeasible_totals_rejected():
@@ -300,7 +275,7 @@ def test_reuse_saves_exactly_the_repeated_budget():
 
 
 def test_zero_repeats_means_zero_savings():
-    report = run_scenario(_tiny_cfg(repeat_ratio=0.0))
+    report = run_scenario(_tiny_cfg(n_repeats=0))
     assert report["savings_pct"] == 0.0
     assert report["naive_eps_sum"] == report["reuse_eps_sum"]
 
@@ -309,13 +284,6 @@ def test_scenario_reports_are_deterministic():
     a = run_scenario(_tiny_cfg())
     b = run_scenario(_tiny_cfg())
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_dp_disabled_baseline_has_zero_error():
-    report = run_scenario(_tiny_cfg(dp_enabled=False))
-    assert report["reuse"]["mean_relative_error"] == 0.0
-    assert report["reuse"]["accuracy"] == 100.0
-    assert report["naive_eps_sum"] == 0.0
 
 
 def test_unanswered_pass_reports_no_accuracy():
@@ -369,6 +337,32 @@ def test_sweep_errors_decrease_and_match_formula():
     for row in result["rows"]:
         diff = abs(row["mean_relative_error"] - row["expected_error"])
         assert diff <= 3 * row["expected_error_se"]
+
+
+def test_sweep_expects_each_query_at_its_own_noise_scale():
+    # A mixed stream: COUNT answers carry noise of scale 1/ε, SUM answers
+    # QUANTITY_MAX/ε, and the expectation must weigh each at its own scale.
+    cfg = replace(scenario_config("throughput-755"), n_writes=300, n_queries=150,
+                  rate_sweep=None)
+    row = sweep(cfg, [1.0])["rows"][0]
+    eps = row["per_query_epsilon"]
+    schedule = generate_workload(replace(cfg, epsilon_t=1.0))
+    state = WorldState()
+    for _, tx in schedule.writes:
+        state.apply_write(tx)
+    terms = []
+    for plan in schedule.queries:
+        count, total = state.aggregate_cell(plan.key.customer_name, plan.key.product_name,
+                                            plan.key.color)
+        exact_value, scale = ((count, 1.0 / eps) if plan.key.aggregate is Aggregate.COUNT
+                              else (total, QUANTITY_MAX / eps))
+        if exact_value:
+            terms.append(100.0 * scale / exact_value)
+    assert any(plan.key.aggregate is Aggregate.COUNT for plan in schedule.queries)
+    assert row["noise_scale"] == pytest.approx(QUANTITY_MAX / eps, rel=1e-12)
+    assert row["expected_error"] == pytest.approx(sum(terms) / len(terms), rel=1e-12)
+    assert row["expected_error_se"] == pytest.approx(
+        math.sqrt(sum(t * t for t in terms)) / len(terms), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +421,7 @@ def test_performance_scan_rows():
 # Digests of every file ``export_report`` writes for ``_GOLDEN_CFG``; a change
 # to the report's fields, their order or their float formatting moves them.
 _GOLDEN_CFG = dict(n_writes=60, n_queries=10, n_repeats=3, epsilon_t=5.0,
-                   rate_sweep=(5, 10), attacks=("linking", "composition", "averaging"),
-                   seed=3)
+                   rate_sweep=(5, 10), seed=3)
 _GOLDEN_SHA256 = {
     "budget_curve.csv": "5f237c8c19af7bbf7a444428a7aa6dcaa3f3af1fc25947c6a7e5d9945388ff51",
     "budget_events_naive.csv": "68ea85c9a07c0f2fd37b49b554a74057c1224da701fa234fd069f2db4306f942",
@@ -437,7 +430,7 @@ _GOLDEN_SHA256 = {
     "receipts_naive.csv": "12137f2c240f5fd1ce16ce3b29d2184d230b40862fd0afedf9f228f662ce7387",
     "receipts_reuse.csv": "9938184c3ce856235334a1c5dd55c143a5ee8df890a84582cc510738a8ac3712",
     "relative_errors.csv": "b1a69dfc0c26b4eb72ce4c4f9f753d682db01cee65f7c256ec89add90ed5e204",
-    "report.json": "2cc2939cffeff3b07b3b532b42fccb47ff1143be4cc0e186f4371760baa823cd",
+    "report.json": "3ca0fd0de15c2002861d7016c817645fa89975f2c0923a22360247ac8caeef35",
     "summary.json": "8d2736491323e29521b35135f5b7ab2c7a0fd0014ca8f5b19fd805ce6938b618",
 }
 

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from dpledger import (
     BudgetAccountant,
     BudgetExhausted,
-    EmptyProfiles,
-    RequesterProfile,
     ZeroQueries,
     allocate_equal,
-    allocate_weighted,
 )
 from dpledger.budget import exact
 
@@ -48,60 +45,6 @@ def test_equal_split_always_fits_the_threshold():
         for i in range(n):
             acct.try_spend(share, f"q{i}", "r")
         assert acct.accumulated_exact() <= exact(eps_t)
-
-
-# ---------------------------------------------------------------------------
-# weighted allocation
-
-def test_weighted_allocation_hand_solved():
-    profiles = [
-        RequesterProfile("manufacturer", weight=2.0),
-        RequesterProfile("distributor", weight=1.0),
-    ]
-    shares = allocate_weighted(profiles, {"manufacturer": 1, "distributor": 1}, 0.3)
-    assert shares["manufacturer"] == pytest.approx(0.2, abs=1e-12)
-    assert shares["distributor"] == pytest.approx(0.1, abs=1e-12)
-
-
-def test_weighted_lower_weight_means_lower_epsilon():
-    profiles = [
-        RequesterProfile("trusted", weight=3.0),
-        RequesterProfile("suspect", weight=0.5),
-    ]
-    shares = allocate_weighted(profiles, {"trusted": 10, "suspect": 10}, 1.0)
-    assert shares["suspect"] < shares["trusted"]
-
-
-def test_weighted_equal_weights_collapse_to_equal_split():
-    profiles = [RequesterProfile("a"), RequesterProfile("b")]
-    w1, w2 = 30, 70
-    shares = allocate_weighted(profiles, {"a": w1, "b": w2}, 1.0)
-    expected = allocate_equal(1.0, w1 + w2)
-    assert shares["a"] == pytest.approx(expected, rel=1e-9)
-    assert shares["a"] == shares["b"]
-
-
-def test_weighted_allocation_sums_back(rng):
-    for _ in range(50):
-        profiles = [
-            RequesterProfile(f"r{i}", weight=float(rng.uniform(0.1, 5.0)))
-            for i in range(int(rng.integers(1, 6)))
-        ]
-        counts = {p.requester_id: int(rng.integers(1, 40)) for p in profiles}
-        eps_t = float(rng.uniform(0.5, 10.0))
-        shares = allocate_weighted(profiles, counts, eps_t)
-        total = sum(shares[r] * c for r, c in counts.items())
-        assert total == pytest.approx(eps_t, rel=1e-9)
-        # and the exact dot product never overshoots
-        assert sum((exact(shares[r]) * c for r, c in counts.items()),
-                   Fraction(0)) <= exact(eps_t)
-
-
-def test_weighted_allocation_rejects_empty():
-    with pytest.raises(EmptyProfiles):
-        allocate_weighted([], {}, 1.0)
-    with pytest.raises(EmptyProfiles):
-        allocate_weighted([RequesterProfile("a")], {"a": 0}, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,6 @@ def test_reuse_determinism_across_random_sequences(rng):
     assert acct.accumulated() == pytest.approx(0.2 * len(seen))
 
 
-def test_dp_disabled_returns_exact_answer(rng):
-    state, acct, engine = _setup(dp_enabled=False)
-    resp = engine.answer_query(make_query(Aggregate.SUM), state, acct, None, rng)
-    assert resp.value == 60.0
-    assert resp.epsilon_used == 0.0
-    assert acct.accumulated() == 0.0
-    assert state.query_log == []
-
-
 def test_naive_mode_never_consults_the_cache(rng):
     state, acct, engine = _setup(reuse_enabled=False)
     q = make_query(Aggregate.SUM)

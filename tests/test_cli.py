@@ -21,7 +21,7 @@ def test_run_command_writes_report(tmp_path, capsys):
 def test_run_with_config_file_and_seed_override(tmp_path):
     config = {
         "name": "from-file", "n_writes": 30, "n_queries": 10,
-        "repeat_ratio": 0.2, "epsilon_t": 5.0, "seed": 1,
+        "n_repeats": 2, "epsilon_t": 5.0, "seed": 1,
         "write_rate": 10, "query_rate": 10,
     }
     path = tmp_path / "cfg.json"

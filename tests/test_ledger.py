@@ -256,6 +256,20 @@ def test_export_import_round_trip(tmp_path):
     assert len(rebuilt.records) == 15
 
 
+def test_genesis_only_chain_round_trips():
+    chain = [make_genesis("mychannel")]
+    header, rows = import_transactions(export_transactions(chain, "mychannel"))
+    assert header == {"channel_id": "mychannel", "genesis_hash": chain[0].block_hash.hex()}
+    assert rows == []
+
+
+@pytest.mark.parametrize("chain", [[], [make_genesis("other")], _chain_of(2)[1:]],
+                         ids=["empty", "other-channel", "no-genesis"])
+def test_export_needs_the_channels_genesis_block(chain):
+    with pytest.raises(IoFailure):
+        export_transactions(chain, "mychannel")
+
+
 def _dump(*docs) -> str:
     return "".join(json.dumps(doc) + "\n" for doc in docs)
 

@@ -180,6 +180,22 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
 
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
+def test_query_without_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled):
+    net = _network(reuse_enabled=reuse_enabled)
+    _load(net)
+    channel = net.channels["mychannel"]
+    q = make_query(Aggregate.SUM, color="red")
+    # A valid twin is already answered; with reuse on its category is a cache hit.
+    net.submit("distributor-a", q, eps_f=0.2)
+    events = list(channel.accountant.events)
+    receipt = net.submit("distributor-a", q)
+    assert receipt.status is ReceiptStatus.REJECTED
+    assert receipt.reject_reason == "ConfigInvalid"
+    assert receipt.response is None
+    assert channel.accountant.events == events
+
+
+@pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
 @pytest.mark.parametrize("eps_f", [1e-9, float("nan"), float("inf"), float("-inf"), 0.0, -1.0],
                          ids=["sub-floor", "nan", "inf", "-inf", "zero", "negative"])
 def test_bad_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled, eps_f):

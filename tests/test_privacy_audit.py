@@ -161,13 +161,15 @@ def _single_answers(q, state, seed):
     return answers, charged
 
 
-def _pair_means(q, state, seed):
-    """N means of two answers to ``q`` with reuse on, each pair charged to its
-    own accountant and answered by a fresh engine; (means, ε charged)."""
+def _pair_means(q, state, seed, reuse_enabled=True):
+    """N means of two answers to ``q``, each pair charged to its own
+    accountant, which can pay for both, and answered by a fresh engine;
+    (means, ε charged)."""
     rng = np.random.default_rng(seed)
     means, charged = np.empty(N), set()
     for i in range(N):
-        engine, acct = ChaincodeEngine(reuse_enabled=True), BudgetAccountant(EPSILON)
+        engine = ChaincodeEngine(reuse_enabled=reuse_enabled)
+        acct = BudgetAccountant(2 * EPSILON)
         first = engine.answer_query(q, state, acct, EPSILON, rng).value
         second = engine.answer_query(q, state, acct, EPSILON, rng).value
         means[i] = (first + second) / 2.0
@@ -192,3 +194,15 @@ def test_a_reused_pair_loses_at_most_the_epsilon_charged():
     means_d2, charged_d2 = _pair_means(q, d2, seed=404)
     assert charged_d == charged_d2 == {EPSILON}
     assert loss_lower_bound(means_d, means_d2, _thresholds(q, d, d2)) <= EPSILON
+
+
+def test_a_fresh_pair_loses_more_than_the_epsilon_charged_per_answer():
+    # With reuse off the second answer is a fresh draw: the pair loses more
+    # than the ε charged for one answer, the premise of the composition
+    # attack, and no more than the 2ε charged for both.
+    d, d2 = _ledgers()
+    q = make_query(Aggregate.SUM, customer="Bob")
+    means_d, charged_d = _pair_means(q, d, seed=505, reuse_enabled=False)
+    means_d2, charged_d2 = _pair_means(q, d2, seed=606, reuse_enabled=False)
+    assert charged_d == charged_d2 == {2 * EPSILON}
+    assert EPSILON < loss_lower_bound(means_d, means_d2, _thresholds(q, d, d2)) <= 2 * EPSILON
