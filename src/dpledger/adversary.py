@@ -162,18 +162,14 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
                        repeats: int,
                        true_values: Mapping[CategoryKey, float],
                        tolerance: float = DEFAULT_TOLERANCE,
-                       combine: str = "mean",
                        epsilon_observed: float = 0.0) -> AttackReport:
     """Cross-member combination over the intersection of answered categories.
 
     Reports the variance shrink the combination achieved versus a single
     response. Against deterministic reuse every collected value per
     category is identical, so the sample variance is zero and combining
-    refines nothing. combine="median" is a variant of the default
-    mean-combination.
+    refines nothing.
     """
-    if combine not in ("mean", "median"):
-        raise ValueError(f"combine must be 'mean' or 'median', got {combine!r}")
     common = sorted(set(answers_a) & set(answers_b), key=lambda k: k.label())
     if not common:
         raise NoCommonQueries("no overlapping query categories between the members")
@@ -181,8 +177,7 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
     per_key_values: Dict[CategoryKey, List[float]] = {
         k: list(answers_a[k]) + list(answers_b[k]) for k in common
     }
-    combiner = statistics.fmean if combine == "mean" else statistics.median
-    estimates = {k: combiner(v) for k, v in per_key_values.items()}
+    estimates = {k: statistics.fmean(v) for k, v in per_key_values.items()}
     distinct_counts = {k: len(set(v)) for k, v in per_key_values.items()}
 
     mean_errors = [estimates[k] - true_values[k] for k in common]
@@ -197,7 +192,6 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
         for v in per_key_values.values()
     )
     details = {
-        "combine": combine,
         "categories": len(common),
         "responses_per_category": len(per_key_values[key]),
         "max_distinct_values_per_category": max(distinct_counts.values()),

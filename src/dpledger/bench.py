@@ -35,7 +35,7 @@ from .budget import allocate_equal
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import laplace_scale, sensitivity
-from .ledger import WorldState, export_blocks, export_transactions, write_text
+from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
 from .network import DEFAULT_ORGS, Network, ReceiptStatus
 from .transactions import (
     QUANTITY_MAX,
@@ -185,10 +185,6 @@ class WorkloadSchedule:
     queries: List[QueryPlan]
 
 
-def _workload_rng(cfg: WorkloadConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-
-
 def _fit_units(rng: np.random.Generator, count: int, lo_u: int, hi_u: int,
                target_u: int) -> List[int]:
     """Grid draws in [lo_u, hi_u] adjusted to hit target_u exactly."""
@@ -263,15 +259,14 @@ def _query(predicate: QueryPredicate, aggregate: Aggregate,
         predicate=predicate, aggregate=aggregate, requester_id=requester_id)
 
 
-def generate_workload(cfg: WorkloadConfig,
-                      rng: Optional[np.random.Generator] = None) -> WorkloadSchedule:
+def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     """Deterministic transaction schedule: write round, then query round.
 
     The query stream realizes the configured repeat count exactly, and
     every repeat lands after the first occurrence of its category.
     """
     cfg.validate()
-    rng = rng if rng is not None else _workload_rng(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
 
     writes: List[Tuple[int, WriteTransaction]] = []
     for i in range(cfg.n_writes):
@@ -350,7 +345,7 @@ class ExecResult:
 
     @property
     def channel(self):
-        return self.net.channels["mychannel"]
+        return self.net.channels[CHANNEL_ID]
 
 
 def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
@@ -392,8 +387,8 @@ def _execute(cfg: WorkloadConfig, schedule: WorkloadSchedule,
 
 def _committed_state(net: Network) -> WorldState:
     """The channel's committed world state, as its first member holds it."""
-    channel = net.channels["mychannel"]
-    return net.peers[channel.members[0]].states["mychannel"]
+    channel = net.channels[CHANNEL_ID]
+    return net.peers[channel.members[0]].states[CHANNEL_ID]
 
 
 def _flow(receipts, clock: int) -> dict:
@@ -489,9 +484,9 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
         "savings_pct": savings,
         "performance": performance_scan(cfg, cfg.rate_sweep) if cfg.rate_sweep else [],
         "artifacts": {
-            **{f"budget_events_{mode}.csv": res.channel.accountant.to_csv()
+            **{f"budget_events_{mode}.csv": _budget_events_csv(res.channel.accountant.events)
                for mode, res in passes.items()},
-            **{f"receipts_{mode}.csv": res.net.receipts_csv()
+            **{f"receipts_{mode}.csv": _receipts_csv(res.net.receipts)
                for mode, res in passes.items()},
         },
     }
@@ -662,7 +657,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                          epsilon_t=needed, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
     state = _committed_state(net)
-    peers = net.channels["mychannel"].members[:2]
+    peers = net.channels[CHANNEL_ID].members[:2]
 
     keys = [k for k in _candidate_keys(cfg, state)
             if k.aggregate is Aggregate.SUM][:categories]
@@ -727,6 +722,23 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
         writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
                          for v in row])
     return buf.getvalue()
+
+
+def _budget_events_csv(events) -> str:
+    """One row per accounting event; a reuse row is flagged 1."""
+    return _csv_text(
+        ["query_id", "requester_id", "epsilon_f", "epsilon_rem", "reused_flag"],
+        [(e.query_id, e.requester_id, e.epsilon_f, e.epsilon_rem, int(e.reused))
+         for e in events])
+
+
+def _receipts_csv(receipts) -> str:
+    """One row per submission: its outcome, ticks and reject reason."""
+    return _csv_text(
+        ["tx_id", "kind", "status", "submit_tick", "commit_tick", "commit_height",
+         "latency", "reject_reason"],
+        [(r.tx_id, r.kind, r.status.value, r.submit_tick, r.commit_tick, r.commit_height,
+          r.latency, r.reject_reason) for r in receipts])
 
 
 def _json_text(doc) -> str:
@@ -808,7 +820,7 @@ def export_ledger(cfg: WorkloadConfig, out_dir) -> List[Path]:
     """Populate a ledger with the write round only and dump it to files."""
     sub = replace(cfg, n_queries=0, rate_sweep=None)
     res = _execute(sub, generate_workload(sub), reuse_enabled=True)
-    chain = next(iter(res.net.peers.values())).chains["mychannel"]
+    chain = next(iter(res.net.peers.values())).chains[CHANNEL_ID]
     emit = _writer(out_dir)
-    return [emit("ledger.jsonl", export_transactions(chain, "mychannel")),
+    return [emit("ledger.jsonl", export_transactions(chain, CHANNEL_ID)),
             emit("blocks.jsonl", export_blocks(chain))]

@@ -16,9 +16,7 @@ schedule has one), so each is parsed once.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from decimal import Context, Decimal, Inexact
 from fractions import Fraction
@@ -117,16 +115,6 @@ class BudgetAccountant:
 
     def remaining_exact(self) -> Fraction:
         return Fraction(self._rem)
-
-    def to_csv(self) -> str:
-        """Spend log as CSV: query_id, requester_id, epsilon_f, epsilon_rem, reused_flag."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["query_id", "requester_id", "epsilon_f", "epsilon_rem", "reused_flag"])
-        for e in self.events:
-            writer.writerow([e.query_id, e.requester_id, repr(e.epsilon_f),
-                             repr(e.epsilon_rem), int(e.reused)])
-        return buf.getvalue()
 
 
 def allocate_equal(epsilon_t: float, n_queries: int) -> float:

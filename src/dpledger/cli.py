@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("attack", help="run a privacy attack scenario")
     sub.add_argument("--kind", choices=("linking", "composition", "averaging"),
                      required=True)
-    sub.add_argument("--mode", choices=("reuse", "naive"), default="reuse",
-                     help="whether the provider reuses budget for repeats")
+    sub.add_argument("--mode", choices=("reuse", "naive"), default=None,
+                     help="whether the provider reuses budget for repeats; composition "
+                          "and averaging only (default reuse)")
     sub.add_argument("--epsilon", type=float, default=1.0)
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--config", default=None,
@@ -136,7 +137,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    reuse = args.mode == "reuse"
+    if args.kind == "linking" and args.mode is not None:
+        raise ConfigInvalid("--mode applies to the composition and averaging attacks only")
+    reuse = args.mode != "naive"
     knobs = _read_json(args.config) if args.config is not None else {}
     try:
         if args.kind == "linking":

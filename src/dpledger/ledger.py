@@ -31,6 +31,8 @@ from .transactions import (
     validate_write,
 )
 
+# The id of the one channel the simulator runs; its genesis hash binds to it.
+CHANNEL_ID = "mychannel"
 GENESIS_PREV_HASH = bytes(32)
 
 
@@ -176,7 +178,7 @@ class WorldState:
     the remaining budget written alongside each log entry.
     """
 
-    def __init__(self, channel_id: str = "mychannel"):
+    def __init__(self, channel_id: str = CHANNEL_ID):
         self.channel_id = channel_id
         self.height = 0
         self.records: List[CommittedWrite] = []
@@ -256,7 +258,7 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
     state.height = fold.height
 
 
-def replay_chain(chain: Sequence[Block], channel_id: str = "mychannel") -> WorldState:
+def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldState:
     """Rebuild world state by folding the whole chain in block order."""
     state = WorldState(channel_id=channel_id)
     for block in chain[1:] if chain and chain[0].height == 0 else chain:

@@ -1,12 +1,13 @@
-"""Simulated permissioned network: orgs, peers, channels, Solo ordering.
+"""Simulated permissioned network: orgs, peers, one channel, Solo ordering.
 
 Every transaction walks four phases: (1) proposal, (2) endorsement with
 privacy-preserving execution for queries, (3) Solo ordering into blocks,
-(4) validation and commit on every channel member. Time is a discrete
+(4) validation and commit on every channel member. Every peer is a
+member of the one channel, ``CHANNEL_ID``. Time is a discrete
 tick counter and the whole simulation is a pure function of the
 topology, seeds, and submission schedule.
 
-Each channel has one chaincode engine and one budget accountant. The
+The channel has one chaincode engine and one budget accountant. The
 engine checks a query's ε before anything else, so a rejected ε is
 neither spent nor logged as a reuse. The engine answers a
 query from the executor peer's committed world state plus its overlay
@@ -26,8 +27,9 @@ memory: the signature binds that peer to the digest of the envelope
 carrying it, so it verifies on no other payload. Each member signs a
 proposal once and the endorsed envelope is built once. A block commits
 only if every envelope has endorsements from enough distinct channel
-members, every query effect is a fresh, positive ε spend, and every write
-is valid. The block is then folded once (``fold_block``: each write
+members, every query envelope carries a query effect that is a fresh,
+positive ε spend, no write envelope carries one, and every write is
+valid. The block is then folded once (``fold_block``: each write
 validated, normalized and summed into one per-block cell delta) and every
 member applies that same fold; an invalid block goes to audit and no
 member changes.
@@ -35,12 +37,10 @@ member changes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .errors import (
     NotMember,
 )
 from .ledger import (
+    CHANNEL_ID,
     Block,
     WorldState,
     apply_block,
@@ -87,9 +88,14 @@ def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     return end.signature == _signature(end.peer_id, payload_digest)
 
 
-def _effect_problem(effect: QueryEffect) -> str:
-    """Why a query effect may not be appended, or "" when it may."""
-    rec = effect.record
+def _effect_problem(env: Envelope) -> str:
+    """Why an envelope may not be appended for its query effect, or "" when
+    it may: a query needs a fresh, positive ε spend and a write carries none."""
+    if isinstance(env.tx, WriteTransaction):
+        return "write envelope carries a query effect" if env.effect is not None else ""
+    if env.effect is None:
+        return "query envelope carries no query effect"
+    rec = env.effect.record
     if rec.response.reused:
         return "query effect carries a reused answer"
     if not rec.epsilon_spent > 0:
@@ -139,18 +145,14 @@ class TransactionReceipt:
 
 
 class Peer:
-    """One blockchain peer: chain replica and world state per channel."""
+    """One blockchain peer: its chain replica and world state of the channel,
+    each keyed by ``CHANNEL_ID``."""
 
-    def __init__(self, peer_id: str, org_id: str, seed_seq: np.random.SeedSequence):
+    def __init__(self, peer_id: str, seed_seq: np.random.SeedSequence, genesis: Block):
         self.peer_id = peer_id
-        self.org_id = org_id
         self.rng = np.random.default_rng(seed_seq)
-        self.chains: Dict[str, List[Block]] = {}
-        self.states: Dict[str, WorldState] = {}
-
-    def join(self, channel_id: str, genesis: Block) -> None:
-        self.chains[channel_id] = [genesis]
-        self.states[channel_id] = WorldState(channel_id=channel_id)
+        self.chains: Dict[str, List[Block]] = {CHANNEL_ID: [genesis]}
+        self.states: Dict[str, WorldState] = {CHANNEL_ID: WorldState()}
 
 
 class Channel:
@@ -160,17 +162,15 @@ class Channel:
     Committed world state lives only in each member's ``Peer.states``.
     """
 
-    def __init__(self, channel_id: str, members: Sequence[str],
-                 endorsement_policy: int, epsilon_t: float,
-                 engine: ChaincodeEngine):
+    def __init__(self, members: Sequence[str], endorsement_policy: int,
+                 epsilon_t: float, engine: ChaincodeEngine):
         if not 1 <= endorsement_policy <= len(members):
             raise ValueError(
                 f"endorsement policy {endorsement_policy} outside [1, {len(members)}]"
             )
-        self.channel_id = channel_id
         self.members = list(members)
         self.endorsement_policy = endorsement_policy
-        self.genesis = make_genesis(channel_id)
+        self.genesis = make_genesis(CHANNEL_ID)
         self.chain: List[Block] = [self.genesis]
         self.engine = engine
         self.accountant = BudgetAccountant(epsilon_t)
@@ -178,7 +178,7 @@ class Channel:
 
 
 class SoloOrderer:
-    """Single ordering peer: FIFO batching per channel by arrival tick."""
+    """Single ordering peer: one FIFO, batched by arrival tick."""
 
     def __init__(self, max_batch_size: int = 10, batch_timeout: int = 2):
         if not conforms(max_batch_size, int) or max_batch_size < 1:
@@ -187,70 +187,54 @@ class SoloOrderer:
             raise ConfigInvalid(f"batch timeout {batch_timeout!r} must be an integer >= 0")
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
-        self._pending: Dict[str, List[Tuple[int, Envelope]]] = {}
+        self._pending: List[Tuple[int, Envelope]] = []
 
-    def enqueue(self, channel_id: str, env: Envelope, tick: int) -> None:
-        self._pending.setdefault(channel_id, []).append((tick, env))
+    def enqueue(self, env: Envelope, tick: int) -> None:
+        self._pending.append((tick, env))
 
     def has_pending(self) -> bool:
-        return any(self._pending.values())
+        return bool(self._pending)
 
-    def cut_due(self, tick: int) -> List[Tuple[str, List[Envelope]]]:
-        """Batches ready at this tick: full batches plus timed-out remainders."""
+    def cut_due(self, tick: int) -> List[List[Envelope]]:
+        """Batches ready at this tick: full batches plus a timed-out remainder."""
         out = []
-        for channel_id, queue in self._pending.items():
-            while len(queue) >= self.max_batch_size:
-                batch = [env for _, env in queue[: self.max_batch_size]]
-                del queue[: self.max_batch_size]
-                out.append((channel_id, batch))
-            if queue and tick - queue[0][0] >= self.batch_timeout:
-                out.append((channel_id, [env for _, env in queue]))
-                queue.clear()
+        queue = self._pending
+        while len(queue) >= self.max_batch_size:
+            out.append([env for _, env in queue[: self.max_batch_size]])
+            del queue[: self.max_batch_size]
+        if queue and tick - queue[0][0] >= self.batch_timeout:
+            out.append([env for _, env in queue])
+            queue.clear()
         return out
 
 
 class Network:
     """Deterministic driver for the whole simulated network."""
 
-    def __init__(self, *, orgs=DEFAULT_ORGS, channel_id: str = "mychannel",
-                 endorsement_policy: int = 1, batch_size: int = 10,
-                 batch_timeout: int = 2, epsilon_t: float = 1.0,
+    def __init__(self, *, orgs=DEFAULT_ORGS, endorsement_policy: int = 1,
+                 batch_size: int = 10, batch_timeout: int = 2, epsilon_t: float = 1.0,
                  reuse_enabled: bool = True, seed: int = 0):
         self.clock = 0
         self.seed = seed
         self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
-        self.peers: Dict[str, Peer] = {}
-        self.channels: Dict[str, Channel] = {}
-        self.clients: Dict[str, set] = {}
+        self.clients: Set[str] = set()
         self.receipts: List[TransactionReceipt] = []
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
         self._submit_seq = 0
-        self._reuse_enabled = reuse_enabled
 
-        root = np.random.SeedSequence([seed, 1])
-        peer_seeds = root.spawn(sum(len(peer_ids) for _, peer_ids in orgs))
-        i = 0
-        for org_id, peer_ids in orgs:
-            for peer_id in peer_ids:
-                self.peers[peer_id] = Peer(peer_id, org_id, peer_seeds[i])
-                i += 1
+        peer_ids = [peer_id for _, org_peers in orgs for peer_id in org_peers]
+        peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(peer_ids))
+        channel = Channel(list(dict.fromkeys(peer_ids)), endorsement_policy, epsilon_t,
+                          ChaincodeEngine(reuse_enabled=reuse_enabled))
+        # Every peer is a member of the one channel; like each peer's chains
+        # and states, it is keyed by its id.
+        self.channels: Dict[str, Channel] = {CHANNEL_ID: channel}
+        self.peers: Dict[str, Peer] = {
+            peer_id: Peer(peer_id, peer_seed, channel.genesis)
+            for peer_id, peer_seed in zip(peer_ids, peer_seeds)}
 
-        self.create_channel(channel_id, list(self.peers),
-                            endorsement_policy=endorsement_policy, epsilon_t=epsilon_t)
-
-    # -- topology
-
-    def create_channel(self, channel_id: str, members: Sequence[str], *,
-                       endorsement_policy: int = 1, epsilon_t: float = 1.0) -> Channel:
-        engine = ChaincodeEngine(reuse_enabled=self._reuse_enabled)
-        channel = Channel(channel_id, members, endorsement_policy, epsilon_t, engine)
-        self.channels[channel_id] = channel
-        for peer_id in members:
-            self.peers[peer_id].join(channel_id, channel.genesis)
-        return channel
-
-    def register_client(self, client_id: str, channels: Optional[Sequence[str]] = None) -> None:
-        self.clients[client_id] = set(channels if channels is not None else self.channels)
+    def register_client(self, client_id: str) -> None:
+        self.clients.add(client_id)
 
     # -- phase 2: endorsement
 
@@ -273,12 +257,12 @@ class Network:
         validate_query(tx)
         executor_id = target_peer if target_peer is not None else channel.members[0]
         if executor_id not in channel.members:
-            raise NotMember(f"{executor_id} is not a member of {channel.channel_id}")
+            raise NotMember(f"{executor_id} is not a member of {CHANNEL_ID}")
         executor = self.peers[executor_id]
         engine = channel.engine
         if eps_f is None:
             raise ConfigInvalid("eps_f is required for queries")
-        response = engine.answer_query(tx, executor.states[channel.channel_id],
+        response = engine.answer_query(tx, executor.states[CHANNEL_ID],
                                        channel.accountant, eps_f, executor.rng,
                                        query_id=tx_id)
         if response.reused:
@@ -291,22 +275,20 @@ class Network:
     # -- submission (phases 1-3; phase 4 happens on tick)
 
     def submit(self, client_id: str, tx: Transaction, *,
-               channel_id: str = "mychannel", eps_f: Optional[float] = None,
+               eps_f: Optional[float] = None,
                target_peer: Optional[str] = None) -> TransactionReceipt:
-        if channel_id not in self.channels:
-            raise ConfigInvalid(f"unknown channel {channel_id!r}")
-        channel = self.channels[channel_id]
+        channel = self.channels[CHANNEL_ID]
         self._submit_seq += 1
         kind = "write" if isinstance(tx, WriteTransaction) else "query"
         tx_id = hashlib.sha256(
-            channel_id.encode() + self._submit_seq.to_bytes(8, "big") + tx.canonical_bytes()
+            CHANNEL_ID.encode() + self._submit_seq.to_bytes(8, "big") + tx.canonical_bytes()
         ).hexdigest()
         receipt = TransactionReceipt(tx_id=tx_id, kind=kind, submit_tick=self.clock)
         self.receipts.append(receipt)
         self._receipts_by_id[tx_id] = receipt
 
         # Phase 1: proposal from a known, authorized participant.
-        if client_id not in self.clients or channel_id not in self.clients[client_id]:
+        if client_id not in self.clients:
             return self._reject(receipt, "proposal", "client not authorized",
                                 NotAuthorized.__name__)
         receipt.record_phase("proposal", self.clock, True)
@@ -330,7 +312,7 @@ class Network:
             return receipt
 
         # Phase 3: hand over to the ordering service.
-        self.orderer.enqueue(channel.channel_id, envelope, self.clock)
+        self.orderer.enqueue(envelope, self.clock)
         receipt.record_phase("ordering", self.clock, True, "enqueued")
         return receipt
 
@@ -346,8 +328,8 @@ class Network:
     def tick(self) -> None:
         """Advance simulated time by one tick and commit any due blocks."""
         self.clock += 1
-        for channel_id, batch in self.orderer.cut_due(self.clock):
-            channel = self.channels[channel_id]
+        channel = self.channels[CHANNEL_ID]
+        for batch in self.orderer.cut_due(self.clock):
             block = build_block(batch, channel.chain[-1])
             self.deliver_and_commit(channel, block)
 
@@ -359,9 +341,9 @@ class Network:
             if ticks > max_ticks:
                 raise RuntimeError("orderer failed to drain")
 
-    def deliver_and_commit(self, channel: Channel, block: Block) -> Dict[str, bool]:
-        """Validate the block on every member; append everywhere or audit it."""
-        results: Dict[str, bool] = {}
+    def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
+        """Validate the block on every member; append everywhere and return
+        True, or audit it and return False."""
         problems: List[str] = []
         members = set(channel.members)
         for env in block.envelopes:
@@ -370,8 +352,8 @@ class Network:
                          if e.peer_id in members and endorsement_valid(e, digest)}
             if len(endorsers) < channel.endorsement_policy:
                 problems.append(f"{env.tx_id}: endorsement policy not met")
-            elif env.effect is not None:
-                problem = _effect_problem(env.effect)
+            else:
+                problem = _effect_problem(env)
                 if problem:
                     problems.append(f"{env.tx_id}: {problem}")
 
@@ -390,22 +372,19 @@ class Network:
                     channel.engine.settle(env.effect.record)
         if fold is None:
             channel.audit.append(block)
-            for peer_id in channel.members:
-                results[peer_id] = False
             for env in block.envelopes:
                 receipt = self._receipts_by_id.get(env.tx_id)
                 if receipt is not None:
                     self._reject(receipt, "validation",
                                  "; ".join(problems) or "broken chain link",
                                  "ValidationFailure")
-            return results
+            return False
 
         channel.chain.append(block)
         for peer_id in channel.members:
             peer = self.peers[peer_id]
-            peer.chains[channel.channel_id].append(block)
-            apply_block(peer.states[channel.channel_id], fold)
-            results[peer_id] = True
+            peer.chains[CHANNEL_ID].append(block)
+            apply_block(peer.states[CHANNEL_ID], fold)
         for env in block.envelopes:
             receipt = self._receipts_by_id.get(env.tx_id)
             if receipt is not None:
@@ -413,21 +392,4 @@ class Network:
                 receipt.status = ReceiptStatus.COMMITTED
                 receipt.commit_height = block.height
                 receipt.commit_tick = self.clock
-        return results
-
-    # -- metrics
-
-    def receipts_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tx_id", "kind", "status", "submit_tick", "commit_tick",
-                         "commit_height", "latency", "reject_reason"])
-        for r in self.receipts:
-            writer.writerow([
-                r.tx_id, r.kind, r.status.value, r.submit_tick,
-                "" if r.commit_tick is None else r.commit_tick,
-                "" if r.commit_height is None else r.commit_height,
-                "" if r.latency is None else r.latency,
-                r.reject_reason,
-            ])
-        return buf.getvalue()
+        return True

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
-from .codec import from_json, to_json
 from .errors import (
     InvalidQuantity,
-    IoFailure,
     MissingField,
     UnsupportedAggregate,
     ValidationFailure,
@@ -277,8 +275,7 @@ class Envelope:
     ``payload_bytes()``: what endorsers sign, committers check and block
     hashes bind. It is computed from the envelope's own fields on first use
     and then kept, never taken from input, so ``dataclasses.replace``,
-    ``from_dict`` and direct construction all start without it.
-    ``from_dict`` raises ``IoFailure`` on a malformed row.
+    ``codec.from_json`` and direct construction all start without it.
     """
 
     tx_id: str
@@ -321,10 +318,3 @@ class Envelope:
         for peer_id, signature in self.endorsements:
             body += _text(peer_id) + _u32(len(signature)) + signature
         return body
-
-    def to_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_dict(cls, d) -> "Envelope":
-        return from_json(cls, d, IoFailure, "envelope")

@@ -127,17 +127,6 @@ def test_composition_gains_nothing_on_deterministic_reuse():
     assert report.abs_error == pytest.approx(3.25)
 
 
-def test_composition_median_combination_variant():
-    truths = {_key("red"): 100.0}
-    answers_a = {_key("red"): [90.0, 98.0, 130.0]}
-    answers_b = {_key("red"): [104.0, 111.0]}
-    report = composition_attack(answers_a, answers_b, repeats=1, true_values=truths,
-                                combine="median")
-    assert report.estimate == 104.0
-    assert report.details["combine"] == "median"
-    with pytest.raises(ValueError):
-        composition_attack(answers_a, answers_b, 1, truths, combine="mode")
-
 
 def test_single_peer_single_repeat_degenerates_to_one_observation():
     truths = {_key("red"): 100.0}

@@ -274,6 +274,30 @@ def test_reuse_saves_exactly_the_repeated_budget():
     assert naive - reuse == expected
 
 
+def test_receipts_csv_has_one_row_per_submission():
+    cfg = _tiny_cfg()
+    report = run_scenario(cfg)
+    for mode in ("naive", "reuse"):
+        lines = report["artifacts"][f"receipts_{mode}.csv"].splitlines()
+        assert lines[0] == ("tx_id,kind,status,submit_tick,commit_tick,commit_height,"
+                            "latency,reject_reason")
+        assert len(lines) == 1 + cfg.n_writes + cfg.n_queries
+
+
+def test_spend_log_csv_columns():
+    report = run_scenario(_tiny_cfg())
+    for mode in ("naive", "reuse"):
+        lines = report["artifacts"][f"budget_events_{mode}.csv"].splitlines()
+        assert lines[0] == "query_id,requester_id,epsilon_f,epsilon_rem,reused_flag"
+        rows = [line.split(",") for line in lines[1:]]
+        # One event per query, fresh or reused, with each float as its repr.
+        assert [r[:3] for r in rows] == [[row["tx_id"], row["requester"], repr(row["eps_f"])]
+                                         for row in report["rows"]]
+        assert [r[4] for r in rows] == [str(int(mode == "reuse" and row["reused"]))
+                                        for row in report["rows"]]
+        assert float(rows[-1][3]) == pytest.approx(5.0 - report[mode]["eps_sum"])
+
+
 def test_zero_repeats_means_zero_savings():
     report = run_scenario(_tiny_cfg(n_repeats=0))
     assert report["savings_pct"] == 0.0

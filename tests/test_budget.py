@@ -137,16 +137,6 @@ def test_reuse_rows_do_not_move_balances():
     assert len(acct.spend_log) == 1
 
 
-def test_spend_log_csv_columns():
-    acct = BudgetAccountant(1.0)
-    acct.try_spend(0.1, "q0", "alice")
-    acct.record_reuse("q1", "bob", 0.1)
-    lines = acct.to_csv().splitlines()
-    assert lines[0] == "query_id,requester_id,epsilon_f,epsilon_rem,reused_flag"
-    assert lines[1].startswith("q0,alice,0.1,") and lines[1].endswith(",0")
-    assert lines[2].endswith(",1")
-
-
 def test_invalid_constructor_and_spends():
     with pytest.raises(ValueError):
         BudgetAccountant(0.0)

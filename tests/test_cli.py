@@ -62,6 +62,15 @@ def test_attack_command(tmp_path, capsys):
     assert (out / "attack_averaging.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["reuse", "naive"])
+def test_linking_attack_rejects_a_mode(tmp_path, capsys, mode):
+    # The linking attack reads one answer per trial, so no mode changes it.
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", "linking", "--mode", mode, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not out.exists()
+
+
 def test_init_ledger_command(tmp_path):
     out = tmp_path / "ledger"
     assert _run(["init-ledger", "--scenario", "error-150", "--out", str(out)]) == 0

@@ -53,8 +53,8 @@ def _signed(env, signers):
     return dataclasses.replace(env, endorsements=ends)
 
 
-def _assert_audited(net, channel, results, height, n_audited=1):
-    assert results == {p: False for p in channel.members}
+def _assert_audited(net, channel, committed, height, n_audited=1):
+    assert committed is False
     assert channel.chain[-1].height == height
     assert len(channel.audit) == n_audited
     assert all(len(p.chains["mychannel"]) == height + 1 for p in net.peers.values())
@@ -167,7 +167,7 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     net.submit("distributor-a", q, eps_f=0.2)
     pending = dict(channel.engine.pending)
     events = list(channel.accountant.events)
-    queue = {ch: list(items) for ch, items in net.orderer._pending.items()}
+    queue = list(net.orderer._pending)
     receipt = net.submit("distributor-a", dataclasses.replace(q, **change), eps_f=0.2)
     assert receipt.status is ReceiptStatus.REJECTED
     assert receipt.reject_reason == reason
@@ -176,7 +176,7 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     assert receipt.response is None
     assert channel.engine.pending == pending
     assert channel.accountant.events == events
-    assert {ch: list(items) for ch, items in net.orderer._pending.items()} == queue
+    assert net.orderer._pending == queue
 
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
@@ -272,7 +272,7 @@ def test_audited_answer_is_never_served_again():
     channel = net.channels["mychannel"]
     q = make_query(Aggregate.SUM, color="red")
     first = net.submit("distributor-a", q, eps_f=0.2)
-    queue = net.orderer._pending["mychannel"]
+    queue = net.orderer._pending
     queue[:] = [(t, dataclasses.replace(env, endorsements=())) for t, env in queue]
     net.run_until_idle()
     assert first.status is ReceiptStatus.REJECTED
@@ -377,14 +377,14 @@ def test_unendorsed_transaction_sends_block_to_audit():
     channel = net.channels["mychannel"]
     height = channel.chain[-1].height
     rogue = build_block([Envelope(tx_id="rogue", tx=make_write())], channel.chain[-1])
-    results = net.deliver_and_commit(channel, rogue)
-    _assert_audited(net, channel, results, height)
+    committed = net.deliver_and_commit(channel, rogue)
+    _assert_audited(net, channel, committed, height)
 
     # Endorsed, then given another body: the endorsements no longer match.
     endorsed = net._collect_endorsements(channel, "swap", make_write())
     swapped = dataclasses.replace(endorsed, tx=make_write(quantity=99))
-    results = net.deliver_and_commit(channel, build_block([swapped], channel.chain[-1]))
-    _assert_audited(net, channel, results, height, n_audited=2)
+    committed = net.deliver_and_commit(channel, build_block([swapped], channel.chain[-1]))
+    _assert_audited(net, channel, committed, height, n_audited=2)
 
 
 @pytest.mark.parametrize("signers,commits", [
@@ -396,12 +396,13 @@ def test_policy_counts_only_distinct_channel_members(signers, commits):
     net = _network(endorsement_policy=2)
     channel = net.channels["mychannel"]
     env = _signed(Envelope(tx_id="w", tx=make_write()), signers)
-    results = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
     if commits:
-        assert results == {p: True for p in channel.members}
+        assert committed is True
         assert channel.chain[-1].height == 1
+        assert all(len(p.chains["mychannel"]) == 2 for p in net.peers.values())
     else:
-        _assert_audited(net, channel, results, 0)
+        _assert_audited(net, channel, committed, 0)
 
 
 def test_endorsed_invalid_write_sends_block_to_audit():
@@ -413,8 +414,8 @@ def test_endorsed_invalid_write_sends_block_to_audit():
               for p in net.peers.values()]
     good = _signed(Envelope(tx_id="w1", tx=make_write(quantity=5)), channel.members)
     bad = _signed(Envelope(tx_id="w0", tx=make_write(quantity=0)), channel.members)
-    results = net.deliver_and_commit(channel, build_block([good, bad], channel.chain[-1]))
-    _assert_audited(net, channel, results, height)
+    committed = net.deliver_and_commit(channel, build_block([good, bad], channel.chain[-1]))
+    _assert_audited(net, channel, committed, height)
     assert [(p.chains["mychannel"], p.states["mychannel"].serialize())
             for p in net.peers.values()] == before
 
@@ -446,8 +447,26 @@ def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
     effect = QueryEffect(QueryRecord(key, eps_spent, resp), eps_rem=9.9)
     env = _signed(Envelope(tx_id="q", tx=make_query(color="red"), effect=effect),
                   channel.members)
-    results = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
-    _assert_audited(net, channel, results, height)
+    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    _assert_audited(net, channel, committed, height)
+    assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
+
+
+@pytest.mark.parametrize("tx,with_effect", [
+    (make_query(Aggregate.SUM, color="red"), False),
+    (make_write(), True),
+], ids=["query-without-effect", "write-with-effect"])
+def test_effect_must_match_envelope_kind(tx, with_effect):
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    height = channel.chain[-1].height
+    key = CategoryKey(Aggregate.SUM, None, None, "red")
+    resp = PerturbedResponse(value=5.0, epsilon_used=0.1, reused=False, query_id="x")
+    effect = QueryEffect(QueryRecord(key, 0.1, resp), eps_rem=9.9) if with_effect else None
+    env = net._collect_endorsements(channel, "x", tx, effect)
+    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    _assert_audited(net, channel, committed, height)
     assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
 
 
@@ -463,10 +482,3 @@ def test_phase_ticks_are_monotone():
         assert ticks == sorted(ticks)
         assert receipt.latency is not None and receipt.latency >= 0
 
-
-def test_receipts_csv_has_one_row_per_submission():
-    net = _network()
-    _load(net, 8)
-    lines = net.receipts_csv().splitlines()
-    assert len(lines) == 9
-    assert lines[0].startswith("tx_id,kind,status")

@@ -20,6 +20,7 @@ from dpledger import (
     validate_query,
     validate_write,
 )
+from dpledger.codec import from_json, to_json
 from dpledger.errors import IoFailure
 from dpledger.ledger import compute_block_hash
 from dpledger.network import sign_endorsement
@@ -73,23 +74,23 @@ def test_predicate_normalization_is_fieldwise():
 
 def test_envelope_dict_round_trip():
     env = Envelope(tx_id="t1", tx=make_write())
-    again = Envelope.from_dict(env.to_dict())
+    again = from_json(Envelope, to_json(env), IoFailure)
     assert again == env
     qenv = Envelope(tx_id="t2", tx=make_query(Aggregate.COUNT, customer="Bob"))
-    assert Envelope.from_dict(qenv.to_dict()) == qenv
+    assert from_json(Envelope, to_json(qenv), IoFailure) == qenv
     record = QueryRecord(CategoryKey(Aggregate.SUM, "bob", None, "red"), 0.25,
                          PerturbedResponse(123.456, 0.25, False, "t3"))
     full = Envelope("t3", make_query(Aggregate.SUM, customer="Bob", color="red"),
                     QueryEffect(record, eps_rem=0.75),
                     (Endorsement("peer0.org1", bytes(range(32))),
                      Endorsement("peer0.org2", bytes(32))))
-    row = json.loads(json.dumps(full.to_dict()))
+    row = json.loads(json.dumps(to_json(full)))
     # A predicate writes only the attributes it filters on; nulls still read.
     assert row["tx"]["predicate"] == {"customer_name": "Bob", "color": "red"}
-    again = Envelope.from_dict(row)
+    again = from_json(Envelope, row, IoFailure)
     assert again == full
     row["tx"]["predicate"]["product_name"] = None
-    assert Envelope.from_dict(row) == full
+    assert from_json(Envelope, row, IoFailure) == full
     assert again.payload_digest == full.payload_digest
     assert again.canonical_bytes() == full.canonical_bytes()
 
@@ -105,8 +106,9 @@ def test_envelope_payload_digest_comes_from_its_own_fields():
     # A row naming the digest is rejected, not read: the digest never comes
     # from input.
     with pytest.raises(IoFailure):
-        Envelope.from_dict({**altered.to_dict(), "_payload_digest": digest})
-    assert Envelope.from_dict(altered.to_dict()).payload_digest == altered.payload_digest
+        from_json(Envelope, {**to_json(altered), "_payload_digest": digest}, IoFailure)
+    assert (from_json(Envelope, to_json(altered), IoFailure).payload_digest
+            == altered.payload_digest)
     signed = []
     endorsed = Envelope.endorsed("t1", make_write(), None,
                                  lambda d: signed.append(d) or ())
