@@ -59,8 +59,8 @@ class BackgroundKnowledge:
             for tx in self.known_records:
                 self._fold.apply_write(tx)
         pred = predicate.normalized()
-        return float(self._fold.aggregate_cell(
-            pred.customer_name, pred.product_name, pred.color)[1])
+        return self._fold.answer(CategoryKey(Aggregate.SUM, pred.customer_name,
+                                             pred.product_name, pred.color))
 
 
 @dataclass(frozen=True)

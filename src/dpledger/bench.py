@@ -36,7 +36,7 @@ from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import laplace_scale, sensitivity
 from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
-from .network import DEFAULT_ORGS, Network, ReceiptStatus
+from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members
 from .transactions import (
     QUANTITY_MAX,
     QUANTITY_MIN,
@@ -139,15 +139,8 @@ class WorkloadConfig:
             raise ConfigInvalid(f"blank customer, product, color or requester names: {blank}")
         if not self.requesters or len(set(self.requesters)) != len(self.requesters):
             raise ConfigInvalid("requesters must be non-empty and unique")
-        if self.orgs is not None and (
-                not self.orgs or any(not peer_ids for _, peer_ids in self.orgs)):
-            raise ConfigInvalid("every org needs at least one peer")
-        n_peers = sum(len(peer_ids) for _, peer_ids in self.orgs or DEFAULT_ORGS)
-        if not 1 <= self.endorsement_policy <= n_peers:
-            raise ConfigInvalid(
-                f"endorsement policy {self.endorsement_policy} outside "
-                f"[1, {n_peers}] for the configured topology"
-            )
+        channel_members(DEFAULT_ORGS if self.orgs is None else self.orgs,
+                        self.endorsement_policy)
         if self.epsilon_schedule.kind not in ("equal", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {self.epsilon_schedule.kind!r}")
 
@@ -434,8 +427,6 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
               "reuse": _execute(cfg, schedule, reuse_enabled=True)}
 
     state = _committed_state(passes["reuse"].net)
-    events = {mode: {e.query_id: e for e in res.channel.accountant.events}
-              for mode, res in passes.items()}
 
     # Built once, so that every row shares its key strings.
     columns = {mode: (f"value_{mode}", f"rel_err_{mode}", f"cum_eps_{mode}")
@@ -443,9 +434,7 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
     rows: List[dict] = []
     cum_eps = dict.fromkeys(passes, 0.0)
     for i, plan in enumerate(schedule.queries):
-        exact = state.aggregate_cell(plan.key.customer_name, plan.key.product_name,
-                                     plan.key.color)
-        exact_value = float(exact[0] if plan.key.aggregate is Aggregate.COUNT else exact[1])
+        exact_value = state.answer(plan.key)
         reuse_receipt = passes["reuse"].query_receipts[i]
         row = {
             "index": i,
@@ -458,11 +447,9 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
             "reused": reuse_receipt.status is ReceiptStatus.CACHED,
         }
         for mode, res in passes.items():
-            receipt = res.query_receipts[i]
-            event = events[mode].get(receipt.tx_id)
-            if event is not None and not event.reused:
-                cum_eps[mode] += event.epsilon_f
-            response = receipt.response
+            response = res.query_receipts[i].response
+            if response is not None and not response.reused:
+                cum_eps[mode] += response.epsilon_used
             value_key, err_key, cum_key = columns[mode]
             row[value_key] = response.value if response is not None else None
             row[err_key] = _error(exact_value, response)
@@ -508,7 +495,7 @@ def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
 
 
 def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
-    """Accuracy versus budget: rerun the scenario for each swept value.
+    """Accuracy versus budget: rerun the reuse pass for each swept value.
 
     With a fixed per-query schedule the swept value is the budget each
     query is answered at and the threshold is auto-sized to fit the
@@ -541,12 +528,16 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
                 "sweeps need an 'equal' or 'fixed' epsilon schedule, "
                 f"got {cfg.epsilon_schedule.kind!r}"
             )
-        report = run_scenario(sub)
+        schedule = generate_workload(sub)
+        res = _execute(sub, schedule, reuse_enabled=True)
+        state = _committed_state(res.net)
+        exacts = [state.answer(plan.key) for plan in schedule.queries]
+        metrics = _mode_metrics(res, [_error(exact, receipt.response) for exact, receipt
+                                      in zip(exacts, res.query_receipts)])
         lam = laplace_scale(per_query, sensitivity(Aggregate.SUM))
         # (noise scale, exact answer) of each query whose exact answer is not 0.
-        answered = [(laplace_scale(per_query, sensitivity(plan.key.aggregate)), row["exact"])
-                    for plan, row in zip(generate_workload(sub).queries, report["rows"])
-                    if row["exact"] != 0]
+        answered = [(laplace_scale(per_query, sensitivity(plan.key.aggregate)), exact)
+                    for plan, exact in zip(schedule.queries, exacts) if exact != 0]
         expected = (float(np.mean([100.0 * scale / a for scale, a in answered]))
                     if answered else 0.0)
         se = (100.0 * lam / len(answered)) * math.sqrt(
@@ -555,8 +546,8 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
             "epsilon_t": float(eps_t),
             "per_query_epsilon": per_query,
             "noise_scale": lam,
-            "mean_relative_error": report["reuse"]["mean_relative_error"],
-            "accuracy": report["reuse"]["accuracy"],
+            "mean_relative_error": metrics["mean_relative_error"],
+            "accuracy": metrics["accuracy"],
             "expected_error": expected,
             "expected_error_se": se,
         })
@@ -678,10 +669,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                     observed += receipt.response.epsilon_used
     net.run_until_idle()
 
-    true_values = {
-        k: float(state.aggregate_cell(k.customer_name, k.product_name, k.color)[1])
-        for k in keys
-    }
+    true_values = {k: state.answer(k) for k in keys}
     return composition_attack(answers[peers[0]], answers[peers[1]], repeats,
                               true_values, epsilon_observed=observed)
 
@@ -696,9 +684,7 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
     query = _query(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
                    "distributor-a")
-    key = categorize(query)
-    true_value = float(_committed_state(net).aggregate_cell(
-        key.customer_name, key.product_name, key.color)[1])
+    true_value = _committed_state(net).answer(categorize(query))
 
     def ask():
         receipt = net.submit("distributor-a", query, eps_f=epsilon)

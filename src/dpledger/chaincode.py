@@ -42,10 +42,7 @@ def evaluate_exact(q: QueryTransaction, state: WorldState,
 
     ``key`` is the query's category when the caller already has it.
     """
-    if key is None:
-        key = categorize(q)
-    count, qty_sum = state.aggregate_cell(key.customer_name, key.product_name, key.color)
-    return float(count) if q.aggregate is Aggregate.COUNT else float(qty_sum)
+    return state.answer(key if key is not None else categorize(q))
 
 
 class ChaincodeEngine:

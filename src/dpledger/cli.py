@@ -50,10 +50,9 @@ def _load_config(args) -> bench.WorkloadConfig:
     return cfg
 
 
-def _add_config_args(sub, positional_config=True):
-    if positional_config:
-        sub.add_argument("config", nargs="?", default=None,
-                         help="path to a scenario config JSON")
+def _add_config_args(sub):
+    sub.add_argument("config", nargs="?", default=None,
+                     help="path to a scenario config JSON")
     sub.add_argument("--scenario", choices=bench.SCENARIO_NAMES, default=None,
                      help="use a shipped named scenario instead of a file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -123,10 +123,6 @@ def _walk(ann, v, error, where, read: bool):
             _fail(error, where, f"an array of {len(items)}", v)
         return tuple([_walk(a, x, error, (where, i), read)
                       for i, (a, x) in enumerate(zip(items, v))])
-    if origin is dict:
-        if not isinstance(v, dict) or not all(isinstance(k, str) for k in v):
-            _fail(error, where, "an object with string keys", v)
-        return {k: _walk(args[1], x, error, (where, k), read) for k, x in v.items()}
     if _is_record(ann):
         table = fields(ann)
         if not read:

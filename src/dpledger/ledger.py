@@ -1,14 +1,16 @@
 """Append-only hash-chained block store and the world state it folds into.
 
 Commits are serialized per channel (single writer); committed values are
-immutable and safe to share. A block is folded once (``fold_block``): each
-write is validated and normalized once, its eight attribute cells are
-summed into a per-block delta, and one immutable ``CommittedWrite`` is
-built per write. Every member then applies that one fold to its own world
-state (``apply_block``), sharing the committed records but keeping its own
-cell counters; replaying a chain applies the same folds. The world state
-is a full rebuildable fold of the chain, which keeps brute-force
-verification cheap at desk scale.
+immutable and safe to share. Commit, ``replay_chain`` and ``verify_chain``
+judge a block by the rules stated here once: ``follows`` for its link and
+``_envelope_problem`` for each envelope's content. A block is folded once
+(``fold_block``): each envelope is checked, each write's eight attribute
+cells are summed into a per-block delta, and one immutable
+``CommittedWrite`` is built per write. Every member then applies that one
+fold to its own world state (``apply_block``), sharing the committed
+records but keeping its own cell counters; replaying a chain applies the
+same folds. The world state is a full rebuildable fold of the chain, which
+keeps brute-force verification cheap at desk scale.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .codec import from_json, to_json
-from .errors import DPLedgerError, EmptyBatch, IoFailure
+from .errors import DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
 from .transactions import (
+    Aggregate,
     CategoryKey,
     Envelope,
     QueryEffect,
@@ -105,22 +108,49 @@ def build_block(pending: Sequence[Envelope], prev: Block) -> Block:
     )
 
 
+def follows(block: Block, prev: Block) -> bool:
+    """True iff ``block`` is at the height after ``prev`` and carries its hash."""
+    return block.height == prev.height + 1 and block.prev_hash == prev.block_hash
+
+
+def _envelope_problem(env: Envelope) -> str:
+    """Why ``env`` may not be on the chain for its content, or "" when it
+    may: a write must be valid and carry no query effect, and a query must
+    carry a fresh, positive-ε effect whose response states that ε."""
+    if isinstance(env.tx, WriteTransaction):
+        if env.effect is not None:
+            return "write envelope carries a query effect"
+        try:
+            validate_write(env.tx)
+        except DPLedgerError as err:
+            return str(err)
+        return ""
+    if env.effect is None:
+        return "query envelope carries no query effect"
+    rec = env.effect.record
+    if rec.response.reused:
+        return "query effect carries a reused answer"
+    if not rec.epsilon_spent > 0:
+        return "query effect spends no epsilon"
+    if rec.response.epsilon_used != rec.epsilon_spent:
+        return "query effect's response epsilon differs from epsilon spent"
+    return ""
+
+
 def verify_chain(chain: Sequence[Block]) -> bool:
-    """True iff every link and hash invariant holds. Never raises."""
+    """True iff every block ``follows`` the one before and matches its hash,
+    and every envelope keeps the content rule of commit. Never raises."""
     try:
         if not chain:
             return False
         genesis = chain[0]
         if genesis.height != 0 or genesis.prev_hash != GENESIS_PREV_HASH:
             return False
-        for i in range(1, len(chain)):
-            block = chain[i]
-            if block.height != chain[i - 1].height + 1:
-                return False
-            if block.prev_hash != chain[i - 1].block_hash:
-                return False
-            if block.block_hash != compute_block_hash(
+        for prev, block in zip(chain, chain[1:]):
+            if not follows(block, prev) or block.block_hash != compute_block_hash(
                     block.height, block.prev_hash, block.envelopes):
+                return False
+            if any(_envelope_problem(env) for env in block.envelopes):
                 return False
         return True
     except Exception:
@@ -150,23 +180,22 @@ class BlockFold(NamedTuple):
 
 
 def fold_block(block: Block) -> BlockFold:
-    """Validate and normalize each write of ``block`` once, and collect its
-    query effects. Raises the error of the first invalid write, prefixed
-    with that write's tx id."""
+    """Check each envelope of ``block`` against the content rule, normalize
+    each write once, and collect the query effects. Raises
+    ``ValidationFailure`` naming the first envelope that breaks the rule."""
     height = block.height
     writes = []
     cells: dict = {}
     effects = []
     for env in block.envelopes:
+        problem = _envelope_problem(env)
+        if problem:
+            raise ValidationFailure(f"{env.tx_id}: {problem}")
         tx = env.tx
         if isinstance(tx, WriteTransaction):
-            try:
-                validate_write(tx)
-            except DPLedgerError as err:
-                raise type(err)(f"{env.tx_id}: {err}") from err
             writes.append(CommittedWrite(tx, height))
             _add_write(cells, tx)
-        elif env.effect is not None:
+        else:
             effects.append(env.effect)
     return BlockFold(height, tuple(writes), cells, tuple(effects))
 
@@ -201,6 +230,12 @@ class WorldState:
         """(count, quantity sum) for a normalized attribute cell."""
         return tuple(self._agg.get((customer, product, color), (0, 0)))
 
+    def answer(self, key: CategoryKey) -> float:
+        """The exact answer to ``key``'s query: its cell's count for COUNT,
+        its quantity sum for SUM, and 0.0 for an empty cell."""
+        slot = self._agg.get((key.customer_name, key.product_name, key.color), (0, 0))
+        return float(slot[0] if key.aggregate is Aggregate.COUNT else slot[1])
+
     def cells(self) -> Iterator[Tuple[tuple, Tuple[int, int]]]:
         """Every non-empty attribute cell with its (count, quantity sum)."""
         return ((cell, (count, qty)) for cell, (count, qty) in self._agg.items())
@@ -208,12 +243,7 @@ class WorldState:
     # -- query log
 
     def record_query(self, rec: QueryRecord, eps_rem: float) -> None:
-        """Append a query record and the budget left; idempotent per query id.
-
-        Fresh answers must carry the budget they consumed.
-        """
-        if not rec.response.reused and rec.epsilon_spent <= 0:
-            raise ValueError("fresh query records must have epsilon_spent > 0")
+        """Append a checked query record and the budget left; idempotent per query id."""
         qid = rec.response.query_id
         if qid in self._seen_query_ids:
             return
@@ -259,7 +289,8 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
 
 
 def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldState:
-    """Rebuild world state by folding the whole chain in block order."""
+    """Rebuild world state by folding the whole chain in block order; raises
+    ``ValidationFailure`` as commit would audit, see ``fold_block``."""
     state = WorldState(channel_id=channel_id)
     for block in chain[1:] if chain and chain[0].height == 0 else chain:
         apply_block(state, fold_block(block))

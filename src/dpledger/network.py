@@ -27,12 +27,11 @@ memory: the signature binds that peer to the digest of the envelope
 carrying it, so it verifies on no other payload. Each member signs a
 proposal once and the endorsed envelope is built once. A block commits
 only if every envelope has endorsements from enough distinct channel
-members, every query envelope carries a query effect that is a fresh,
-positive ε spend, no write envelope carries one, and every write is
-valid. The block is then folded once (``fold_block``: each write
-validated, normalized and summed into one per-block cell delta) and every
-member applies that same fold; an invalid block goes to audit and no
-member changes.
+members, the one rule checked here, and the block keeps the rules of
+``ledger``: it ``follows`` the chain head, and ``fold_block`` checks
+each envelope's content, normalizes each write and sums it into one
+per-block cell delta. Every member applies that one fold; an invalid
+block goes to audit and no member changes.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .errors import (
     DPLedgerError,
     NotAuthorized,
     NotMember,
+    ValidationFailure,
 )
 from .ledger import (
     CHANNEL_ID,
@@ -60,6 +60,7 @@ from .ledger import (
     apply_block,
     build_block,
     fold_block,
+    follows,
     make_genesis,
 )
 from .transactions import (
@@ -88,21 +89,19 @@ def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     return end.signature == _signature(end.peer_id, payload_digest)
 
 
-def _effect_problem(env: Envelope) -> str:
-    """Why an envelope may not be appended for its query effect, or "" when
-    it may: a query needs a fresh, positive ε spend and a write carries none."""
-    if isinstance(env.tx, WriteTransaction):
-        return "write envelope carries a query effect" if env.effect is not None else ""
-    if env.effect is None:
-        return "query envelope carries no query effect"
-    rec = env.effect.record
-    if rec.response.reused:
-        return "query effect carries a reused answer"
-    if not rec.epsilon_spent > 0:
-        return "query effect spends no epsilon"
-    if rec.response.epsilon_used != rec.epsilon_spent:
-        return "query effect's response epsilon differs from epsilon spent"
-    return ""
+def channel_members(orgs, endorsement_policy: int) -> List[str]:
+    """The member ids of ``orgs``, (org id, peer ids) pairs, in order. Raises
+    ``ConfigInvalid`` for an org without peers, a peer id listed twice, or a
+    policy that is not an integer in [1, members]."""
+    if any(not peer_ids for _, peer_ids in orgs):
+        raise ConfigInvalid("every org needs at least one peer")
+    members = [peer_id for _, peer_ids in orgs for peer_id in peer_ids]
+    if len(set(members)) != len(members):
+        raise ConfigInvalid(f"a peer id is listed more than once in {members}")
+    if not (conforms(endorsement_policy, int) and 1 <= endorsement_policy <= len(members)):
+        raise ConfigInvalid(f"endorsement policy {endorsement_policy!r} outside "
+                            f"[1, {len(members)}] for the configured topology")
+    return members
 
 
 class ReceiptStatus(Enum):
@@ -164,14 +163,9 @@ class Channel:
 
     def __init__(self, members: Sequence[str], endorsement_policy: int,
                  epsilon_t: float, engine: ChaincodeEngine):
-        if not 1 <= endorsement_policy <= len(members):
-            raise ValueError(
-                f"endorsement policy {endorsement_policy} outside [1, {len(members)}]"
-            )
         self.members = list(members)
         self.endorsement_policy = endorsement_policy
-        self.genesis = make_genesis(CHANNEL_ID)
-        self.chain: List[Block] = [self.genesis]
+        self.chain: List[Block] = [make_genesis(CHANNEL_ID)]
         self.engine = engine
         self.accountant = BudgetAccountant(epsilon_t)
         self.audit: List[Block] = []
@@ -215,22 +209,21 @@ class Network:
                  batch_size: int = 10, batch_timeout: int = 2, epsilon_t: float = 1.0,
                  reuse_enabled: bool = True, seed: int = 0):
         self.clock = 0
-        self.seed = seed
         self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
         self.clients: Set[str] = set()
         self.receipts: List[TransactionReceipt] = []
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
         self._submit_seq = 0
 
-        peer_ids = [peer_id for _, org_peers in orgs for peer_id in org_peers]
+        peer_ids = channel_members(orgs, endorsement_policy)
         peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(peer_ids))
-        channel = Channel(list(dict.fromkeys(peer_ids)), endorsement_policy, epsilon_t,
+        channel = Channel(peer_ids, endorsement_policy, epsilon_t,
                           ChaincodeEngine(reuse_enabled=reuse_enabled))
         # Every peer is a member of the one channel; like each peer's chains
         # and states, it is keyed by its id.
         self.channels: Dict[str, Channel] = {CHANNEL_ID: channel}
         self.peers: Dict[str, Peer] = {
-            peer_id: Peer(peer_id, peer_seed, channel.genesis)
+            peer_id: Peer(peer_id, peer_seed, channel.chain[0])
             for peer_id, peer_seed in zip(peer_ids, peer_seeds)}
 
     def register_client(self, client_id: str) -> None:
@@ -342,8 +335,8 @@ class Network:
                 raise RuntimeError("orderer failed to drain")
 
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
-        """Validate the block on every member; append everywhere and return
-        True, or audit it and return False."""
+        """Check the endorsements, then ``follows`` and ``fold_block``; append
+        the block on every member and return True, or audit it and return False."""
         problems: List[str] = []
         members = set(channel.members)
         for env in block.envelopes:
@@ -352,18 +345,12 @@ class Network:
                          if e.peer_id in members and endorsement_valid(e, digest)}
             if len(endorsers) < channel.endorsement_policy:
                 problems.append(f"{env.tx_id}: endorsement policy not met")
-            else:
-                problem = _effect_problem(env)
-                if problem:
-                    problems.append(f"{env.tx_id}: {problem}")
 
-        link_ok = (block.prev_hash == channel.chain[-1].block_hash
-                   and block.height == channel.chain[-1].height + 1)
         fold = None
-        if not problems and link_ok:
+        if not problems and follows(block, channel.chain[-1]):
             try:
                 fold = fold_block(block)
-            except DPLedgerError as err:
+            except ValidationFailure as err:
                 problems.append(str(err))
         # Committed or audited, the block's answers stop being pending.
         if channel.engine.pending:

@@ -127,6 +127,10 @@ def test_config_must_be_a_json_object(doc):
     {"epsilon_schedule": {"kind": "weighted", "weights": {"distributor-a": "2"}}},
     {"epsilon_schedule": {"kind": "weighted"}},
     {"endorsement_policy": 3},
+    # One peer listed in two orgs is one channel member, not two.
+    {"orgs": [["org1", ["p0"]], ["org2", ["p0"]]], "endorsement_policy": 2},
+    {"orgs": [["org1", ["p0"]], ["org2", ["p0"]]]},
+    {"orgs": [["org1", ["p0", "p0"]]]},
     {"batch_size": 0},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
 def test_config_rejects_badly_shaped_fields(change):

@@ -112,6 +112,18 @@ def test_errors_emit_machine_readable_json(tmp_path, capsys):
     assert err["error"] == "IoFailure"
 
 
+def test_peer_listed_in_two_orgs_is_config_invalid(tmp_path, capsys):
+    config = tmp_path / "two-orgs.json"
+    config.write_text(json.dumps({"n_writes": 20, "n_queries": 4,
+                                  "orgs": [["org1", ["p0"]], ["org2", ["p0"]]],
+                                  "endorsement_policy": 2}))
+    assert _run(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert "p0" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{bad}"],
     ["init-ledger", "{bad}"],

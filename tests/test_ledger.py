@@ -199,13 +199,6 @@ def test_record_query_idempotent_per_query_id():
     assert len(state.query_log) == 1
 
 
-def test_fresh_record_requires_positive_epsilon():
-    state = WorldState()
-    bad = _record(eps=0.0)
-    with pytest.raises(ValueError):
-        state.record_query(bad, eps_rem=1.0)
-
-
 def test_recorded_eps_rem_matches_accountant_arithmetic(rng):
     state = WorldState()
     acct = BudgetAccountant(2.0)

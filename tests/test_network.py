@@ -24,6 +24,7 @@ from dpledger import (
     replay_chain,
     verify_chain,
 )
+from dpledger.errors import ValidationFailure
 from dpledger.ledger import compute_block_hash
 from dpledger.network import endorsement_valid, sign_endorsement
 
@@ -468,6 +469,52 @@ def test_effect_must_match_envelope_kind(tx, with_effect):
     committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
     _assert_audited(net, channel, committed, height)
     assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
+
+
+def _effect(eps_spent=0.1, eps_used=0.1, reused=False):
+    key = CategoryKey(Aggregate.SUM, None, None, "red")
+    resp = PerturbedResponse(value=5.0, epsilon_used=eps_used, reused=reused, query_id="q")
+    return QueryEffect(QueryRecord(key, eps_spent, resp), eps_rem=9.9)
+
+
+@pytest.mark.parametrize("contents,valid", [
+    ([(make_write(), None), (make_query(color="red"), _effect())], True),
+    ([(make_query(color="red"), None)], False),
+    ([(make_write(), _effect())], False),
+    ([(make_query(color="red"), _effect(reused=True))], False),
+    ([(make_query(color="red"), _effect(eps_used=0.2))], False),
+    ([(make_query(color="red"), _effect(0.0, 0.0))], False),
+], ids=["clean", "query-without-effect", "write-with-effect", "reused-effect",
+        "epsilon-mismatch", "zero-epsilon"])
+def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
+    """An endorsed block that commit audits is one that replay raises on and
+    verify rejects; a block that commit appends, both accept."""
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    envs = [net._collect_endorsements(channel, f"x{i}", tx, effect)
+            for i, (tx, effect) in enumerate(contents)]
+    block = build_block(envs, channel.chain[-1])
+    chain = channel.chain + [block]
+    assert net.deliver_and_commit(channel, block) is valid
+    assert verify_chain(chain) is valid
+    if valid:
+        for peer in net.peers.values():
+            assert replay_chain(chain).serialize() == peer.states["mychannel"].serialize()
+    else:
+        with pytest.raises(ValidationFailure, match="^x0: "):
+            replay_chain(chain)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"endorsement_policy": 5},
+    {"endorsement_policy": 0},
+    {"orgs": (("org1", ("p0",)), ("org2", ("p0",)))},
+    {"orgs": (("org1", ("p0",)), ("org2", ()))},
+], ids=["policy-above-members", "policy-zero", "peer-in-two-orgs", "org-without-peers"])
+def test_bad_topology_rejected_at_construction(kwargs):
+    with pytest.raises(ConfigInvalid):
+        Network(**kwargs)
 
 
 def test_phase_ticks_are_monotone():
