@@ -12,12 +12,17 @@ did. Floats appear only at the API surface.
 ``exact`` is the public rational view of the same decimal value;
 ``allocate_equal`` uses it. It is memoized: the ε values of a run repeat (a fixed
 schedule has one), so each is parsed once.
+
+The event log is kept as columns, not as one record per event: a run logs
+an event per query, and columns add no object for the garbage collector
+to track. ``events`` builds the ``SpendRecord`` rows when it is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from decimal import Context, Decimal, Inexact
 from fractions import Fraction
 from typing import List, NamedTuple
@@ -68,7 +73,12 @@ class BudgetAccountant:
             raise ValueError(f"epsilon_t must be positive, got {epsilon_t!r}")
         self._epsilon_t = self._epsilon_rem = float(epsilon_t)
         self._threshold = self._rem = _decimal(epsilon_t)
-        self.events: List[SpendRecord] = []
+        # The event log, one column per ``SpendRecord`` field.
+        self._query_ids: List[str] = []
+        self._requester_ids: List[str] = []
+        self._epsilon_f = array("d")
+        self._epsilon_rem_log = array("d")
+        self._reused = bytearray()
 
     @property
     def epsilon_t(self) -> float:
@@ -79,11 +89,27 @@ class BudgetAccountant:
         return self._epsilon_rem
 
     @property
+    def events(self) -> List[SpendRecord]:
+        """Every accounting event in order, built from the log's columns."""
+        return [SpendRecord(qid, rid, eps_f, eps_rem, bool(reused))
+                for qid, rid, eps_f, eps_rem, reused in zip(
+                    self._query_ids, self._requester_ids, self._epsilon_f,
+                    self._epsilon_rem_log, self._reused)]
+
+    @property
     def spend_log(self) -> List[SpendRecord]:
         """Only the rows that actually consumed budget."""
         return [e for e in self.events if not e.reused]
 
-    def try_spend(self, epsilon_f: float, query_id: str, requester_id: str) -> SpendRecord:
+    def _log(self, query_id: str, requester_id: str, epsilon_f: float,
+             reused: bool) -> None:
+        self._query_ids.append(query_id)
+        self._requester_ids.append(requester_id)
+        self._epsilon_f.append(epsilon_f)
+        self._epsilon_rem_log.append(self._epsilon_rem)
+        self._reused.append(reused)
+
+    def try_spend(self, epsilon_f: float, query_id: str, requester_id: str) -> None:
         """Spend epsilon_f or raise BudgetExhausted leaving state untouched."""
         if not (math.isfinite(epsilon_f) and epsilon_f > 0):
             raise ValueError(f"epsilon_f must be positive and finite, got {epsilon_f!r}")
@@ -94,17 +120,11 @@ class BudgetAccountant:
             )
         self._rem = _EXACT.subtract(self._rem, need)
         self._epsilon_rem = float(self._rem)
-        rec = SpendRecord(query_id, requester_id, float(epsilon_f),
-                          self._epsilon_rem, reused=False)
-        self.events.append(rec)
-        return rec
+        self._log(query_id, requester_id, epsilon_f, False)
 
-    def record_reuse(self, query_id: str, requester_id: str, epsilon_f: float) -> SpendRecord:
+    def record_reuse(self, query_id: str, requester_id: str, epsilon_f: float) -> None:
         """Log a cache-served answer; balances do not move."""
-        rec = SpendRecord(query_id, requester_id, float(epsilon_f),
-                          self._epsilon_rem, reused=True)
-        self.events.append(rec)
-        return rec
+        self._log(query_id, requester_id, epsilon_f, True)
 
     def accumulated(self) -> float:
         """Total budget spent so far; equals epsilon_t - epsilon_rem."""

@@ -2,15 +2,17 @@
 
 Commits are serialized per channel (single writer); committed values are
 immutable and safe to share. Commit, ``replay_chain`` and ``verify_chain``
-judge a block by the rules stated here once: ``follows`` for its link and
-``_envelope_problem`` for each envelope's content. A block is folded once
-(``fold_block``): each envelope is checked, each write's eight attribute
-cells are summed into a per-block delta, and one immutable
-``CommittedWrite`` is built per write. Every member then applies that one
-fold to its own world state (``apply_block``), sharing the committed
-records but keeping its own cell counters; replaying a chain applies the
-same folds. The world state is a full rebuildable fold of the chain, which
-keeps brute-force verification cheap at desk scale.
+judge a block by the rules stated here once: ``follows`` for its link,
+``_envelope_problem`` for each envelope's content, and, in ``fold_block``,
+that no tx id is on the chain twice. A block is folded once
+(``fold_block``): each envelope is checked against the world state's set
+of committed tx ids, each write's eight attribute cells are summed into a
+per-block delta, and one immutable ``CommittedWrite`` is built per write.
+Every member then applies that one fold to its own world state
+(``apply_block``), sharing the committed records but keeping its own cell
+counters and tx-id set; replaying a chain applies the same folds, and
+verifying one folds every block. The world state is a full rebuildable fold of
+the chain, which keeps brute-force verification cheap at desk scale.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .codec import from_json, to_json
 from .errors import DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
@@ -116,7 +118,8 @@ def follows(block: Block, prev: Block) -> bool:
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
     may: a write must be valid and carry no query effect, and a query must
-    carry a fresh, positive-ε effect whose response states that ε."""
+    carry a fresh, positive-ε effect that answers it: keyed by its category,
+    with its tx id as the query id and a response that states that ε."""
     if isinstance(env.tx, WriteTransaction):
         if env.effect is not None:
             return "write envelope carries a query effect"
@@ -134,24 +137,29 @@ def _envelope_problem(env: Envelope) -> str:
         return "query effect spends no epsilon"
     if rec.response.epsilon_used != rec.epsilon_spent:
         return "query effect's response epsilon differs from epsilon spent"
+    if not rec.key.is_category_of(env.tx):
+        return "query effect is keyed for another query"
+    if rec.response.query_id != env.tx_id:
+        return "query effect's query id differs from its tx id"
     return ""
 
 
 def verify_chain(chain: Sequence[Block]) -> bool:
-    """True iff every block ``follows`` the one before and matches its hash,
-    and every envelope keeps the content rule of commit. Never raises."""
+    """True iff every block ``follows`` the one before, matches its hash and
+    folds (``fold_block``): every envelope keeps the content rule of commit
+    and no tx id repeats. Keeps only the tx ids between folds. Never raises."""
     try:
         if not chain:
             return False
         genesis = chain[0]
         if genesis.height != 0 or genesis.prev_hash != GENESIS_PREV_HASH:
             return False
+        tx_ids: Set[str] = set()
         for prev, block in zip(chain, chain[1:]):
             if not follows(block, prev) or block.block_hash != compute_block_hash(
                     block.height, block.prev_hash, block.envelopes):
                 return False
-            if any(_envelope_problem(env) for env in block.envelopes):
-                return False
+            tx_ids |= fold_block(block, tx_ids).tx_ids
         return True
     except Exception:
         return False
@@ -169,42 +177,50 @@ class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
     ``cells`` maps each attribute cell the block's writes fall in to their
-    ``[count, quantity sum]``; it is only read, and each member adds it into
-    counters of its own.
+    ``[count, quantity sum]``; it and ``tx_ids``, the block's tx ids, are only
+    read, and each member adds them into counters and a set of its own.
     """
 
     height: int
     writes: Tuple[CommittedWrite, ...]
     cells: Dict[tuple, List[int]]
     effects: Tuple[QueryEffect, ...]
+    tx_ids: Set[str]
 
 
-def fold_block(block: Block) -> BlockFold:
-    """Check each envelope of ``block`` against the content rule, normalize
-    each write once, and collect the query effects. Raises
-    ``ValidationFailure`` naming the first envelope that breaks the rule."""
+def fold_block(block: Block, committed: AbstractSet[str]) -> BlockFold:
+    """Check each envelope of ``block`` against the content rule and against
+    ``committed``, the tx ids already on the chain, normalize each write
+    once, and collect the query effects. Raises ``ValidationFailure`` naming
+    the first envelope that breaks the content rule or whose tx id is in
+    ``committed`` or earlier in the block."""
     height = block.height
     writes = []
     cells: dict = {}
     effects = []
+    tx_ids: Set[str] = set()
     for env in block.envelopes:
         problem = _envelope_problem(env)
+        if not problem and (env.tx_id in committed or env.tx_id in tx_ids):
+            problem = "repeated tx id"
         if problem:
             raise ValidationFailure(f"{env.tx_id}: {problem}")
+        tx_ids.add(env.tx_id)
         tx = env.tx
         if isinstance(tx, WriteTransaction):
             writes.append(CommittedWrite(tx, height))
             _add_write(cells, tx)
         else:
             effects.append(env.effect)
-    return BlockFold(height, tuple(writes), cells, tuple(effects))
+    return BlockFold(height, tuple(writes), cells, tuple(effects), tx_ids)
 
 
 class WorldState:
     """Materialized key-value view of one channel ledger.
 
-    Holds the committed purchase records, the append-only query log, and
-    the remaining budget written alongside each log entry.
+    Holds the committed purchase records, the append-only query log, the
+    remaining budget written alongside each log entry, and ``tx_ids``, the
+    set of committed tx ids that ``fold_block`` checks a block against.
     """
 
     def __init__(self, channel_id: str = CHANNEL_ID):
@@ -215,7 +231,7 @@ class WorldState:
         self.eps_rem_log: List[float] = []
         self._latest: dict = {}
         self._agg: dict = {}
-        self._seen_query_ids: set = set()
+        self.tx_ids: Set[str] = set()
 
     # -- writes
 
@@ -243,11 +259,8 @@ class WorldState:
     # -- query log
 
     def record_query(self, rec: QueryRecord, eps_rem: float) -> None:
-        """Append a checked query record and the budget left; idempotent per query id."""
-        qid = rec.response.query_id
-        if qid in self._seen_query_ids:
-            return
-        self._seen_query_ids.add(qid)
+        """Append a checked query record and the budget left; ``fold_block``
+        has already rejected a query id seen before, as a repeated tx id."""
         self.query_log.append(rec)
         self.eps_rem_log.append(float(eps_rem))
         self._latest[rec.key] = rec
@@ -272,9 +285,10 @@ class WorldState:
 
 def apply_block(state: WorldState, fold: BlockFold) -> None:
     """Apply one block's fold to a world state: share its committed
-    records, add its cell delta into the state's own counters, and log its
-    query effects."""
+    records, add its cell delta into the state's own counters and its tx ids
+    into the state's own set, and log its query effects."""
     state.records.extend(fold.writes)
+    state.tx_ids.update(fold.tx_ids)
     agg = state._agg
     for cell, (count, qty) in fold.cells.items():
         slot = agg.get(cell)
@@ -293,7 +307,7 @@ def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldS
     ``ValidationFailure`` as commit would audit, see ``fold_block``."""
     state = WorldState(channel_id=channel_id)
     for block in chain[1:] if chain and chain[0].height == 0 else chain:
-        apply_block(state, fold_block(block))
+        apply_block(state, fold_block(block, state.tx_ids))
     return state
 
 

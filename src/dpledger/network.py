@@ -5,7 +5,10 @@ privacy-preserving execution for queries, (3) Solo ordering into blocks,
 (4) validation and commit on every channel member. Every peer is a
 member of the one channel, ``CHANNEL_ID``. Time is a discrete
 tick counter and the whole simulation is a pure function of the
-topology, seeds, and submission schedule.
+topology, seeds, and submission schedule. The first three phases run at
+a submission's tick and the fourth at the tick that cuts its block, so a
+receipt holds two ticks and, if it was rejected, the phase it stopped
+in, with no record per phase.
 
 The channel has one chaincode engine and one budget accountant. The
 engine checks a query's ε before anything else, so a rejected ε is
@@ -29,15 +32,16 @@ proposal once and the endorsed envelope is built once. A block commits
 only if every envelope has endorsements from enough distinct channel
 members, the one rule checked here, and the block keeps the rules of
 ``ledger``: it ``follows`` the chain head, and ``fold_block`` checks
-each envelope's content, normalizes each write and sums it into one
-per-block cell delta. Every member applies that one fold; an invalid
-block goes to audit and no member changes.
+each envelope's content and that its tx id is not yet on the chain,
+normalizes each write and sums it into one per-block cell delta. Every
+member applies that one fold; an invalid block goes to audit and no
+member changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -112,29 +116,29 @@ class ReceiptStatus(Enum):
 
 
 @dataclass(slots=True)
-class PhaseRecord:
-    phase: str
-    tick: int
-    ok: bool
-    info: str = ""
-
-
-@dataclass(slots=True)
 class TransactionReceipt:
-    """Outcome of one submission across the four flow phases."""
+    """Outcome of one submission across the four flow phases.
+
+    Proposal, endorsement and ordering run at ``submit_tick``, and
+    validation runs at ``commit_tick``. A rejected receipt names the phase
+    it stopped in (``reject_phase``), the error type (``reject_reason``)
+    and its message (``detail``). A cached receipt served from an answer
+    that is endorsed but not yet committed names that answer in ``detail``.
+    A receipt keeps no record per phase: one is made per submission, and
+    every object it holds would stay live for the garbage collector to
+    walk until the network is dropped.
+    """
 
     tx_id: str
     kind: str
     submit_tick: int
     status: ReceiptStatus = ReceiptStatus.PENDING
-    phases: List[PhaseRecord] = field(default_factory=list)
     commit_height: Optional[int] = None
     commit_tick: Optional[int] = None
+    reject_phase: str = ""
     reject_reason: str = ""
+    detail: str = ""
     response: Optional[object] = None
-
-    def record_phase(self, phase: str, tick: int, ok: bool, info: str = "") -> None:
-        self.phases.append(PhaseRecord(phase, tick, ok, info))
 
     @property
     def latency(self) -> Optional[int]:
@@ -284,36 +288,33 @@ class Network:
         if client_id not in self.clients:
             return self._reject(receipt, "proposal", "client not authorized",
                                 NotAuthorized.__name__)
-        receipt.record_phase("proposal", self.clock, True)
 
         # Phase 2: endorsement (queries execute the privacy module here).
         try:
             envelope, response = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
         except DPLedgerError as err:
             return self._reject(receipt, "endorsement", str(err), type(err).__name__)
-        info = ""
-        if envelope is None:
-            source = channel.engine.last_record
-            if channel.engine.pending.get(source.key) is source:
-                info = f"served pending answer {source.response.query_id}"
-        receipt.record_phase("endorsement", self.clock, True, info)
         receipt.response = response
 
         if envelope is None:
+            source = channel.engine.last_record
+            if channel.engine.pending.get(source.key) is source:
+                receipt.detail = f"served pending answer {source.response.query_id}"
             receipt.status = ReceiptStatus.CACHED
             receipt.commit_tick = self.clock
             return receipt
 
         # Phase 3: hand over to the ordering service.
         self.orderer.enqueue(envelope, self.clock)
-        receipt.record_phase("ordering", self.clock, True, "enqueued")
         return receipt
 
-    def _reject(self, receipt: TransactionReceipt, phase: str, info: str,
+    @staticmethod
+    def _reject(receipt: TransactionReceipt, phase: str, detail: str,
                 reason: str) -> TransactionReceipt:
-        receipt.record_phase(phase, self.clock, False, info)
         receipt.status = ReceiptStatus.REJECTED
+        receipt.reject_phase = phase
         receipt.reject_reason = reason
+        receipt.detail = detail
         return receipt
 
     # -- phase 4: ordering output, validation, commit
@@ -348,8 +349,10 @@ class Network:
 
         fold = None
         if not problems and follows(block, channel.chain[-1]):
+            # Every member has committed the same tx ids; the first one's set stands for all.
+            committed = self.peers[channel.members[0]].states[CHANNEL_ID].tx_ids
             try:
-                fold = fold_block(block)
+                fold = fold_block(block, committed)
             except ValidationFailure as err:
                 problems.append(str(err))
         # Committed or audited, the block's answers stop being pending.
@@ -375,7 +378,6 @@ class Network:
         for env in block.envelopes:
             receipt = self._receipts_by_id.get(env.tx_id)
             if receipt is not None:
-                receipt.record_phase("validation", self.clock, True)
                 receipt.status = ReceiptStatus.COMMITTED
                 receipt.commit_height = block.height
                 receipt.commit_tick = self.clock

@@ -45,6 +45,11 @@ def normalize(value: str) -> str:
     return value.strip().casefold()
 
 
+def _normalize_filter(value: Optional[str]) -> Optional[str]:
+    """A predicate attribute in canonical form; None, the wildcard, stays None."""
+    return None if value is None else normalize(value)
+
+
 # ---------------------------------------------------------------------------
 # encoding helpers
 
@@ -122,11 +127,9 @@ class QueryPredicate:
     color: Optional[str] = None
 
     def normalized(self) -> "QueryPredicate":
-        return QueryPredicate(
-            None if self.customer_name is None else normalize(self.customer_name),
-            None if self.product_name is None else normalize(self.product_name),
-            None if self.color is None else normalize(self.color),
-        )
+        return QueryPredicate(_normalize_filter(self.customer_name),
+                              _normalize_filter(self.product_name),
+                              _normalize_filter(self.color))
 
     def canonical_bytes(self) -> bytes:
         return (b"P" + _opt_text(self.customer_name)
@@ -203,6 +206,15 @@ class CategoryKey:
                    + _opt_text(self.color))
             object.__setattr__(self, "_canonical", raw)
         return raw
+
+    def is_category_of(self, q: QueryTransaction) -> bool:
+        """True iff this key is ``q``'s category, as ``chaincode.categorize``
+        builds it; compared field by field, so that no key is built."""
+        pred = q.predicate
+        return (self.aggregate is q.aggregate
+                and self.customer_name == _normalize_filter(pred.customer_name)
+                and self.product_name == _normalize_filter(pred.product_name)
+                and self.color == _normalize_filter(pred.color))
 
     def label(self) -> str:
         parts = [self.aggregate.value]

@@ -109,7 +109,7 @@ def _endorsed_chain():
     """Chain whose middle block holds writes and a query effect, each endorsed twice."""
     chain = _chain_of(1)
     envs = [Envelope(tx_id="w1", tx=make_write()),
-            Envelope(tx_id="q1", tx=make_query(),
+            Envelope(tx_id="q1", tx=make_query(color="red"),
                      effect=QueryEffect(record=_record(qid="q1"), eps_rem=0.95)),
             Envelope(tx_id="w2", tx=make_write(quantity=7))]
     envs = [Envelope.endorsed(env.tx_id, env.tx, env.effect,
@@ -191,14 +191,6 @@ def test_record_query_appends_in_order():
     assert [r.response.query_id for r in state.query_log] == ["q0", "q1", "q2", "q3"]
 
 
-def test_record_query_idempotent_per_query_id():
-    state = WorldState()
-    rec = _record(qid="dup")
-    state.record_query(rec, eps_rem=0.9)
-    state.record_query(rec, eps_rem=0.9)
-    assert len(state.query_log) == 1
-
-
 def test_recorded_eps_rem_matches_accountant_arithmetic(rng):
     state = WorldState()
     acct = BudgetAccountant(2.0)
@@ -230,7 +222,7 @@ def test_replay_is_deterministic_and_matches_incremental():
 
     incremental = WorldState()
     for block in chain[1:]:
-        apply_block(incremental, fold_block(block))
+        apply_block(incremental, fold_block(block, incremental.tx_ids))
     assert incremental.serialize() == state_a.serialize()
 
 
