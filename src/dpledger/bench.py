@@ -178,6 +178,48 @@ class WorkloadSchedule:
     queries: List[QueryPlan]
 
 
+_WORD = 1 << 32
+
+
+def _bounded_columns(rng: np.random.Generator, bounds: Sequence[int],
+                     rows: int) -> List[List[int]]:
+    """``rows`` rounds of ``int(rng.integers(b))`` for each ``b`` in ``bounds``,
+    drawn in bulk: one column of ints per bound.
+
+    For a bound ``b`` in [1, 2**32], ``Generator.integers(b)`` takes a 32-bit
+    word ``w`` and returns ``(w * b) >> 32``, unless
+    ``(w * b) mod 2**32 < (2**32 - b) % b``: then it rejects ``w`` and takes
+    the next word (Lemire, arXiv:1805.10941). A bound of 1 takes no word.
+    Here one call draws a word for each slot left. After a rejected word, its
+    slot and the ones after it take the next words already drawn, and more
+    are drawn only once all are used. So the columns, and the state the
+    generator is left in, are those of the scalar calls.
+    """
+    live = [b for b in bounds if b > 1]
+    n = np.tile(np.array(live, dtype=np.uint64), rows)
+    threshold = (_WORD - n) % n
+    out = np.empty_like(n)
+    words = n[:0]  # none drawn yet
+    used = slot = 0
+    while slot < n.size:
+        if used == words.size:
+            # Every slot takes at least one word, so none is left over.
+            words = rng.integers(0, _WORD, size=n.size - slot,
+                                 dtype=np.uint32).astype(np.uint64)
+            used = 0
+        take = min(words.size - used, n.size - slot)
+        m = words[used:used + take] * n[slot:slot + take]
+        rejected = np.flatnonzero(m & (_WORD - 1) < threshold[slot:slot + take])
+        kept = int(rejected[0]) if rejected.size else take
+        out[slot:slot + kept] = m[:kept] >> 32
+        slot += kept
+        used += kept
+        if rejected.size:
+            used += 1  # the rejected word; its slot takes the next one
+    drawn = iter(out.reshape(rows, len(live)).T.tolist())
+    return [next(drawn) if b > 1 else [0] * rows for b in bounds]
+
+
 def _fit_units(rng: np.random.Generator, count: int, lo_u: int, hi_u: int,
                target_u: int) -> List[int]:
     """Grid draws in [lo_u, hi_u] adjusted to hit target_u exactly."""
@@ -261,19 +303,23 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
 
-    writes: List[Tuple[int, WriteTransaction]] = []
-    for i in range(cfg.n_writes):
-        tx = WriteTransaction(
+    # Each write draws its product, colour, quantity and customer, in that order.
+    columns = _bounded_columns(rng, (len(cfg.products), len(cfg.colors),
+                                     QUANTITY_MAX - QUANTITY_MIN + 1, len(cfg.customers)),
+                               cfg.n_writes)
+    writes: List[Tuple[int, WriteTransaction]] = [
+        (i // cfg.write_rate, WriteTransaction(
             contract_id="supply-ledger",
             contract_version="1.0",
             contract_function="record_purchase",
             timeout_ms=3000,
-            product_name=cfg.products[int(rng.integers(len(cfg.products)))],
-            color=cfg.colors[int(rng.integers(len(cfg.colors)))],
-            quantity=int(rng.integers(QUANTITY_MIN, QUANTITY_MAX + 1)),
-            customer_name=cfg.customers[int(rng.integers(len(cfg.customers)))],
-        )
-        writes.append((i // cfg.write_rate, tx))
+            product_name=cfg.products[p],
+            color=cfg.colors[c],
+            quantity=QUANTITY_MIN + q,
+            customer_name=cfg.customers[u],
+        ))
+        for i, p, c, q, u in zip(range(cfg.n_writes), *columns)
+    ]
 
     if cfg.n_queries == 0:
         return WorkloadSchedule(writes=writes, queries=[])
@@ -479,12 +525,25 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
     }
 
 
+def _at_rate(schedule: WorkloadSchedule, rate: int) -> WorkloadSchedule:
+    """``schedule`` with its i-th write and its i-th query at tick i // rate."""
+    return WorkloadSchedule(
+        writes=[(i // rate, tx) for i, (_, tx) in enumerate(schedule.writes)],
+        queries=[replace(plan, tick=i // rate) for i, plan in enumerate(schedule.queries)],
+    )
+
+
 def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
-    """Throughput/latency per submission rate, split by transaction kind."""
+    """Throughput/latency per submission rate, split by transaction kind.
+
+    A rate sets only ticks and draws no random number, so the schedule is
+    drawn once and re-ticked for each rate."""
+    schedule = generate_workload(cfg)
     out = []
     for rate in rates:
         sub = replace(cfg, write_rate=rate, query_rate=rate, rate_sweep=None)
-        res = _execute(sub, generate_workload(sub), reuse_enabled=True)
+        sub.validate()
+        res = _execute(sub, _at_rate(schedule, rate), reuse_enabled=True)
         row: dict = {"rate": rate, "elapsed_ticks": res.net.clock}
         for kind in ("write", "query"):
             flow = _flow([r for r in res.net.receipts if r.kind == kind], res.net.clock)
@@ -492,6 +551,28 @@ def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
                 row[f"{kind}_{name}"] = flow[name]
         out.append(row)
     return out
+
+
+def _sweep_point(cfg: WorkloadConfig, eps_t: float) -> Tuple[float, WorkloadConfig]:
+    """The per-query ε and the validated config of the sweep point ``eps_t``."""
+    if cfg.epsilon_schedule.kind == "fixed":
+        per_query = eps_t
+        sub = replace(
+            cfg,
+            epsilon_schedule=replace(cfg.epsilon_schedule, value=per_query),
+            epsilon_t=per_query * (cfg.n_queries + 1),
+            rate_sweep=None,
+        )
+    elif cfg.epsilon_schedule.kind == "equal":
+        per_query = allocate_equal(eps_t, cfg.n_queries)
+        sub = replace(cfg, epsilon_t=eps_t, rate_sweep=None)
+    else:
+        raise ConfigInvalid(
+            "sweeps need an 'equal' or 'fixed' epsilon schedule, "
+            f"got {cfg.epsilon_schedule.kind!r}"
+        )
+    sub.validate()
+    return per_query, sub
 
 
 def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
@@ -510,34 +591,22 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
     if not epsilon_list or not all(codec.conforms(e, float) and e > 0 for e in epsilon_list):
         raise ConfigInvalid(
             f"epsilon list {list(epsilon_list)!r} must hold positive, finite numbers")
+    points = [_sweep_point(cfg, float(eps_t)) for eps_t in epsilon_list]
+    # A point sets only each query's eps_f and draws no random number, so the
+    # schedule is drawn once.
+    schedule = generate_workload(points[0][1])
     rows = []
-    for eps_t in epsilon_list:
-        if cfg.epsilon_schedule.kind == "fixed":
-            per_query = float(eps_t)
-            sub = replace(
-                cfg,
-                epsilon_schedule=replace(cfg.epsilon_schedule, value=per_query),
-                epsilon_t=per_query * (cfg.n_queries + 1),
-                rate_sweep=None,
-            )
-        elif cfg.epsilon_schedule.kind == "equal":
-            per_query = allocate_equal(float(eps_t), cfg.n_queries)
-            sub = replace(cfg, epsilon_t=float(eps_t), rate_sweep=None)
-        else:
-            raise ConfigInvalid(
-                "sweeps need an 'equal' or 'fixed' epsilon schedule, "
-                f"got {cfg.epsilon_schedule.kind!r}"
-            )
-        schedule = generate_workload(sub)
-        res = _execute(sub, schedule, reuse_enabled=True)
+    for eps_t, (per_query, sub) in zip(epsilon_list, points):
+        queries = [replace(plan, eps_f=per_query) for plan in schedule.queries]
+        res = _execute(sub, WorkloadSchedule(schedule.writes, queries), reuse_enabled=True)
         state = _committed_state(res.net)
-        exacts = [state.answer(plan.key) for plan in schedule.queries]
+        exacts = [state.answer(plan.key) for plan in queries]
         metrics = _mode_metrics(res, [_error(exact, receipt.response) for exact, receipt
                                       in zip(exacts, res.query_receipts)])
         lam = laplace_scale(per_query, sensitivity(Aggregate.SUM))
         # (noise scale, exact answer) of each query whose exact answer is not 0.
         answered = [(laplace_scale(per_query, sensitivity(plan.key.aggregate)), exact)
-                    for plan, exact in zip(schedule.queries, exacts) if exact != 0]
+                    for plan, exact in zip(queries, exacts) if exact != 0]
         expected = (float(np.mean([100.0 * scale / a for scale, a in answered]))
                     if answered else 0.0)
         se = (100.0 * lam / len(answered)) * math.sqrt(

@@ -33,6 +33,7 @@ from .transactions import (
     QueryRecord,
     WriteTransaction,
     normalize,
+    validate_query,
     validate_write,
 )
 
@@ -117,17 +118,17 @@ def follows(block: Block, prev: Block) -> bool:
 
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
-    may: a write must be valid and carry no query effect, and a query must
-    carry a fresh, positive-ε effect that answers it: keyed by its category,
-    with its tx id as the query id and a response that states that ε."""
-    if isinstance(env.tx, WriteTransaction):
-        if env.effect is not None:
-            return "write envelope carries a query effect"
-        try:
-            validate_write(env.tx)
-        except DPLedgerError as err:
-            return str(err)
-        return ""
+    may: a write or query must be valid, a write must carry no query effect,
+    and a query must carry a fresh, positive-ε effect that answers it: keyed
+    by its category, with its tx id as the query id and a response that
+    states that ε."""
+    is_write = isinstance(env.tx, WriteTransaction)
+    try:
+        (validate_write if is_write else validate_query)(env.tx)
+    except DPLedgerError as err:
+        return str(err)
+    if is_write:
+        return "write envelope carries a query effect" if env.effect is not None else ""
     if env.effect is None:
         return "query envelope carries no query effect"
     rec = env.effect.record

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dpledger import (
@@ -17,6 +19,8 @@ from dpledger.bench import (
     EPS_UNIT,
     EpsilonSchedule,
     WorkloadConfig,
+    _at_rate,
+    _bounded_columns,
     export_report,
     export_sweep,
     generate_workload,
@@ -201,6 +205,28 @@ def test_workload_is_deterministic_per_seed():
     assert c.queries != a.queries
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_draws_equal_numpy_scalar_draws(seed):
+    """The bulk draw of ``generate_workload`` gives the indices that
+    ``int(rng.integers(b))`` gives row by row, and leaves the generator in
+    the same state. A bound of 1 takes no word; 3 * 2**30 rejects a quarter
+    of all words, so rejected slots take the next words already drawn."""
+    bounds = (1, 8, 100, 3 * 2 ** 30, 1)
+    rows = 60
+    bulk, scalar, plain = (np.random.default_rng(seed) for _ in range(3))
+    for rng in (bulk, scalar, plain):
+        rng.integers(5)  # PCG64 now holds half a 64-bit output for the next word
+    expected = [[] for _ in bounds]
+    for _ in range(rows):
+        for column, b in zip(expected, bounds):
+            column.append(int(scalar.integers(b)))
+    assert _bounded_columns(bulk, bounds, rows) == expected
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+    # One word per slot would have left it elsewhere: some word was rejected.
+    plain.integers(0, 2 ** 32, size=rows * 3, dtype=np.uint32)
+    assert plain.bit_generator.state != scalar.bit_generator.state
+
+
 def test_calibrated_epsilons_hit_exact_totals():
     cfg = scenario_config("budget-155")
     schedule = generate_workload(cfg)
@@ -325,8 +351,14 @@ def test_unanswered_pass_reports_no_accuracy():
         assert report[mode]["accuracy"] is None
 
 
+@functools.cache
+def _shipped_report(name: str) -> dict:
+    """The report of a shipped scenario at its seed, 7; tests only read it."""
+    return run_scenario(scenario_config(name))
+
+
 def test_budget_155_hits_published_totals():
-    report = run_scenario(scenario_config("budget-155"))
+    report = _shipped_report("budget-155")
     assert report["naive_eps_sum"] == pytest.approx(8.9, abs=0.05)
     assert report["reuse_eps_sum"] == pytest.approx(5.7, abs=0.05)
     assert report["savings_pct"] == pytest.approx(35.96, abs=1.0)
@@ -350,12 +382,22 @@ def test_budget_155_query_log_holds_every_query():
 
 
 def test_throughput_755_scenario_runs_with_rate_series():
-    report = run_scenario(scenario_config("throughput-755"))
+    report = _shipped_report("throughput-755")
     rows = report["performance"]
     assert [r["rate"] for r in rows] == [10, 20, 30, 40, 50]
     assert all(r["query_committed"] == 755 for r in rows)
     tp = [r["query_throughput"] for r in rows]
     assert all(a < b for a, b in zip(tp, tp[1:]))
+
+
+def test_rate_scan_reticks_one_schedule():
+    """A rate sets only ticks: the schedule ``performance_scan`` re-ticks is
+    the one drawn at that rate."""
+    cfg = scenario_config("throughput-755")
+    schedule = generate_workload(cfg)
+    for rate in cfg.rate_sweep:
+        assert _at_rate(schedule, rate) == generate_workload(
+            replace(cfg, write_rate=rate, query_rate=rate, rate_sweep=None))
 
 
 def test_sweep_errors_decrease_and_match_formula():
@@ -467,3 +509,30 @@ def test_export_report_golden_digests(tmp_path):
     paths = export_report(run_scenario(WorkloadConfig(**_GOLDEN_CFG)), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == _GOLDEN_SHA256
+
+
+# Digests of each shipped scenario's report.json at seed 7, and of the files
+# ``export_sweep`` writes for error-150 at epsilons 1, 2 and 3: the schedules
+# are drawn once, in bulk, and must give the outputs of numpy's scalar draws.
+_SHIPPED_REPORT_SHA256 = {
+    "error-150": "92031c9a57dea396a480193586f6897e062eb537ef0e938eb0e3d71822b10e30",
+    "budget-155": "b4e4377533f2a9e02c844da019b8dfdddb496462d076c3f1df52f7f2ee176d85",
+    "throughput-755": "48faeda94ca6e96d9f86342a5bdbd2dad8eead26a261e22b6c1dc0b9c4ed9159",
+}
+_ERROR_150_SWEEP_SHA256 = {
+    "sweep.json": "c32afcb48578cf51421dffbfc5a9a98256ac7417c415e699c3eb45d800d784a9",
+    "error_vs_epsilon.csv": "65ab24f5e579e7a213aa45db6c060e2335a2410b41237ee7e14f99ad43ad3611",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_REPORT_SHA256))
+def test_shipped_report_digests(tmp_path, name):
+    export_report(_shipped_report(name), tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == _SHIPPED_REPORT_SHA256[name]
+
+
+def test_error_150_sweep_digests(tmp_path):
+    paths = export_sweep(sweep(scenario_config("error-150"), [1, 2, 3]), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == _ERROR_150_SWEEP_SHA256

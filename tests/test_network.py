@@ -506,9 +506,11 @@ def _effect(eps_spent=0.1, eps_used=0.1, reused=False, qid="x0", color="red"):
     ([(make_query(color="red"), _effect(0.0, 0.0))], False),
     ([(make_query(color="red"), _effect(color="blue"))], False),
     ([(make_query(color="red"), _effect(qid="q"))], False),
+    ([(dataclasses.replace(make_query(color="red"), read_only=False), _effect())], False),
+    ([(make_query(color="red", requester=""), _effect())], False),
 ], ids=["clean", "query-without-effect", "write-with-effect", "reused-effect",
         "epsilon-mismatch", "zero-epsilon", "effect-for-another-query",
-        "query-id-of-another-tx"])
+        "query-id-of-another-tx", "query-not-read-only", "query-without-requester"])
 def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
     """An endorsed block that commit audits is one that replay raises on and
     verify rejects; a block that commit appends, both accept."""
