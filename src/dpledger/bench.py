@@ -515,7 +515,8 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
         "naive_eps_sum": naive_sum,
         "reuse_eps_sum": reuse_sum,
         "savings_pct": savings,
-        "performance": performance_scan(cfg, cfg.rate_sweep) if cfg.rate_sweep else [],
+        "performance": (performance_scan(cfg, schedule, cfg.rate_sweep)
+                        if cfg.rate_sweep else []),
         "artifacts": {
             **{f"budget_events_{mode}.csv": _budget_events_csv(res.channel.accountant.events)
                for mode, res in passes.items()},
@@ -533,12 +534,12 @@ def _at_rate(schedule: WorkloadSchedule, rate: int) -> WorkloadSchedule:
     )
 
 
-def performance_scan(cfg: WorkloadConfig, rates: Sequence[int]) -> List[dict]:
+def performance_scan(cfg: WorkloadConfig, schedule: WorkloadSchedule,
+                     rates: Sequence[int]) -> List[dict]:
     """Throughput/latency per submission rate, split by transaction kind.
 
-    A rate sets only ticks and draws no random number, so the schedule is
-    drawn once and re-ticked for each rate."""
-    schedule = generate_workload(cfg)
+    A rate sets only ticks and draws no random number, so ``schedule``, the
+    one drawn for ``cfg``, is re-ticked for each rate."""
     out = []
     for rate in rates:
         sub = replace(cfg, write_rate=rate, query_rate=rate, rate_sweep=None)
@@ -684,7 +685,9 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
-    records = [r.tx for r in _committed_state(net).records]
+    # The committed writes, read from the chain in commit order.
+    records = [env.tx for block in net.channels[CHANNEL_ID].chain
+               for env in block.envelopes if isinstance(env.tx, WriteTransaction)]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     target_index = int(rng.integers(len(records)))

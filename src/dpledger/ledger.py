@@ -6,13 +6,12 @@ judge a block by the rules stated here once: ``follows`` for its link,
 ``_envelope_problem`` for each envelope's content, and, in ``fold_block``,
 that no tx id is on the chain twice. A block is folded once
 (``fold_block``): each envelope is checked against the world state's set
-of committed tx ids, each write's eight attribute cells are summed into a
-per-block delta, and one immutable ``CommittedWrite`` is built per write.
-Every member then applies that one fold to its own world state
-(``apply_block``), sharing the committed records but keeping its own cell
-counters and tx-id set; replaying a chain applies the same folds, and
-verifying one folds every block. The world state is a full rebuildable fold of
-the chain, which keeps brute-force verification cheap at desk scale.
+of committed tx ids, and each write's eight attribute cells are summed into
+a per-block delta. Every member then applies that one fold to its own world
+state (``apply_block``). The world state is an index of what queries read:
+the cell counters, the newest answer per category, the height and the
+committed tx ids. The history itself, every write and every query effect
+with the ε left after it, is on the chain and nowhere else.
 """
 
 from __future__ import annotations
@@ -166,14 +165,6 @@ def verify_chain(chain: Sequence[Block]) -> bool:
         return False
 
 
-class CommittedWrite(NamedTuple):
-    """A write transaction folded into world state at a commit height;
-    immutable, so every member's world state shares the same one."""
-
-    tx: WriteTransaction
-    height: int
-
-
 class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
@@ -183,7 +174,6 @@ class BlockFold(NamedTuple):
     """
 
     height: int
-    writes: Tuple[CommittedWrite, ...]
     cells: Dict[tuple, List[int]]
     effects: Tuple[QueryEffect, ...]
     tx_ids: Set[str]
@@ -191,12 +181,10 @@ class BlockFold(NamedTuple):
 
 def fold_block(block: Block, committed: AbstractSet[str]) -> BlockFold:
     """Check each envelope of ``block`` against the content rule and against
-    ``committed``, the tx ids already on the chain, normalize each write
-    once, and collect the query effects. Raises ``ValidationFailure`` naming
-    the first envelope that breaks the content rule or whose tx id is in
-    ``committed`` or earlier in the block."""
-    height = block.height
-    writes = []
+    ``committed``, the tx ids already on the chain, sum each write into the
+    block's cell delta, and collect the query effects. Raises
+    ``ValidationFailure`` naming the first envelope that breaks the content
+    rule or whose tx id is in ``committed`` or earlier in the block."""
     cells: dict = {}
     effects = []
     tx_ids: Set[str] = set()
@@ -209,37 +197,33 @@ def fold_block(block: Block, committed: AbstractSet[str]) -> BlockFold:
         tx_ids.add(env.tx_id)
         tx = env.tx
         if isinstance(tx, WriteTransaction):
-            writes.append(CommittedWrite(tx, height))
             _add_write(cells, tx)
         else:
             effects.append(env.effect)
-    return BlockFold(height, tuple(writes), cells, tuple(effects), tx_ids)
+    return BlockFold(block.height, cells, tuple(effects), tx_ids)
 
 
 class WorldState:
-    """Materialized key-value view of one channel ledger.
+    """One member's index of a channel ledger: what its queries read.
 
-    Holds the committed purchase records, the append-only query log, the
-    remaining budget written alongside each log entry, and ``tx_ids``, the
-    set of committed tx ids that ``fold_block`` checks a block against.
+    ``_agg`` maps each attribute cell to its ``[count, quantity sum]``,
+    ``_latest`` each category to its newest committed answer, and
+    ``tx_ids`` is the set of committed tx ids that ``fold_block`` checks a
+    block against. The writes and query effects themselves stay on the chain.
     """
 
     def __init__(self, channel_id: str = CHANNEL_ID):
         self.channel_id = channel_id
         self.height = 0
-        self.records: List[CommittedWrite] = []
-        self.query_log: List[QueryRecord] = []
-        self.eps_rem_log: List[float] = []
-        self._latest: dict = {}
+        self._latest: Dict[CategoryKey, QueryRecord] = {}
         self._agg: dict = {}
         self.tx_ids: Set[str] = set()
 
     # -- writes
 
-    def apply_write(self, tx: WriteTransaction, height: Optional[int] = None) -> None:
-        """Fold one validated write into the record multiset."""
+    def apply_write(self, tx: WriteTransaction) -> None:
+        """Count one validated write in its attribute cells."""
         validate_write(tx)
-        self.records.append(CommittedWrite(tx, self.height if height is None else height))
         _add_write(self._agg, tx)
 
     def aggregate_cell(self, customer: Optional[str], product: Optional[str],
@@ -257,13 +241,12 @@ class WorldState:
         """Every non-empty attribute cell with its (count, quantity sum)."""
         return ((cell, (count, qty)) for cell, (count, qty) in self._agg.items())
 
-    # -- query log
+    # -- answers
 
-    def record_query(self, rec: QueryRecord, eps_rem: float) -> None:
-        """Append a checked query record and the budget left; ``fold_block``
-        has already rejected a query id seen before, as a repeated tx id."""
-        self.query_log.append(rec)
-        self.eps_rem_log.append(float(eps_rem))
+    def record_query(self, rec: QueryRecord) -> None:
+        """Make a checked query record its category's newest answer;
+        ``fold_block`` has already rejected a query id seen before, as a
+        repeated tx id."""
         self._latest[rec.key] = rec
 
     def lookup(self, key: CategoryKey) -> Optional[QueryRecord]:
@@ -273,22 +256,29 @@ class WorldState:
     # -- serialization
 
     def serialize(self) -> bytes:
-        """Canonical JSON encoding; equal states serialize bit-identically."""
+        """Canonical JSON encoding of the index; equal states serialize
+        bit-identically, whatever order they saw their writes in. Cells
+        are sorted with None before any name, answers by their key's
+        canonical bytes, and the tx ids enter as the SHA-256 of their
+        sorted JSON list."""
+        cells = sorted(self._agg.items(),
+                       key=lambda item: [(v is not None, v or "") for v in item[0]])
+        latest = sorted(self._latest.items(), key=lambda item: item[0].canonical_bytes())
+        tx_ids = json.dumps(sorted(self.tx_ids), separators=(",", ":")).encode("utf-8")
         doc = {
             "channel_id": self.channel_id,
             "height": self.height,
-            "records": [{"height": r.height, **to_json(r.tx)} for r in self.records],
-            "query_log": [to_json(r) for r in self.query_log],
-            "eps_rem_log": self.eps_rem_log,
+            "cells": [[*cell, *slot] for cell, slot in cells],
+            "latest": [to_json(rec) for _, rec in latest],
+            "tx_ids_sha256": _sha256(tx_ids).hex(),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def apply_block(state: WorldState, fold: BlockFold) -> None:
-    """Apply one block's fold to a world state: share its committed
-    records, add its cell delta into the state's own counters and its tx ids
-    into the state's own set, and log its query effects."""
-    state.records.extend(fold.writes)
+    """Apply one block's fold to a world state: add its cell delta into the
+    state's own counters and its tx ids into the state's own set, and make
+    each of its query effects its category's newest answer."""
     state.tx_ids.update(fold.tx_ids)
     agg = state._agg
     for cell, (count, qty) in fold.cells.items():
@@ -299,7 +289,7 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
             slot[0] += count
             slot[1] += qty
     for effect in fold.effects:
-        state.record_query(effect.record, effect.eps_rem)
+        state.record_query(effect.record)
     state.height = fold.height
 
 

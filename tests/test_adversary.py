@@ -14,6 +14,7 @@ from dpledger import (
     linking_attack,
     repeated_query_averaging,
 )
+from dpledger import bench
 from dpledger.adversary import linking_trials
 from dpledger.bench import (
     run_averaging_attack,
@@ -185,6 +186,27 @@ def test_linking_driver_dp_off_and_on():
     assert off["report"].success and off["report"].abs_error == 0.0
     on = run_linking_attack(dp_enabled=True, epsilon=1.0, n_trials=3000, seed=2)
     assert abs(on["success_rate"] - on["expected_rate"]) <= 0.03
+
+
+def test_linking_driver_reads_the_schedules_writes_in_order(monkeypatch):
+    """The driver's background knowledge is read from the chain: the writes
+    it reads are the ones its schedule drew, in the order drawn."""
+    drawn, read = [], []
+    generate, from_ledger = bench.generate_workload, BackgroundKnowledge.from_ledger
+
+    def spy_generate(cfg):
+        drawn.append(generate(cfg))
+        return drawn[-1]
+
+    def spy_from_ledger(records, target_index):
+        read.append(list(records))
+        return from_ledger(records, target_index)
+
+    monkeypatch.setattr(bench, "generate_workload", spy_generate)
+    monkeypatch.setattr(BackgroundKnowledge, "from_ledger", spy_from_ledger)
+    run_linking_attack(dp_enabled=False, n_writes=60, seed=3)
+    assert len(drawn) == 1
+    assert read == [[tx for _, tx in drawn[0].writes]]
 
 
 def test_composition_driver_reuse_defense():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dpledger import bench
 from dpledger import (
     Aggregate,
     ConfigInvalid,
@@ -374,9 +375,11 @@ def test_budget_155_query_log_holds_every_query():
     events = res.channel.accountant.events
     assert len(events) == 155
     assert sum(1 for e in events if not e.reused) == 100
-    # Only fresh answers reach the chain; repeats are reuse events.
+    # Only fresh answers reach the chain, which is the query log; repeats
+    # are reuse events.
     for peer in res.net.peers.values():
-        log = peer.states["mychannel"].query_log
+        log = [env.effect.record for block in peer.chains["mychannel"]
+               for env in block.envelopes if env.effect is not None]
         assert len(log) == 100
         assert all(not r.response.reused and r.epsilon_spent > 0 for r in log)
 
@@ -388,6 +391,21 @@ def test_throughput_755_scenario_runs_with_rate_series():
     assert all(r["query_committed"] == 755 for r in rows)
     tp = [r["query_throughput"] for r in rows]
     assert all(a < b for a, b in zip(tp, tp[1:]))
+
+
+def test_throughput_755_draws_its_schedule_once(monkeypatch):
+    """The rate scan re-ticks the schedule of the naive and reuse passes
+    instead of drawing it again."""
+    drawn = []
+    generate = bench.generate_workload
+
+    def counted(cfg):
+        drawn.append(cfg)
+        return generate(cfg)
+
+    monkeypatch.setattr(bench, "generate_workload", counted)
+    run_scenario(scenario_config("throughput-755"))
+    assert len(drawn) == 1
 
 
 def test_rate_scan_reticks_one_schedule():

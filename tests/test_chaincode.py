@@ -119,7 +119,7 @@ def test_repeat_returns_identical_response_and_spends_once(rng):
     assert len(acct.events) == 10
     # Repeats are recorded by the accountant only; the committed state is
     # read, never written, and the one fresh answer waits in the overlay.
-    assert state.query_log == []
+    assert state._latest == {}
     assert [r.response for r in engine.pending.values()] == [first]
 
 
@@ -140,7 +140,7 @@ def test_exhausted_query_leaves_log_unchanged(rng):
     q = make_query(Aggregate.SUM)
     with pytest.raises(BudgetExhausted):
         engine.answer_query(q, state, acct, 0.12, rng)
-    assert state.query_log == []
+    assert state._latest == {}
     assert acct.epsilon_rem == 0.05
 
 

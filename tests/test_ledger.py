@@ -55,7 +55,7 @@ def _record(key_color="red", qid="q0", eps=0.05, value=42.0, reused=False):
 def test_single_write_folds_into_one_record(small_state):
     state = WorldState()
     state.apply_write(make_write("Bob", "productX", "red", 10))
-    assert len(state.records) == 1
+    assert state.aggregate_cell("bob", "productx", "red") == (1, 10)
     assert state.aggregate_cell(None, None, None) == (1, 10)
 
 
@@ -65,7 +65,8 @@ def test_workload_of_500_writes_folds_to_500_records():
     state = WorldState()
     for _, tx in schedule.writes:
         state.apply_write(tx)
-    assert len(state.records) == 500
+    assert state.aggregate_cell(None, None, None) == (
+        500, sum(tx.quantity for _, tx in schedule.writes))
 
 
 def test_quantity_bounds_enforced():
@@ -74,7 +75,7 @@ def test_quantity_bounds_enforced():
         state.apply_write(make_write(quantity=101))
     with pytest.raises(InvalidQuantity):
         state.apply_write(make_write(quantity=0))
-    assert state.records == []
+    assert list(state.cells()) == []
 
 
 def test_empty_string_fields_rejected():
@@ -180,34 +181,54 @@ def test_verify_never_raises_on_garbage():
 
 
 # ---------------------------------------------------------------------------
-# query log
+# query effects: the log is the chain, the state keeps the newest answer
 
-def test_record_query_appends_in_order():
-    state = WorldState()
-    for i in range(3):
-        state.record_query(_record(qid=f"q{i}"), eps_rem=1.0 - i * 0.05)
-    state.record_query(_record(key_color="blue", qid="q3"), eps_rem=0.8)
-    assert len(state.query_log) == 4
-    assert [r.response.query_id for r in state.query_log] == ["q0", "q1", "q2", "q3"]
+def _query_envelope(rec, eps_rem):
+    color = rec.key.color
+    return Envelope(tx_id=rec.response.query_id, tx=make_query(color=color),
+                    effect=QueryEffect(record=rec, eps_rem=eps_rem))
+
+
+def _effects(chain):
+    return [env.effect for block in chain for env in block.envelopes
+            if env.effect is not None]
+
+
+def test_chain_keeps_query_effects_in_commit_order():
+    chain = _chain_of(1)
+    envs = [_query_envelope(_record(qid=f"q{i}"), 1.0 - i * 0.05) for i in range(3)]
+    chain.append(build_block(envs[:2], chain[-1]))
+    chain.append(build_block(envs[2:] + [_query_envelope(
+        _record(key_color="blue", qid="q3"), 0.8)], chain[-1]))
+    assert [e.record.response.query_id for e in _effects(chain)] == ["q0", "q1", "q2", "q3"]
+    state = replay_chain(chain)
+    assert state.lookup(_record().key).response.query_id == "q2"
+    assert state.lookup(_record(key_color="blue").key).response.query_id == "q3"
 
 
 def test_recorded_eps_rem_matches_accountant_arithmetic(rng):
-    state = WorldState()
     acct = BudgetAccountant(2.0)
-    for i in range(30):
-        eps = round(float(rng.uniform(0.01, 0.05)), 4)
-        acct.try_spend(eps, f"q{i}", "r")
-        state.record_query(_record(qid=f"q{i}", eps=eps), eps_rem=acct.epsilon_rem)
-    spent = sum(r.epsilon_spent for r in state.query_log)
-    assert state.eps_rem_log[-1] == pytest.approx(acct.epsilon_t - spent, abs=1e-9)
+    chain = [make_genesis("mychannel")]
+    for block in range(3):
+        envs = []
+        for i in range(10 * block, 10 * block + 10):
+            eps = round(float(rng.uniform(0.01, 0.05)), 4)
+            acct.try_spend(eps, f"q{i}", "r")
+            envs.append(_query_envelope(_record(qid=f"q{i}", eps=eps), acct.epsilon_rem))
+        chain.append(build_block(envs, chain[-1]))
+    assert verify_chain(chain)
+    effects = _effects(chain)
+    assert len(effects) == 30
+    spent = sum(e.record.epsilon_spent for e in effects)
+    assert effects[-1].eps_rem == pytest.approx(acct.epsilon_t - spent, abs=1e-9)
 
 
 def test_lookup_returns_most_recent_record():
     state = WorldState()
     first = _record(qid="q0", value=10.0)
     second = _record(qid="q1", value=10.0, reused=True)
-    state.record_query(first, 0.9)
-    state.record_query(second, 0.9)
+    state.record_query(first)
+    state.record_query(second)
     assert state.lookup(first.key) is second
 
 
@@ -226,6 +247,56 @@ def test_replay_is_deterministic_and_matches_incremental():
     assert incremental.serialize() == state_a.serialize()
 
 
+def _mixed_writes():
+    names = ("Bob", " bob", "Claire", "David")
+    return [make_write(names[i % 4], ("bolt", "valve", "gear")[i % 3],
+                       ("red", "blue")[i % 2], 1 + i) for i in range(24)]
+
+
+def test_serialize_is_independent_of_write_order():
+    """A state that saw the writes in one order through block folds and one
+    that saw them reversed through ``apply_write`` encode the same index."""
+    writes = _mixed_writes()
+    chain = [make_genesis("mychannel")]
+    for start in range(0, len(writes), 5):
+        chain.append(build_block([Envelope(tx_id=f"w{i}", tx=tx) for i, tx in
+                                  enumerate(writes[start:start + 5], start)], chain[-1]))
+    folded = replay_chain(chain)
+
+    applied = WorldState()
+    for tx in reversed(writes):
+        applied.apply_write(tx)
+    applied.tx_ids.update(f"w{i}" for i in reversed(range(len(writes))))
+    applied.height = chain[-1].height
+    assert applied.serialize() == folded.serialize()
+
+
+def _bump_cell(state):
+    state._agg[("bob", "bolt", "red")][0] += 1
+
+
+def _newer_answer(state):
+    state.record_query(_record(qid="q1", value=43.0))
+
+
+def _other_tx_id(state):
+    state.tx_ids.discard("w0")
+    state.tx_ids.add("w0x")
+
+
+@pytest.mark.parametrize("change", [_bump_cell, _newer_answer, _other_tx_id],
+                         ids=["cell-count", "latest-answer", "tx-id"])
+def test_serialize_tells_one_changed_datum(change):
+    chain = [make_genesis("mychannel")]
+    chain.append(build_block([Envelope(tx_id=f"w{i}", tx=tx)
+                              for i, tx in enumerate(_mixed_writes())], chain[-1]))
+    chain.append(build_block([_query_envelope(_record(qid="q0"), 0.95)], chain[-1]))
+    state = replay_chain(chain)
+    assert state.serialize() == replay_chain(chain).serialize()
+    change(state)
+    assert state.serialize() != replay_chain(chain).serialize()
+
+
 def test_export_import_round_trip(tmp_path):
     chain = _chain_of(5)
     text = export_transactions(chain, "mychannel")
@@ -236,9 +307,10 @@ def test_export_import_round_trip(tmp_path):
     heights = [h for h, _ in rows]
     assert heights == sorted(heights)
     rebuilt = WorldState()
-    for height, env in rows:
-        rebuilt.apply_write(env.tx, height=height)
-    assert len(rebuilt.records) == 15
+    for _, env in rows:
+        rebuilt.apply_write(env.tx)
+    assert rebuilt.aggregate_cell(None, None, None)[0] == 15
+    assert dict(rebuilt.cells()) == dict(replay_chain(chain).cells())
 
 
 def test_genesis_only_chain_round_trips():

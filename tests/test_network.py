@@ -453,6 +453,15 @@ def test_members_share_no_mutable_cell():
     assert other.serialize() == serialized
 
 
+def _assert_no_answer_committed(net):
+    """No query effect is on any member's chain, and no member's state
+    holds an answer."""
+    for peer in net.peers.values():
+        assert all(env.effect is None
+                   for block in peer.chains["mychannel"] for env in block.envelopes)
+        assert peer.states["mychannel"]._latest == {}
+
+
 @pytest.mark.parametrize("eps_spent,eps_used,reused", [
     (0.0, 0.0, False),
     (0.1, 0.1, True),
@@ -470,7 +479,7 @@ def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
                   channel.members)
     committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
     _assert_audited(net, channel, committed, height)
-    assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
+    _assert_no_answer_committed(net)
 
 
 @pytest.mark.parametrize("tx,with_effect", [
@@ -488,7 +497,7 @@ def test_effect_must_match_envelope_kind(tx, with_effect):
     env = net._collect_endorsements(channel, "x", tx, effect)
     committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
     _assert_audited(net, channel, committed, height)
-    assert all(p.states["mychannel"].query_log == [] for p in net.peers.values())
+    _assert_no_answer_committed(net)
 
 
 def _effect(eps_spent=0.1, eps_used=0.1, reused=False, qid="x0", color="red"):
@@ -603,20 +612,41 @@ def _tracked_per_submission(net, stream):
 def test_tracked_objects_kept_per_transaction():
     """A committed write, a committed fresh query and a cached query each
     leave only their own records: the receipt, the envelope with its
-    endorsements, the committed write or the query's response, record and
-    effect. The budget's event log and the receipts' phases keep none."""
+    endorsements and, for a fresh query, its response, record and effect.
+    The budget's event log, the receipts' phases and the world state keep
+    none: a write is on the chain only."""
     writes = [("loader-app", make_write(quantity=1 + i % 100), None)
               for i in range(1000)]
     queries = [("distributor-a", make_query(Aggregate.SUM, color=f"c{i}"), 0.01)
                for i in range(20)]
     naive = _network(epsilon_t=100.0, reuse_enabled=False)
-    assert _tracked_per_submission(naive, writes) == pytest.approx(6.2, abs=0.3)
+    assert _tracked_per_submission(naive, writes) == pytest.approx(5.2, abs=0.3)
     _tracked_per_submission(naive, queries)  # interns each category's key
     assert _tracked_per_submission(naive, queries * 50) == pytest.approx(8.2, abs=0.3)
     reuse = _network(epsilon_t=100.0)
     _tracked_per_submission(reuse, writes[:100] + queries)
     assert _tracked_per_submission(reuse, queries * 50) == pytest.approx(2.0, abs=0.3)
     assert all(r.status is not ReceiptStatus.REJECTED for r in naive.receipts + reuse.receipts)
+
+
+def test_serialized_state_does_not_grow_with_the_history():
+    """A member's ``serialize()`` encodes the index, not the chain: over
+    1,000 committed writes, and over 200 fresh queries on 5 categories, it
+    grows by at most 80 bytes per committed transaction."""
+    net = _network(epsilon_t=100.0, reuse_enabled=False)
+    state = net.peers[net.channels["mychannel"].members[0]].states["mychannel"]
+    sizes = [len(state.serialize())]
+    for stream in ([("loader-app", make_write(quantity=1 + i % 100), None)
+                    for i in range(1000)],
+                   [("distributor-a", make_query(Aggregate.SUM, color=f"c{i % 5}"), 0.01)
+                    for i in range(200)]):
+        for client, tx, eps_f in stream:
+            net.submit(client, tx, eps_f=eps_f)
+        net.run_until_idle()
+        sizes.append(len(state.serialize()))
+    assert all(r.status is ReceiptStatus.COMMITTED for r in net.receipts)
+    assert (sizes[1] - sizes[0]) / 1000 <= 80
+    assert (sizes[2] - sizes[1]) / 200 <= 80
 
 
 def test_library_leaves_the_garbage_collector_alone():
