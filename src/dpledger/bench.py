@@ -34,7 +34,7 @@ from .adversary import (
 from .budget import allocate_equal
 from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
-from .laplace import laplace_scale, sensitivity
+from .laplace import EPSILON_MIN, laplace_scale, sensitivity
 from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
 from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members
 from .transactions import (
@@ -141,8 +141,15 @@ class WorkloadConfig:
             raise ConfigInvalid("requesters must be non-empty and unique")
         channel_members(DEFAULT_ORGS if self.orgs is None else self.orgs,
                         self.endorsement_policy)
-        if self.epsilon_schedule.kind not in ("equal", "fixed", "uniform", "calibrated"):
-            raise ConfigInvalid(f"unknown epsilon schedule {self.epsilon_schedule.kind!r}")
+        sched = self.epsilon_schedule
+        if sched.kind not in ("equal", "fixed", "uniform", "calibrated"):
+            raise ConfigInvalid(f"unknown epsilon schedule {sched.kind!r}")
+        if sched.kind == "fixed" and sched.value < EPSILON_MIN:
+            raise ConfigInvalid(f"fixed epsilon schedule needs value >= {EPSILON_MIN}, "
+                                f"got {sched.value!r}")
+        if sched.kind in ("uniform", "calibrated") and not EPSILON_MIN <= sched.low <= sched.high:
+            raise ConfigInvalid(f"{sched.kind} epsilon schedule needs {EPSILON_MIN} <= low "
+                                f"<= high, got low={sched.low!r}, high={sched.high!r}")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; tuples stay tuples,
@@ -285,15 +292,6 @@ def _candidate_keys(cfg: WorkloadConfig, state: WorldState) -> List[CategoryKey]
     return [k for k, _ in keys]
 
 
-def _query(predicate: QueryPredicate, aggregate: Aggregate,
-           requester_id: str) -> QueryTransaction:
-    """A query of the supply-ledger statistics chaincode."""
-    return QueryTransaction(
-        contract_id="supply-ledger", contract_version="1.0",
-        contract_function="stat_query", timeout_ms=3000, read_only=True,
-        predicate=predicate, aggregate=aggregate, requester_id=requester_id)
-
-
 def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     """Deterministic transaction schedule: write round, then query round.
 
@@ -308,16 +306,8 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
                                      QUANTITY_MAX - QUANTITY_MIN + 1, len(cfg.customers)),
                                cfg.n_writes)
     writes: List[Tuple[int, WriteTransaction]] = [
-        (i // cfg.write_rate, WriteTransaction(
-            contract_id="supply-ledger",
-            contract_version="1.0",
-            contract_function="record_purchase",
-            timeout_ms=3000,
-            product_name=cfg.products[p],
-            color=cfg.colors[c],
-            quantity=QUANTITY_MIN + q,
-            customer_name=cfg.customers[u],
-        ))
+        (i // cfg.write_rate, WriteTransaction(cfg.products[p], cfg.colors[c],
+                                               QUANTITY_MIN + q, cfg.customers[u]))
         for i, p, c, q, u in zip(range(cfg.n_writes), *columns)
     ]
 
@@ -358,8 +348,8 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
             key = next(fresh_iter)
             repeat_of = None
             emitted.append((i, key))
-        tx = _query(QueryPredicate(key.customer_name, key.product_name, key.color),
-                    key.aggregate, cfg.requesters[i % len(cfg.requesters)])
+        tx = QueryTransaction(QueryPredicate(key.customer_name, key.product_name, key.color),
+                              key.aggregate, cfg.requesters[i % len(cfg.requesters)])
         queries.append(QueryPlan(
             tick=i // cfg.query_rate, tx=tx, eps_f=eps_values[i],
             key=key, repeat_of=repeat_of,
@@ -542,9 +532,7 @@ def performance_scan(cfg: WorkloadConfig, schedule: WorkloadSchedule,
     one drawn for ``cfg``, is re-ticked for each rate."""
     out = []
     for rate in rates:
-        sub = replace(cfg, write_rate=rate, query_rate=rate, rate_sweep=None)
-        sub.validate()
-        res = _execute(sub, _at_rate(schedule, rate), reuse_enabled=True)
+        res = _execute(cfg, _at_rate(schedule, rate), reuse_enabled=True)
         row: dict = {"rate": rate, "elapsed_ticks": res.net.clock}
         for kind in ("write", "query"):
             flow = _flow([r for r in res.net.receipts if r.kind == kind], res.net.clock)
@@ -672,6 +660,13 @@ SCENARIO_NAMES = ("error-150", "budget-155", "throughput-755")
 # ---------------------------------------------------------------------------
 # attack drivers
 
+def _check_counts(**counts: int) -> None:
+    """Raise ``ConfigInvalid`` naming each attack count below 1."""
+    low = [f"{name}={n!r}" for name, n in counts.items() if n < 1]
+    if low:
+        raise ConfigInvalid(f"attack counts must be >= 1: {', '.join(low)}")
+
+
 def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
                        n_trials: int = 10_000, tolerance: float = 5.0,
                        n_writes: int = 200, seed: int = 7) -> dict:
@@ -682,6 +677,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     with noise, the Monte-Carlo success rate is compared with the noise
     CDF at the tolerance.
     """
+    _check_counts(n_trials=n_trials)
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
@@ -693,7 +689,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     target_index = int(rng.integers(len(records)))
     bk = BackgroundKnowledge.from_ledger(records, target_index)
     true_qty = float(records[target_index].quantity)
-    query = _query(QueryPredicate(), Aggregate.SUM, "distributor-a")
+    query = QueryTransaction(QueryPredicate(), Aggregate.SUM, "distributor-a")
 
     if not dp_enabled:
         exact_total = bk.matching_sum(query.predicate) + true_qty
@@ -715,6 +711,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                            repeats: int = 50, epsilon: float = 1.0,
                            n_writes: int = 300, seed: int = 7) -> AttackReport:
     """Send one query set to both channel peers, repeatedly, and average."""
+    _check_counts(categories=categories, repeats=repeats)
     needed = 2 * repeats * categories * epsilon + 1
     cfg = WorkloadConfig(name="attack-composition", n_writes=n_writes, n_queries=0,
                          epsilon_t=needed, seed=seed)
@@ -732,8 +729,9 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     for _ in range(repeats):
         for key in keys:
             for peer_id in peers:
-                tx = _query(QueryPredicate(key.customer_name, key.product_name, key.color),
-                            key.aggregate, "distributor-a")
+                tx = QueryTransaction(
+                    QueryPredicate(key.customer_name, key.product_name, key.color),
+                    key.aggregate, "distributor-a")
                 receipt = net.submit("distributor-a", tx, eps_f=epsilon,
                                      target_peer=peer_id)
                 answers[peer_id].setdefault(key, []).append(receipt.response.value)
@@ -750,12 +748,13 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
                          epsilon: float = 1.0, epsilon_t: Optional[float] = None,
                          n_writes: int = 200, seed: int = 7) -> AttackReport:
     """Repeat one query n times and average the answers."""
+    _check_counts(n=n)
     eps_t = epsilon_t if epsilon_t is not None else n * epsilon + 1
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
-    query = _query(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
-                   "distributor-a")
+    query = QueryTransaction(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
+                             "distributor-a")
     true_value = _committed_state(net).answer(categorize(query))
 
     def ask():

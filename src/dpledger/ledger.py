@@ -24,6 +24,7 @@ from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequ
 
 from .codec import from_json, to_json
 from .errors import DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
+from .laplace import check_epsilon
 from .transactions import (
     Aggregate,
     CategoryKey,
@@ -118,9 +119,9 @@ def follows(block: Block, prev: Block) -> bool:
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
     may: a write or query must be valid, a write must carry no query effect,
-    and a query must carry a fresh, positive-ε effect that answers it: keyed
-    by its category, with its tx id as the query id and a response that
-    states that ε."""
+    and a query must carry a fresh effect that answers it: its ε one the
+    engine could spend (``check_epsilon``), keyed by its category, with its
+    tx id as the query id and a response that states that ε."""
     is_write = isinstance(env.tx, WriteTransaction)
     try:
         (validate_write if is_write else validate_query)(env.tx)
@@ -133,8 +134,10 @@ def _envelope_problem(env: Envelope) -> str:
     rec = env.effect.record
     if rec.response.reused:
         return "query effect carries a reused answer"
-    if not rec.epsilon_spent > 0:
-        return "query effect spends no epsilon"
+    try:
+        check_epsilon(rec.epsilon_spent)
+    except DPLedgerError as err:
+        return f"query effect's {err}"
     if rec.response.epsilon_used != rec.epsilon_spent:
         return "query effect's response epsilon differs from epsilon spent"
     if not rec.key.is_category_of(env.tx):
@@ -295,9 +298,15 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
 
 def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldState:
     """Rebuild world state by folding the whole chain in block order; raises
-    ``ValidationFailure`` as commit would audit, see ``fold_block``."""
+    ``ValidationFailure`` as commit would audit: on a block that does not
+    ``follows`` the one before it, or one that ``fold_block`` rejects."""
     state = WorldState(channel_id=channel_id)
-    for block in chain[1:] if chain and chain[0].height == 0 else chain:
+    for i, block in enumerate(chain):
+        if i == 0 and block.height == 0:
+            continue
+        if i > 0 and not follows(block, chain[i - 1]):
+            raise ValidationFailure(f"block {block.height} does not follow "
+                                    f"block {chain[i - 1].height}")
         apply_block(state, fold_block(block, state.tx_ids))
     return state
 

@@ -25,7 +25,6 @@ from .errors import (
     InvalidQuantity,
     MissingField,
     UnsupportedAggregate,
-    ValidationFailure,
 )
 
 # Bound on items purchased in a single write transaction.
@@ -76,10 +75,6 @@ def _opt_text(s: Optional[str]) -> bytes:
 class WriteTransaction:
     """Purchase record appended to the channel ledger."""
 
-    contract_id: str
-    contract_version: str
-    contract_function: str
-    timeout_ms: int
     product_name: str
     color: str
     quantity: int
@@ -93,10 +88,6 @@ class WriteTransaction:
         if raw is None:
             raw = b"".join((
                 b"W",
-                _text(self.contract_id),
-                _text(self.contract_version),
-                _text(self.contract_function),
-                _i64(self.timeout_ms),
                 _text(self.product_name),
                 _text(self.color),
                 _i64(self.quantity),
@@ -108,8 +99,7 @@ class WriteTransaction:
 
 def validate_write(tx: WriteTransaction) -> None:
     """Reject writes that violate the transaction-body invariants."""
-    for name in ("contract_id", "contract_version", "contract_function",
-                 "product_name", "color", "customer_name"):
+    for name in ("product_name", "color", "customer_name"):
         if not getattr(tx, name):
             raise MissingField(f"write transaction field {name!r} is empty")
     if not isinstance(tx.quantity, int) or not QUANTITY_MIN <= tx.quantity <= QUANTITY_MAX:
@@ -140,11 +130,6 @@ class QueryPredicate:
 class QueryTransaction:
     """Read-only statistical query against a channel ledger."""
 
-    contract_id: str
-    contract_version: str
-    contract_function: str
-    timeout_ms: int
-    read_only: bool
     predicate: QueryPredicate
     aggregate: Aggregate
     requester_id: str
@@ -157,11 +142,6 @@ class QueryTransaction:
         if raw is None:
             raw = b"".join((
                 b"Q",
-                _text(self.contract_id),
-                _text(self.contract_version),
-                _text(self.contract_function),
-                _i64(self.timeout_ms),
-                b"\x01" if self.read_only else b"\x00",
                 self.predicate.canonical_bytes(),
                 _text(self.aggregate.value),
                 _text(self.requester_id),
@@ -173,8 +153,6 @@ class QueryTransaction:
 def validate_query(tx: QueryTransaction) -> None:
     if not isinstance(tx.aggregate, Aggregate):
         raise UnsupportedAggregate(f"unsupported aggregate {tx.aggregate!r}")
-    if not tx.read_only:
-        raise ValidationFailure("query transactions must be read-only")
     if not tx.requester_id:
         raise MissingField("query transaction field 'requester_id' is empty")
 

@@ -12,10 +12,6 @@ from dpledger import (
 
 def make_write(customer="Bob", product="bolt", color="red", quantity=10):
     return WriteTransaction(
-        contract_id="supply-ledger",
-        contract_version="1.0",
-        contract_function="record_purchase",
-        timeout_ms=3000,
         product_name=product,
         color=color,
         quantity=quantity,
@@ -26,11 +22,6 @@ def make_write(customer="Bob", product="bolt", color="red", quantity=10):
 def make_query(aggregate=Aggregate.SUM, customer=None, product=None, color=None,
                requester="distributor-a"):
     return QueryTransaction(
-        contract_id="supply-ledger",
-        contract_version="1.0",
-        contract_function="stat_query",
-        timeout_ms=3000,
-        read_only=True,
         predicate=QueryPredicate(customer, product, color),
         aggregate=aggregate,
         requester_id=requester,

@@ -22,6 +22,7 @@ from dpledger import (
     ChaincodeEngine,
     LaplaceParams,
     WorldState,
+    WriteTransaction,
     build_histogram,
     empirical_dp_ratio,
     laplace_sample,
@@ -277,10 +278,11 @@ def test_criterion_8_flow_integrity_650_transactions():
         block = chain[height]
         env_i = int(gen.integers(len(block.envelopes)))
         env = block.envelopes[env_i]
-        raw = bytearray(env.tx.contract_id.encode())
+        field = "customer_name" if isinstance(env.tx, WriteTransaction) else "requester_id"
+        raw = bytearray(getattr(env.tx, field).encode())
         pos = int(gen.integers(len(raw)))
         raw[pos] ^= 0x01
-        mutated_tx = dataclasses.replace(env.tx, contract_id=raw.decode("latin-1"))
+        mutated_tx = dataclasses.replace(env.tx, **{field: raw.decode("latin-1")})
         mutated_env = dataclasses.replace(env, tx=mutated_tx)
         envelopes = list(block.envelopes)
         envelopes[env_i] = mutated_env

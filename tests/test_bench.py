@@ -137,6 +137,13 @@ def test_config_must_be_a_json_object(doc):
     {"orgs": [["org1", ["p0"]], ["org2", ["p0"]]]},
     {"orgs": [["org1", ["p0", "p0"]]]},
     {"batch_size": 0},
+    # Every query of the run would be rejected, or the draw would fail.
+    {"epsilon_schedule": {"kind": "fixed"}},
+    {"epsilon_schedule": {"kind": "fixed", "value": 1e-9}},
+    {"epsilon_schedule": {"kind": "uniform", "low": 0.0}},
+    {"epsilon_schedule": {"kind": "uniform", "low": 0.2, "high": 0.1}},
+    {"epsilon_schedule": {"kind": "calibrated", "low": 0.2, "high": 0.1,
+                          "fresh_total": 1.0, "repeat_total": 1.0}},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
 def test_config_rejects_badly_shaped_fields(change):
     with pytest.raises(ConfigInvalid):
@@ -512,13 +519,13 @@ _GOLDEN_CFG = dict(n_writes=60, n_queries=10, n_repeats=3, epsilon_t=5.0,
                    rate_sweep=(5, 10), seed=3)
 _GOLDEN_SHA256 = {
     "budget_curve.csv": "5f237c8c19af7bbf7a444428a7aa6dcaa3f3af1fc25947c6a7e5d9945388ff51",
-    "budget_events_naive.csv": "68ea85c9a07c0f2fd37b49b554a74057c1224da701fa234fd069f2db4306f942",
-    "budget_events_reuse.csv": "8f1ab462962d939867c84daadfb29af953601334219ba00e8499ea96ec9610cc",
+    "budget_events_naive.csv": "9c16082ceca5fe322cf2d9fcabdfecf01f6c5da1a84191218eb3790b159700fe",
+    "budget_events_reuse.csv": "4216b213f339c6697e00459491b436b04f4827c39bc8845ec9d691d28e2f4cff",
     "performance.csv": "90abef57f764d0d3518ad29ea95e705321500c5ac14fd2bd8faae9c14d0538bd",
-    "receipts_naive.csv": "12137f2c240f5fd1ce16ce3b29d2184d230b40862fd0afedf9f228f662ce7387",
-    "receipts_reuse.csv": "9938184c3ce856235334a1c5dd55c143a5ee8df890a84582cc510738a8ac3712",
+    "receipts_naive.csv": "a235955470238dfafd526e4be01593ec7b3d3e11ceda497aa6a2e5c07c6a6a27",
+    "receipts_reuse.csv": "5543ff379997fb6a1cc6ae38893fba654369351e5b177b7fb7df6d0002eb2ddf",
     "relative_errors.csv": "b1a69dfc0c26b4eb72ce4c4f9f753d682db01cee65f7c256ec89add90ed5e204",
-    "report.json": "3ca0fd0de15c2002861d7016c817645fa89975f2c0923a22360247ac8caeef35",
+    "report.json": "90875a1a4da1f75c803fdb09ca01845d7bbff06e847c9cc0b0b407ada7b574fb",
     "summary.json": "8d2736491323e29521b35135f5b7ab2c7a0fd0014ca8f5b19fd805ce6938b618",
 }
 
@@ -533,9 +540,9 @@ def test_export_report_golden_digests(tmp_path):
 # ``export_sweep`` writes for error-150 at epsilons 1, 2 and 3: the schedules
 # are drawn once, in bulk, and must give the outputs of numpy's scalar draws.
 _SHIPPED_REPORT_SHA256 = {
-    "error-150": "92031c9a57dea396a480193586f6897e062eb537ef0e938eb0e3d71822b10e30",
-    "budget-155": "b4e4377533f2a9e02c844da019b8dfdddb496462d076c3f1df52f7f2ee176d85",
-    "throughput-755": "48faeda94ca6e96d9f86342a5bdbd2dad8eead26a261e22b6c1dc0b9c4ed9159",
+    "error-150": "f59bb09cce802bfdd7936fd5e70d3a6e5bd208394fb5710fdcb39651c6a9b233",
+    "budget-155": "b4a9dd14bb6770e098db5fdda52796602f138e01a97818d6a013d7d02cd1cac4",
+    "throughput-755": "c0222bd9d259823ac1e060630756ccc184f96a029e3378e5bdf0839af650b9f3",
 }
 _ERROR_150_SWEEP_SHA256 = {
     "sweep.json": "c32afcb48578cf51421dffbfc5a9a98256ac7417c415e699c3eb45d800d784a9",

@@ -71,6 +71,26 @@ def test_linking_attack_rejects_a_mode(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,knobs", [
+    ("linking", {"n_trials": 0}),
+    ("averaging", {"n": 0}),
+    ("composition", {"repeats": 0}),
+    ("composition", {"categories": 0}),
+    ("composition", {"categories": -3, "repeats": 2}),
+], ids=["linking-n_trials", "averaging-n", "composition-repeats",
+        "composition-categories", "composition-negative"])
+def test_attack_count_below_one_is_config_invalid(tmp_path, capsys, kind, knobs):
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps(knobs))
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", kind, "--config", str(config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    bad = next(name for name, n in knobs.items() if n < 1)
+    assert f"{bad}=" in err["message"]
+    assert not out.exists()
+
+
 def test_init_ledger_command(tmp_path):
     out = tmp_path / "ledger"
     assert _run(["init-ledger", "--scenario", "error-150", "--out", str(out)]) == 0

@@ -24,7 +24,7 @@ from dpledger import (
     verify_chain,
 )
 from dpledger.bench import WorkloadConfig, generate_workload
-from dpledger.errors import IoFailure
+from dpledger.errors import IoFailure, ValidationFailure
 from dpledger.ledger import GENESIS_PREV_HASH, apply_block, fold_block
 from dpledger.network import sign_endorsement
 
@@ -163,9 +163,15 @@ def test_altered_prev_hash_detected():
 
 
 def test_reordered_blocks_detected():
+    """A chain with two blocks swapped, or with a block missing, fails the
+    link rule: verify rejects it and replay raises on it."""
     chain = _chain_of(6)
-    chain[3], chain[4] = chain[4], chain[3]
-    assert verify_chain(chain) is False
+    for broken in ([*chain[:2], chain[3], chain[2], *chain[4:]],
+                   [*chain[:3], chain[4], chain[3], *chain[5:]],
+                   [*chain[:2], *chain[3:]]):
+        assert verify_chain(broken) is False
+        with pytest.raises(ValidationFailure, match="does not follow"):
+            replay_chain(broken)
 
 
 def test_genesis_invariants():
@@ -352,6 +358,8 @@ _MALFORMED = {
     "signature-not-hex": lambda h, r: _dump(h, {**r, "endorsements": [
         {"peer_id": "peer0.org1", "signature": "not hex"}]}),
     "unknown-key": lambda h, r: _dump(h, {**r, "note": 1}),
+    # A field that transaction bodies no longer carry is an unknown field too.
+    "tx-contract-id": lambda h, r: _dump(h, _with_tx(r, contract_id="supply-ledger")),
     "header-without-channel": lambda h, r: _dump({"x": 1}, r),
     "header-channel-not-string": lambda h, r: _dump({**h, "channel_id": 5}, r),
     "header-genesis-missing": lambda h, r: _dump(_without(h, "genesis_hash"), r),

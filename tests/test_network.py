@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -160,9 +161,8 @@ def test_query_over_exhausted_budget_rejected_without_ledger_change():
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
 @pytest.mark.parametrize("change,reason", [
-    ({"read_only": False}, "ValidationFailure"),
     ({"requester_id": ""}, "MissingField"),
-], ids=["not-read-only", "no-requester"])
+], ids=["no-requester"])
 def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     net = _network(reuse_enabled=reuse_enabled)
     _load(net)
@@ -513,13 +513,14 @@ def _effect(eps_spent=0.1, eps_used=0.1, reused=False, qid="x0", color="red"):
     ([(make_query(color="red"), _effect(reused=True))], False),
     ([(make_query(color="red"), _effect(eps_used=0.2))], False),
     ([(make_query(color="red"), _effect(0.0, 0.0))], False),
+    ([(make_query(color="red"), _effect(math.inf, math.inf))], False),
+    ([(make_query(color="red"), _effect(1e-9, 1e-9))], False),
     ([(make_query(color="red"), _effect(color="blue"))], False),
     ([(make_query(color="red"), _effect(qid="q"))], False),
-    ([(dataclasses.replace(make_query(color="red"), read_only=False), _effect())], False),
     ([(make_query(color="red", requester=""), _effect())], False),
 ], ids=["clean", "query-without-effect", "write-with-effect", "reused-effect",
-        "epsilon-mismatch", "zero-epsilon", "effect-for-another-query",
-        "query-id-of-another-tx", "query-not-read-only", "query-without-requester"])
+        "epsilon-mismatch", "zero-epsilon", "infinite-epsilon", "below-epsilon-min",
+        "effect-for-another-query", "query-id-of-another-tx", "query-without-requester"])
 def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
     """An endorsed block that commit audits is one that replay raises on and
     verify rejects; a block that commit appends, both accept."""

@@ -42,19 +42,11 @@ def test_canonical_bytes_stable_and_distinct():
 
 
 def test_write_validation_covers_every_string_field():
-    for field in ("contract_id", "contract_version", "contract_function",
-                  "product_name", "color", "customer_name"):
+    for field in ("product_name", "color", "customer_name"):
         tx = make_write()
         broken = dataclasses.replace(tx, **{field: ""})
         with pytest.raises(MissingField):
             validate_write(broken)
-
-
-def test_query_must_be_read_only():
-    q = make_query()
-    broken = dataclasses.replace(q, read_only=False)
-    with pytest.raises(Exception):
-        validate_query(broken)
 
 
 def test_query_requires_supported_aggregate():
@@ -132,22 +124,20 @@ def test_golden_encodings():
                                                   for p in ("peer0.org1", "peer0.org2")))
     for _ in range(2):  # computed, then kept
         assert _sha256(write.canonical_bytes()) == (
-            "2b258fe7d85404a983e99e7ab18a2032a6fc18c97740c09449c6df295fd5ae9d")
+            "f231b68f41badf87368d79966d2bd23c5ecbe6b09554f4b70fee739b2dcb218b")
         assert _sha256(query.canonical_bytes()) == (
-            "032a5fc72bf2bb848a9b586635d7458a700dba5e732ebe39ed68c7e0af1ebea5")
+            "fde2370e2be931efdc2188562a98b36381ded4abf9dfa3ea79af29c5ddccd327")
     assert _sha256(qenv.payload_bytes()) == (
-        "c5c6cdb98d332d6aec91cfc1babaf949d122a5276e46d214675150610265690a")
+        "ccb81a60a7c391405c66b67ecdbb756a244a466794538f4312f35082741a2807")
     block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
     assert block_hash.hex() == (
-        "f13c8cecbb7f3c56e5bac7bab186a3ac90986e15faa25df51bee5e431c75a5e6")
+        "2ce5da111158ee0d1a7a73730d21552508c3dd42ddfc2ae32b7f15574338e144")
 
 
-_COMMON = [("contract_id", "other"), ("contract_version", "2.0"),
-           ("contract_function", "other"), ("timeout_ms", 1)]
-_WRITE = _COMMON + [("product_name", "nut"), ("color", "blue"), ("quantity", 11),
-                    ("customer_name", "Alice")]
-_QUERY = _COMMON + [("read_only", False), ("predicate", QueryPredicate("Bob", "bolt")),
-                    ("aggregate", Aggregate.COUNT), ("requester_id", "other")]
+_WRITE = [("product_name", "nut"), ("color", "blue"), ("quantity", 11),
+          ("customer_name", "Alice")]
+_QUERY = [("predicate", QueryPredicate("Bob", "bolt")), ("aggregate", Aggregate.COUNT),
+          ("requester_id", "other")]
 
 
 @pytest.mark.parametrize("body,field,value", [
