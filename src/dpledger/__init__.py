@@ -31,7 +31,6 @@ from .transactions import (
     Envelope,
     PerturbedResponse,
     QueryEffect,
-    QueryPredicate,
     QueryRecord,
     QueryTransaction,
     WriteTransaction,
@@ -67,7 +66,7 @@ from .ledger import (
     replay_chain,
     verify_chain,
 )
-from .chaincode import ChaincodeEngine, categorize, evaluate_exact
+from .chaincode import ChaincodeEngine, evaluate_exact
 from .network import (
     Channel,
     Network,

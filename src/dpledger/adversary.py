@@ -49,8 +49,8 @@ class BackgroundKnowledge:
             target=(target_tx.customer_name, target_tx.product_name, target_tx.color),
         )
 
-    def matching_sum(self, predicate) -> float:
-        """Quantity total of known records matching the predicate.
+    def matching_sum(self, key: CategoryKey) -> float:
+        """The exact answer to ``key``, a SUM, over the known records.
 
         Read from a world state folded from the known records on first use.
         """
@@ -58,9 +58,7 @@ class BackgroundKnowledge:
             self._fold = WorldState()
             for tx in self.known_records:
                 self._fold.apply_write(tx)
-        pred = predicate.normalized()
-        return self._fold.answer(CategoryKey(Aggregate.SUM, pred.customer_name,
-                                             pred.product_name, pred.color))
+        return self._fold.answer(key)
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,9 @@ def _epsilon_observed(responses: Sequence) -> float:
 
 
 def _covers_target(query: QueryTransaction, target: Tuple[str, str, str]) -> bool:
-    pred = query.predicate.normalized()
+    key = query.key
     tgt = tuple(normalize(v) for v in target)
-    for want, have in zip((pred.customer_name, pred.product_name, pred.color), tgt):
+    for want, have in zip((key.customer_name, key.product_name, key.color), tgt):
         if want is not None and want != have:
             return False
     return True
@@ -121,10 +119,10 @@ def linking_attack(query: QueryTransaction, responses: Sequence,
         raise PredicateMismatch("no responses to attack")
     if not _covers_target(query, bk.target):
         raise PredicateMismatch(
-            f"query predicate does not cover the target {bk.target!r}"
+            f"query category does not cover the target {bk.target!r}"
         )
     values = _response_values(responses)
-    estimate = statistics.fmean(values) - bk.matching_sum(query.predicate)
+    estimate = statistics.fmean(values) - bk.matching_sum(query.key)
     return AttackReport.build(
         kind="linking",
         estimate=estimate,
@@ -145,7 +143,7 @@ def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
     one answer; the returned rate should match the noise CDF at the
     tolerance, 1 - exp(-tolerance / scale).
     """
-    exact_total = bk.matching_sum(query.predicate) + float(true_quantity)
+    exact_total = bk.matching_sum(query.key) + float(true_quantity)
     successes = 0
     sample: List[AttackReport] = []
     for i in range(n_trials):
@@ -213,8 +211,7 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
     )
 
 
-def repeated_query_averaging(ask: Callable[[], PerturbedResponse],
-                             query: QueryTransaction, n: int, true_value: float,
+def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int, true_value: float,
                              tolerance: float = DEFAULT_TOLERANCE) -> AttackReport:
     """Issue the same query n times and average whatever comes back.
 

@@ -32,17 +32,15 @@ from .adversary import (
     repeated_query_averaging,
 )
 from .budget import allocate_equal
-from .chaincode import categorize
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import EPSILON_MIN, laplace_scale, sensitivity
 from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
-from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members
+from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members, check_batching
 from .transactions import (
     QUANTITY_MAX,
     QUANTITY_MIN,
     Aggregate,
     CategoryKey,
-    QueryPredicate,
     QueryTransaction,
     WriteTransaction,
 )
@@ -50,6 +48,12 @@ from .transactions import (
 # Grid step for generated epsilon values; float sums of grid multiples
 # this small are exact up to budgets far beyond any scenario here.
 EPS_UNIT = 2.0 ** -20
+
+
+def _units(value: float) -> int:
+    """``value`` in grid steps, rounded to the nearest."""
+    return round(value / EPS_UNIT)
+
 
 DEFAULT_CUSTOMERS = ("Bob", "Claire", "David", "Ali", "Alice")
 DEFAULT_PRODUCTS = (
@@ -129,8 +133,6 @@ class WorkloadConfig:
             raise ConfigInvalid("rate_sweep entries must be positive")
         if self.epsilon_t <= 0:
             raise ConfigInvalid("epsilon_t must be positive")
-        if self.batch_size < 1:
-            raise ConfigInvalid("batch_size must be >= 1")
         if not self.customers or not self.products or not self.colors:
             raise ConfigInvalid("customers, products, and colors must be non-empty")
         blank = [name for name in (*self.customers, *self.products, *self.colors,
@@ -141,15 +143,20 @@ class WorkloadConfig:
             raise ConfigInvalid("requesters must be non-empty and unique")
         channel_members(DEFAULT_ORGS if self.orgs is None else self.orgs,
                         self.endorsement_policy)
+        check_batching(self.batch_size, self.batch_timeout)
         sched = self.epsilon_schedule
         if sched.kind not in ("equal", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {sched.kind!r}")
         if sched.kind == "fixed" and sched.value < EPSILON_MIN:
             raise ConfigInvalid(f"fixed epsilon schedule needs value >= {EPSILON_MIN}, "
                                 f"got {sched.value!r}")
-        if sched.kind in ("uniform", "calibrated") and not EPSILON_MIN <= sched.low <= sched.high:
-            raise ConfigInvalid(f"{sched.kind} epsilon schedule needs {EPSILON_MIN} <= low "
-                                f"<= high, got low={sched.low!r}, high={sched.high!r}")
+        if sched.kind in ("uniform", "calibrated"):
+            # The bounds as the draws see them: rounded to the grid.
+            low, high = _units(sched.low) * EPS_UNIT, _units(sched.high) * EPS_UNIT
+            if not EPSILON_MIN <= low <= high:
+                raise ConfigInvalid(
+                    f"{sched.kind} epsilon schedule needs {EPSILON_MIN} <= low <= high on "
+                    f"the 2**-20 grid, got low={sched.low!r}, high={sched.high!r}")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; tuples stay tuples,
@@ -170,7 +177,8 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """One scheduled query with its budget allocation and repeat linkage."""
+    """One scheduled query with its budget allocation and repeat linkage;
+    ``key`` is the object ``tx.key``."""
 
     tick: int
     tx: QueryTransaction
@@ -256,17 +264,17 @@ def _epsilon_values(cfg: WorkloadConfig, rng: np.random.Generator,
         return [share] * n
     if sched.kind == "fixed":
         return [float(sched.value)] * n
-    lo_u = round(sched.low / EPS_UNIT)
-    hi_u = round(sched.high / EPS_UNIT)
+    lo_u = _units(sched.low)
+    hi_u = _units(sched.high)
     if sched.kind == "uniform":
         return [int(u) * EPS_UNIT for u in rng.integers(lo_u, hi_u + 1, size=n)]
     # calibrated: fresh and repeated queries hit separate exact totals
     fresh_idx = [i for i in range(n) if i not in repeat_slots]
     rep_idx = [i for i in range(n) if i in repeat_slots]
     fresh_units = _fit_units(rng, len(fresh_idx), lo_u, hi_u,
-                             round(sched.fresh_total / EPS_UNIT))
+                             _units(sched.fresh_total))
     rep_units = _fit_units(rng, len(rep_idx), lo_u, hi_u,
-                           round(sched.repeat_total / EPS_UNIT)) if rep_idx else []
+                           _units(sched.repeat_total)) if rep_idx else []
     values = [0.0] * n
     for i, u in zip(fresh_idx, fresh_units):
         values[i] = u * EPS_UNIT
@@ -348,8 +356,7 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
             key = next(fresh_iter)
             repeat_of = None
             emitted.append((i, key))
-        tx = QueryTransaction(QueryPredicate(key.customer_name, key.product_name, key.color),
-                              key.aggregate, cfg.requesters[i % len(cfg.requesters)])
+        tx = QueryTransaction(key, cfg.requesters[i % len(cfg.requesters)])
         queries.append(QueryPlan(
             tick=i // cfg.query_rate, tx=tx, eps_f=eps_values[i],
             key=key, repeat_of=repeat_of,
@@ -678,6 +685,8 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     CDF at the tolerance.
     """
     _check_counts(n_trials=n_trials)
+    if not tolerance >= 0:
+        raise ConfigInvalid(f"attack tolerance must be >= 0: tolerance={tolerance!r}")
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
@@ -689,10 +698,10 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     target_index = int(rng.integers(len(records)))
     bk = BackgroundKnowledge.from_ledger(records, target_index)
     true_qty = float(records[target_index].quantity)
-    query = QueryTransaction(QueryPredicate(), Aggregate.SUM, "distributor-a")
+    query = QueryTransaction(CategoryKey(Aggregate.SUM), "distributor-a")
 
     if not dp_enabled:
-        exact_total = bk.matching_sum(query.predicate) + true_qty
+        exact_total = bk.matching_sum(query.key) + true_qty
         report = linking_attack(query, [exact_total], bk, true_qty, tolerance)
         return {"report": report, "success_rate": 1.0 if report.success else 0.0,
                 "expected_rate": 1.0, "n_trials": 1}
@@ -726,12 +735,10 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
 
     answers: Dict[str, Dict[CategoryKey, List[float]]] = {p: {} for p in peers}
     observed = 0.0
+    queries = [(key, QueryTransaction(key, "distributor-a")) for key in keys]
     for _ in range(repeats):
-        for key in keys:
+        for key, tx in queries:
             for peer_id in peers:
-                tx = QueryTransaction(
-                    QueryPredicate(key.customer_name, key.product_name, key.color),
-                    key.aggregate, "distributor-a")
                 receipt = net.submit("distributor-a", tx, eps_f=epsilon,
                                      target_peer=peer_id)
                 answers[peer_id].setdefault(key, []).append(receipt.response.value)
@@ -753,9 +760,8 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
-    query = QueryTransaction(QueryPredicate(customer_name=cfg.customers[0]), Aggregate.SUM,
-                             "distributor-a")
-    true_value = _committed_state(net).answer(categorize(query))
+    query = QueryTransaction(CategoryKey.of(Aggregate.SUM, cfg.customers[0]), "distributor-a")
+    true_value = _committed_state(net).answer(query.key)
 
     def ask():
         receipt = net.submit("distributor-a", query, eps_f=epsilon)
@@ -763,7 +769,7 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
             raise BudgetExhausted(receipt.reject_reason)
         return receipt.response
 
-    report = repeated_query_averaging(ask, query, n, true_value)
+    report = repeated_query_averaging(ask, n, true_value)
     net.run_until_idle()
     return report
 

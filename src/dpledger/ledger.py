@@ -140,7 +140,7 @@ def _envelope_problem(env: Envelope) -> str:
         return f"query effect's {err}"
     if rec.response.epsilon_used != rec.epsilon_spent:
         return "query effect's response epsilon differs from epsilon spent"
-    if not rec.key.is_category_of(env.tx):
+    if rec.key is not env.tx.key and rec.key != env.tx.key:
         return "query effect is keyed for another query"
     if rec.response.query_id != env.tx_id:
         return "query effect's query id differs from its tx id"

@@ -1,13 +1,14 @@
-"""Transaction bodies, query predicates, category keys, and canonical encodings.
+"""Transaction bodies, category keys, and canonical encodings.
 
 A channel ledger records two transaction kinds: purchase writes and
-read-only statistical queries (COUNT/SUM over the write attributes).
+read-only statistical queries (COUNT/SUM over the write attributes). A
+query body is its category key plus its requester.
 Canonical encodings are length-prefixed and field-ordered so that every
 hash derived from them is reproducible across platforms and runs. A
 transaction body or category key encodes itself once: ``canonical_bytes()``
 is computed on first use and kept on the frozen object, so the tx id and
 the envelope's payload digest read the same bytes, and a key shared by
-many query effects is encoded once. Payload digests and endorsement
+many queries and their effects is encoded once. Payload digests and endorsement
 signatures stay raw 32-byte values in memory; only exports write them as
 hex. The JSON form of every record here is read from its field annotations
 by ``codec``; the two transaction bodies carry the tag ``json_kind``.
@@ -25,6 +26,7 @@ from .errors import (
     InvalidQuantity,
     MissingField,
     UnsupportedAggregate,
+    ValidationFailure,
 )
 
 # Bound on items purchased in a single write transaction.
@@ -45,7 +47,7 @@ def normalize(value: str) -> str:
 
 
 def _normalize_filter(value: Optional[str]) -> Optional[str]:
-    """A predicate attribute in canonical form; None, the wildcard, stays None."""
+    """A query attribute in canonical form; None, the wildcard, stays None."""
     return None if value is None else normalize(value)
 
 
@@ -108,72 +110,31 @@ def validate_write(tx: WriteTransaction) -> None:
         )
 
 
-@dataclass(frozen=True)
-class QueryPredicate:
-    """Attribute filter for a query; None selects every value of that attribute."""
-
-    customer_name: Optional[str] = None
-    product_name: Optional[str] = None
-    color: Optional[str] = None
-
-    def normalized(self) -> "QueryPredicate":
-        return QueryPredicate(_normalize_filter(self.customer_name),
-                              _normalize_filter(self.product_name),
-                              _normalize_filter(self.color))
-
-    def canonical_bytes(self) -> bytes:
-        return (b"P" + _opt_text(self.customer_name)
-                + _opt_text(self.product_name) + _opt_text(self.color))
-
-
-@dataclass(frozen=True)
-class QueryTransaction:
-    """Read-only statistical query against a channel ledger."""
-
-    predicate: QueryPredicate
-    aggregate: Aggregate
-    requester_id: str
-    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
-    json_kind = "query"
-    _canonical = None
-
-    def canonical_bytes(self) -> bytes:
-        raw = self._canonical
-        if raw is None:
-            raw = b"".join((
-                b"Q",
-                self.predicate.canonical_bytes(),
-                _text(self.aggregate.value),
-                _text(self.requester_id),
-            ))
-            object.__setattr__(self, "_canonical", raw)
-        return raw
-
-
-def validate_query(tx: QueryTransaction) -> None:
-    if not isinstance(tx.aggregate, Aggregate):
-        raise UnsupportedAggregate(f"unsupported aggregate {tx.aggregate!r}")
-    if not tx.requester_id:
-        raise MissingField("query transaction field 'requester_id' is empty")
-
-
 # ---------------------------------------------------------------------------
-# query categorization and responses
+# query categories and query bodies
 
 @dataclass(frozen=True)
 class CategoryKey:
     """Cache identity of a query: aggregate plus normalized attribute tuple.
 
     Two queries share a key only when the aggregate and every attribute
-    match exactly after normalization; absent attributes stay None.
+    match exactly after normalization; None, the wildcard, selects every
+    value of its attribute. ``of`` builds a key from caller input.
     """
 
     aggregate: Aggregate
-    customer_name: Optional[str]
-    product_name: Optional[str]
-    color: Optional[str]
+    customer_name: Optional[str] = None
+    product_name: Optional[str] = None
+    color: Optional[str] = None
     # Not a field (no annotation): set on first use of canonical_bytes.
     _canonical = None
+
+    @classmethod
+    def of(cls, aggregate: Aggregate, customer_name: Optional[str] = None,
+           product_name: Optional[str] = None, color: Optional[str] = None) -> "CategoryKey":
+        """The key with each given attribute trimmed and case-folded."""
+        return cls(aggregate, _normalize_filter(customer_name),
+                   _normalize_filter(product_name), _normalize_filter(color))
 
     def canonical_bytes(self) -> bytes:
         raw = self._canonical
@@ -185,15 +146,6 @@ class CategoryKey:
             object.__setattr__(self, "_canonical", raw)
         return raw
 
-    def is_category_of(self, q: QueryTransaction) -> bool:
-        """True iff this key is ``q``'s category, as ``chaincode.categorize``
-        builds it; compared field by field, so that no key is built."""
-        pred = q.predicate
-        return (self.aggregate is q.aggregate
-                and self.customer_name == _normalize_filter(pred.customer_name)
-                and self.product_name == _normalize_filter(pred.product_name)
-                and self.color == _normalize_filter(pred.color))
-
     def label(self) -> str:
         parts = [self.aggregate.value]
         for name, value in (("customer", self.customer_name),
@@ -202,6 +154,41 @@ class CategoryKey:
             parts.append(f"{name}={'*' if value is None else value}")
         return " ".join(parts)
 
+
+@dataclass(frozen=True)
+class QueryTransaction:
+    """Read-only statistical query against a channel ledger: the body is
+    the query's category and its requester."""
+
+    key: CategoryKey
+    requester_id: str
+    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
+    json_kind = "query"
+    _canonical = None
+
+    def canonical_bytes(self) -> bytes:
+        raw = self._canonical
+        if raw is None:
+            raw = b"Q" + self.key.canonical_bytes() + _text(self.requester_id)
+            object.__setattr__(self, "_canonical", raw)
+        return raw
+
+
+def validate_query(tx: QueryTransaction) -> None:
+    """Reject a query whose aggregate is unsupported, whose requester is
+    empty or whose key holds an attribute not in normalized form."""
+    key = tx.key
+    if not isinstance(key.aggregate, Aggregate):
+        raise UnsupportedAggregate(f"unsupported aggregate {key.aggregate!r}")
+    if not tx.requester_id:
+        raise MissingField("query transaction field 'requester_id' is empty")
+    for value in (key.customer_name, key.product_name, key.color):
+        if value is not None and value != normalize(value):
+            raise ValidationFailure(f"query attribute {value!r} is not normalized")
+
+
+# ---------------------------------------------------------------------------
+# query responses and the query log
 
 @dataclass(frozen=True)
 class PerturbedResponse:

@@ -3,7 +3,7 @@ import pytest
 
 from dpledger import (
     Aggregate,
-    QueryPredicate,
+    CategoryKey,
     QueryTransaction,
     WorldState,
     WriteTransaction,
@@ -21,11 +21,7 @@ def make_write(customer="Bob", product="bolt", color="red", quantity=10):
 
 def make_query(aggregate=Aggregate.SUM, customer=None, product=None, color=None,
                requester="distributor-a"):
-    return QueryTransaction(
-        predicate=QueryPredicate(customer, product, color),
-        aggregate=aggregate,
-        requester_id=requester,
-    )
+    return QueryTransaction(CategoryKey.of(aggregate, customer, product, color), requester)
 
 
 @pytest.fixture

@@ -153,16 +153,14 @@ def _asker(values):
 
 
 def test_averaging_mean_and_counts():
-    report = repeated_query_averaging(_asker([10.0, 12.0, 14.0]),
-                                      make_query(Aggregate.SUM), 3, 12.0)
+    report = repeated_query_averaging(_asker([10.0, 12.0, 14.0]), 3, 12.0)
     assert report.estimate == 12.0
     assert report.queries_consumed == 3
     assert report.details["distinct_values"] == 3
 
 
 def test_averaging_truncates_on_budget_exhaustion():
-    report = repeated_query_averaging(_asker([10.0, 12.0, None]),
-                                      make_query(Aggregate.SUM), 10, 11.0)
+    report = repeated_query_averaging(_asker([10.0, 12.0, None]), 10, 11.0)
     assert report.queries_consumed == 2
     assert report.details["truncated_by_budget"] is True
 

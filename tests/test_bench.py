@@ -137,6 +137,7 @@ def test_config_must_be_a_json_object(doc):
     {"orgs": [["org1", ["p0"]], ["org2", ["p0"]]]},
     {"orgs": [["org1", ["p0", "p0"]]]},
     {"batch_size": 0},
+    {"batch_timeout": -1},
     # Every query of the run would be rejected, or the draw would fail.
     {"epsilon_schedule": {"kind": "fixed"}},
     {"epsilon_schedule": {"kind": "fixed", "value": 1e-9}},
@@ -144,6 +145,8 @@ def test_config_must_be_a_json_object(doc):
     {"epsilon_schedule": {"kind": "uniform", "low": 0.2, "high": 0.1}},
     {"epsilon_schedule": {"kind": "calibrated", "low": 0.2, "high": 0.1,
                           "fresh_total": 1.0, "repeat_total": 1.0}},
+    # Bounds at EPSILON_MIN that round below it on the 2**-20 grid.
+    {"epsilon_schedule": {"kind": "uniform", "low": 1e-6, "high": 1e-6}},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
 def test_config_rejects_badly_shaped_fields(change):
     with pytest.raises(ConfigInvalid):
@@ -519,13 +522,13 @@ _GOLDEN_CFG = dict(n_writes=60, n_queries=10, n_repeats=3, epsilon_t=5.0,
                    rate_sweep=(5, 10), seed=3)
 _GOLDEN_SHA256 = {
     "budget_curve.csv": "5f237c8c19af7bbf7a444428a7aa6dcaa3f3af1fc25947c6a7e5d9945388ff51",
-    "budget_events_naive.csv": "9c16082ceca5fe322cf2d9fcabdfecf01f6c5da1a84191218eb3790b159700fe",
-    "budget_events_reuse.csv": "4216b213f339c6697e00459491b436b04f4827c39bc8845ec9d691d28e2f4cff",
+    "budget_events_naive.csv": "41dfa5563c1d4f9651df70deaac7030ab62413774b71dbd9692e7966c87710a9",
+    "budget_events_reuse.csv": "34e1bdf935d1b6a5972b50dde0d4d81ad5b3f5acc2860461d8f11cd4237e8818",
     "performance.csv": "90abef57f764d0d3518ad29ea95e705321500c5ac14fd2bd8faae9c14d0538bd",
-    "receipts_naive.csv": "a235955470238dfafd526e4be01593ec7b3d3e11ceda497aa6a2e5c07c6a6a27",
-    "receipts_reuse.csv": "5543ff379997fb6a1cc6ae38893fba654369351e5b177b7fb7df6d0002eb2ddf",
+    "receipts_naive.csv": "069429ef84c4468d4d0604c6c7dbbf00d7195cfa09fc8ecf50a5cb874b754e28",
+    "receipts_reuse.csv": "d2a398a4e323983d669c536932d178d827a633f2fbcab799618d2902d9e26507",
     "relative_errors.csv": "b1a69dfc0c26b4eb72ce4c4f9f753d682db01cee65f7c256ec89add90ed5e204",
-    "report.json": "90875a1a4da1f75c803fdb09ca01845d7bbff06e847c9cc0b0b407ada7b574fb",
+    "report.json": "fb379348ddf3c5ac854ac0cfc303cbaf30616a6c245c40d77a89723bae0adedb",
     "summary.json": "8d2736491323e29521b35135f5b7ab2c7a0fd0014ca8f5b19fd805ce6938b618",
 }
 
@@ -540,9 +543,9 @@ def test_export_report_golden_digests(tmp_path):
 # ``export_sweep`` writes for error-150 at epsilons 1, 2 and 3: the schedules
 # are drawn once, in bulk, and must give the outputs of numpy's scalar draws.
 _SHIPPED_REPORT_SHA256 = {
-    "error-150": "f59bb09cce802bfdd7936fd5e70d3a6e5bd208394fb5710fdcb39651c6a9b233",
-    "budget-155": "b4a9dd14bb6770e098db5fdda52796602f138e01a97818d6a013d7d02cd1cac4",
-    "throughput-755": "c0222bd9d259823ac1e060630756ccc184f96a029e3378e5bdf0839af650b9f3",
+    "error-150": "96f0a01b88175bb84a8cc254e98e974a7c0655dd62cccbe7adbc5060fc3f7542",
+    "budget-155": "7f9a48851bf551700a1290a01cc4ad5ef8da4ea88ca8c574e42cb16a19989d35",
+    "throughput-755": "6f99881b48c708a73e578d59794db8532eb9c66a447c22f6142e35840d25fb9c",
 }
 _ERROR_150_SWEEP_SHA256 = {
     "sweep.json": "c32afcb48578cf51421dffbfc5a9a98256ac7417c415e699c3eb45d800d784a9",

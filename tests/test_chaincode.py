@@ -11,8 +11,8 @@ from dpledger import (
     NonPositiveEpsilon,
     UnsupportedAggregate,
     WorldState,
-    categorize,
     evaluate_exact,
+    validate_query,
 )
 from dpledger.bench import WorkloadConfig, generate_workload
 
@@ -21,37 +21,37 @@ from test_laplace import FixedUniformRng
 
 
 # ---------------------------------------------------------------------------
-# categorization
+# category keys
 
 def test_normalization_merges_case_and_whitespace():
-    a = categorize(make_query(Aggregate.SUM, color="red"))
-    b = categorize(make_query(Aggregate.SUM, color=" RED "))
+    a = make_query(Aggregate.SUM, color="red").key
+    b = make_query(Aggregate.SUM, color=" RED ").key
     assert a == b
 
 
 def test_different_attribute_values_are_different_categories():
-    red = categorize(make_query(Aggregate.SUM, color="red"))
-    blue = categorize(make_query(Aggregate.SUM, color="blue"))
+    red = make_query(Aggregate.SUM, color="red").key
+    blue = make_query(Aggregate.SUM, color="blue").key
     assert red != blue
 
 
 def test_aggregate_is_part_of_the_key():
-    count = categorize(make_query(Aggregate.COUNT, customer="Bob"))
-    total = categorize(make_query(Aggregate.SUM, customer="Bob"))
+    count = make_query(Aggregate.COUNT, customer="Bob").key
+    total = make_query(Aggregate.SUM, customer="Bob").key
     assert count != total
 
 
 def test_absent_and_present_attributes_differ():
-    narrow = categorize(make_query(Aggregate.SUM, customer="Bob", color="red"))
-    wide = categorize(make_query(Aggregate.SUM, customer="Bob"))
+    narrow = make_query(Aggregate.SUM, customer="Bob", color="red").key
+    wide = make_query(Aggregate.SUM, customer="Bob").key
     assert narrow != wide
 
 
 def test_unsupported_aggregate_rejected():
     q = make_query(Aggregate.SUM)
-    bad = dataclasses.replace(q, aggregate="AVERAGE")
+    bad = dataclasses.replace(q, key=dataclasses.replace(q.key, aggregate="AVERAGE"))
     with pytest.raises(UnsupportedAggregate):
-        categorize(bad)
+        validate_query(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def _setup(epsilon_t=10.0, **engine_kwargs):
 
 
 def test_lookup_on_empty_log_returns_none(small_state):
-    key = categorize(make_query(Aggregate.SUM))
+    key = make_query(Aggregate.SUM).key
     assert small_state.lookup(key) is None
 
 
@@ -127,11 +127,11 @@ def test_probe_of_unasked_key_spends_nothing(rng):
     state, acct, engine = _setup()
     for i in range(5):
         engine.answer_query(make_query(Aggregate.SUM, color=f"color{i}"),
-                            state, acct, 0.1, rng)
+                            state, acct, 0.1, rng, query_id=f"q{i}")
     before = acct.accumulated()
-    # Engine-generated query ids stay distinct although nothing commits.
-    assert len({e.query_id for e in acct.events}) == 5
-    assert state.lookup(categorize(make_query(Aggregate.COUNT))) is None
+    # Five distinct categories: each one missed the cache.
+    assert engine.noise_draws == 5
+    assert state.lookup(make_query(Aggregate.COUNT).key) is None
     assert acct.accumulated() == before
 
 
@@ -139,7 +139,7 @@ def test_exhausted_query_leaves_log_unchanged(rng):
     state, acct, engine = _setup(epsilon_t=0.05)
     q = make_query(Aggregate.SUM)
     with pytest.raises(BudgetExhausted):
-        engine.answer_query(q, state, acct, 0.12, rng)
+        engine.answer_query(q, state, acct, 0.12, rng, query_id="q0")
     assert state._latest == {}
     assert acct.epsilon_rem == 0.05
 
@@ -152,7 +152,7 @@ def test_fresh_noise_of_two_gives_502():
     engine = ChaincodeEngine()
     u = 1.0 - math.exp(-2.0 / 100.0) / 2.0
     resp = engine.answer_query(make_query(Aggregate.SUM), state, acct, 1.0,
-                               FixedUniformRng([u]))
+                               FixedUniformRng([u]), query_id="q0")
     assert resp.value == pytest.approx(502.0, abs=1e-9)
     assert resp.epsilon_used == 1.0
     assert acct.epsilon_rem == 9.0
@@ -170,8 +170,7 @@ def test_reuse_determinism_across_random_sequences(rng):
     for i in range(200):
         q = queries[int(rng.integers(len(queries)))]
         resp = engine.answer_query(q, state, acct, 0.2, rng, query_id=f"q{i}")
-        key = categorize(q)
-        seen.setdefault(key, set()).add(resp.value)
+        seen.setdefault(q.key, set()).add(resp.value)
     assert all(len(values) == 1 for values in seen.values())
     assert acct.accumulated() == pytest.approx(0.2 * len(seen))
 
@@ -197,22 +196,17 @@ def test_instrumentation_counts_probes_and_evaluations(rng):
     assert engine.noise_draws == 2
 
 
-def test_equal_queries_share_one_interned_key(rng):
+def test_record_key_is_the_query_key(rng):
     state, acct, engine = _setup(reuse_enabled=False)
     a = make_query(Aggregate.SUM, customer="Bob", color="red")
-    b = make_query(Aggregate.SUM, customer="Bob", color="red")
-    assert a == b and a is not b
-    key = engine.category(a)
-    assert engine.category(b) is key
-    assert key == categorize(a)
+    b = make_query(Aggregate.SUM, customer=" BOB ", color="Red")
+    assert a == b and a.key is not b.key
     records = []
-    for q in (a, b):
-        engine.answer_query(q, state, acct, 0.5, rng)
+    for i, q in enumerate((a, b)):
+        engine.answer_query(q, state, acct, 0.5, rng, query_id=f"q{i}")
         records.append(engine.last_record)
-    assert records[0].key is records[1].key is key
-    assert records[0].key.canonical_bytes() is records[1].key.canonical_bytes()
-    # A different shape of the same category gets its own, equal key.
-    assert engine.category(make_query(Aggregate.SUM, customer=" BOB ", color="Red")) == key
+    # The chaincode builds no key: each record holds its query's own.
+    assert records[0].key is a.key and records[1].key is b.key
 
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
@@ -222,10 +216,10 @@ def test_bad_epsilon_is_rejected_before_any_spend_or_reuse(reuse_enabled, eps_f,
     state, _, engine = _setup(reuse_enabled=reuse_enabled)
     q = make_query(Aggregate.SUM, color="red")
     # A valid twin is already answered; with reuse on its category is a cache hit.
-    engine.answer_query(q, state, BudgetAccountant(10.0), 0.2, rng)
+    engine.answer_query(q, state, BudgetAccountant(10.0), 0.2, rng, query_id="q0")
     pending = dict(engine.pending)
     acct = BudgetAccountant(10.0)
     with pytest.raises(NonPositiveEpsilon):
-        engine.answer_query(q, state, acct, eps_f, rng)
+        engine.answer_query(q, state, acct, eps_f, rng, query_id="q1")
     assert acct.events == []
     assert engine.pending == pending

@@ -91,6 +91,17 @@ def test_attack_count_below_one_is_config_invalid(tmp_path, capsys, kind, knobs)
     assert not out.exists()
 
 
+def test_linking_attack_negative_tolerance_is_config_invalid(tmp_path, capsys):
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps({"tolerance": -1}))
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", "linking", "--config", str(config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert "tolerance=-1" in err["message"]
+    assert not out.exists()
+
+
 def test_init_ledger_command(tmp_path):
     out = tmp_path / "ledger"
     assert _run(["init-ledger", "--scenario", "error-150", "--out", str(out)]) == 0

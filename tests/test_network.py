@@ -19,6 +19,7 @@ from dpledger import (
     PerturbedResponse,
     QueryEffect,
     QueryRecord,
+    QueryTransaction,
     ReceiptStatus,
     SoloOrderer,
     build_block,
@@ -162,7 +163,8 @@ def test_query_over_exhausted_budget_rejected_without_ledger_change():
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
 @pytest.mark.parametrize("change,reason", [
     ({"requester_id": ""}, "MissingField"),
-], ids=["no-requester"])
+    ({"key": CategoryKey(Aggregate.SUM, None, None, " Red")}, "ValidationFailure"),
+], ids=["no-requester", "unnormalized-key"])
 def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     net = _network(reuse_enabled=reuse_enabled)
     _load(net)
@@ -518,9 +520,12 @@ def _effect(eps_spent=0.1, eps_used=0.1, reused=False, qid="x0", color="red"):
     ([(make_query(color="red"), _effect(color="blue"))], False),
     ([(make_query(color="red"), _effect(qid="q"))], False),
     ([(make_query(color="red", requester=""), _effect())], False),
+    ([(QueryTransaction(CategoryKey(Aggregate.SUM, None, None, " Red"), "distributor-a"),
+       _effect(color=" Red"))], False),
 ], ids=["clean", "query-without-effect", "write-with-effect", "reused-effect",
         "epsilon-mismatch", "zero-epsilon", "infinite-epsilon", "below-epsilon-min",
-        "effect-for-another-query", "query-id-of-another-tx", "query-without-requester"])
+        "effect-for-another-query", "query-id-of-another-tx", "query-without-requester",
+        "unnormalized-key"])
 def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
     """An endorsed block that commit audits is one that replay raises on and
     verify rejects; a block that commit appends, both accept."""
@@ -622,7 +627,6 @@ def test_tracked_objects_kept_per_transaction():
                for i in range(20)]
     naive = _network(epsilon_t=100.0, reuse_enabled=False)
     assert _tracked_per_submission(naive, writes) == pytest.approx(5.2, abs=0.3)
-    _tracked_per_submission(naive, queries)  # interns each category's key
     assert _tracked_per_submission(naive, queries * 50) == pytest.approx(8.2, abs=0.3)
     reuse = _network(epsilon_t=100.0)
     _tracked_per_submission(reuse, writes[:100] + queries)

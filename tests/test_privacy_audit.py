@@ -145,7 +145,7 @@ def _ledgers():
 
 def _thresholds(q, d, d2):
     a, a2 = evaluate_exact(q, d), evaluate_exact(q, d2)
-    assert a2 - a == (QUANTITY_MAX if q.aggregate is Aggregate.SUM else 1)
+    assert a2 - a == (QUANTITY_MAX if q.key.aggregate is Aggregate.SUM else 1)
     return [(a + a2) / 2.0 + step * (a2 - a) / 4.0 for step in STEPS]
 
 
@@ -156,7 +156,7 @@ def _single_answers(q, state, seed):
     answers, charged = np.empty(N), set()
     for i in range(N):
         acct = BudgetAccountant(EPSILON)
-        answers[i] = engine.answer_query(q, state, acct, EPSILON, rng).value
+        answers[i] = engine.answer_query(q, state, acct, EPSILON, rng, query_id=f"q{i}").value
         charged.add(acct.accumulated())
     return answers, charged
 
@@ -170,8 +170,8 @@ def _pair_means(q, state, seed, reuse_enabled=True):
     for i in range(N):
         engine = ChaincodeEngine(reuse_enabled=reuse_enabled)
         acct = BudgetAccountant(2 * EPSILON)
-        first = engine.answer_query(q, state, acct, EPSILON, rng).value
-        second = engine.answer_query(q, state, acct, EPSILON, rng).value
+        first = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q0").value
+        second = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q1").value
         means[i] = (first + second) / 2.0
         charged.add(acct.accumulated())
     return means, charged

@@ -12,8 +12,8 @@ from dpledger import (
     MissingField,
     PerturbedResponse,
     QueryEffect,
-    QueryPredicate,
     QueryRecord,
+    QueryTransaction,
     UnsupportedAggregate,
     make_genesis,
     normalize,
@@ -21,7 +21,7 @@ from dpledger import (
     validate_write,
 )
 from dpledger.codec import from_json, to_json
-from dpledger.errors import IoFailure
+from dpledger.errors import IoFailure, ValidationFailure
 from dpledger.ledger import compute_block_hash
 from dpledger.network import sign_endorsement
 
@@ -51,17 +51,24 @@ def test_write_validation_covers_every_string_field():
 
 def test_query_requires_supported_aggregate():
     q = make_query()
-    broken = dataclasses.replace(q, aggregate="MEDIAN")
+    broken = dataclasses.replace(q, key=dataclasses.replace(q.key, aggregate="MEDIAN"))
     with pytest.raises(UnsupportedAggregate):
         validate_query(broken)
 
 
-def test_predicate_normalization_is_fieldwise():
-    pred = QueryPredicate(customer_name=" Bob ", color="RED")
-    norm = pred.normalized()
-    assert norm.customer_name == "bob"
-    assert norm.product_name is None
-    assert norm.color == "red"
+def test_category_key_of_normalizes_fieldwise():
+    key = CategoryKey.of(Aggregate.SUM, customer_name=" Bob ", color="RED")
+    assert key == CategoryKey(Aggregate.SUM, "bob", None, "red")
+    validate_query(QueryTransaction(key, "distributor-a"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("customer_name", " bob"), ("product_name", "Bolt"), ("color", "RED "),
+], ids=["customer_name", "product_name", "color"])
+def test_query_key_must_be_normalized(field, value):
+    key = dataclasses.replace(CategoryKey(Aggregate.SUM), **{field: value})
+    with pytest.raises(ValidationFailure, match="not normalized"):
+        validate_query(QueryTransaction(key, "distributor-a"))
 
 
 def test_envelope_dict_round_trip():
@@ -77,14 +84,20 @@ def test_envelope_dict_round_trip():
                     (Endorsement("peer0.org1", bytes(range(32))),
                      Endorsement("peer0.org2", bytes(32))))
     row = json.loads(json.dumps(to_json(full)))
-    # A predicate writes only the attributes it filters on; nulls still read.
-    assert row["tx"]["predicate"] == {"customer_name": "Bob", "color": "red"}
+    # A key writes only the attributes it filters on; nulls still read.
+    assert row["tx"]["key"] == {"aggregate": "SUM", "customer_name": "bob", "color": "red"}
     again = from_json(Envelope, row, IoFailure)
     assert again == full
-    row["tx"]["predicate"]["product_name"] = None
+    row["tx"]["key"]["product_name"] = None
     assert from_json(Envelope, row, IoFailure) == full
     assert again.payload_digest == full.payload_digest
     assert again.canonical_bytes() == full.canonical_bytes()
+    # A query row in the form before the body was its key does not read back.
+    old = {**row["tx"], "predicate": {"customer_name": "Bob", "color": "red"},
+           "aggregate": "SUM"}
+    del old["key"]
+    with pytest.raises(IoFailure, match="unknown"):
+        from_json(Envelope, {**row, "tx": old}, IoFailure)
 
 
 def test_envelope_payload_digest_comes_from_its_own_fields():
@@ -126,24 +139,25 @@ def test_golden_encodings():
         assert _sha256(write.canonical_bytes()) == (
             "f231b68f41badf87368d79966d2bd23c5ecbe6b09554f4b70fee739b2dcb218b")
         assert _sha256(query.canonical_bytes()) == (
-            "fde2370e2be931efdc2188562a98b36381ded4abf9dfa3ea79af29c5ddccd327")
+            "ec0ed5e3f8256a60ec31e0089e6b96747f9152046d551377e4613568020b2fb1")
     assert _sha256(qenv.payload_bytes()) == (
-        "ccb81a60a7c391405c66b67ecdbb756a244a466794538f4312f35082741a2807")
+        "244b00a7b861c180d3c6b172f9b768924aa17a007819fea7372aae6651a923ab")
     block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
     assert block_hash.hex() == (
-        "2ce5da111158ee0d1a7a73730d21552508c3dd42ddfc2ae32b7f15574338e144")
+        "c8ae42f71d16ac10478a00cd1cc80baa39757361b50f72adca18f1f3f91016ae")
 
 
 _WRITE = [("product_name", "nut"), ("color", "blue"), ("quantity", 11),
           ("customer_name", "Alice")]
-_QUERY = [("predicate", QueryPredicate("Bob", "bolt")), ("aggregate", Aggregate.COUNT),
-          ("requester_id", "other")]
+_QUERY = [("key", CategoryKey(Aggregate.SUM, "bob", "bolt"), "key-attributes"),
+          ("key", CategoryKey(Aggregate.COUNT, "bob"), "key-aggregate"),
+          ("requester_id", "other", "requester_id")]
 
 
 @pytest.mark.parametrize("body,field,value", [
     *[pytest.param(make_write(), f, v, id=f"write-{f}") for f, v in _WRITE],
-    *[pytest.param(make_query(Aggregate.SUM, customer="Bob"), f, v, id=f"query-{f}")
-      for f, v in _QUERY],
+    *[pytest.param(make_query(Aggregate.SUM, customer="Bob"), f, v, id=f"query-{name}")
+      for f, v, name in _QUERY],
 ])
 def test_kept_encoding_belongs_to_its_own_object(body, field, value):
     kept = body.canonical_bytes()
