@@ -10,8 +10,8 @@ so no subtraction ever needs to round, and the trap would raise if one
 did. Floats appear only at the API surface.
 
 ``exact`` is the public rational view of the same decimal value;
-``allocate_equal`` uses it. It is memoized: the ε values of a run repeat (a fixed
-schedule has one), so each is parsed once.
+``allocate_equal`` uses it. Both views are memoized: the ε values of a run
+repeat (a fixed schedule has one), so each is parsed once.
 
 The event log is kept as columns, not as one record per event: a run logs
 an event per query, and columns add no object for the garbage collector
@@ -40,8 +40,10 @@ def exact(value: float) -> Fraction:
     return Fraction(str(float(value)))
 
 
+@functools.lru_cache(maxsize=4096)
 def _decimal(value: float) -> Decimal:
-    """The same decimal value as ``exact(value)``, as a ``Decimal``."""
+    """The same decimal value as ``exact(value)``, as a ``Decimal``; memoized
+    like ``exact``."""
     return Decimal(repr(float(value)))
 
 

@@ -59,8 +59,8 @@ class ChaincodeEngine:
                      rng: np.random.Generator, *, query_id: str) -> PerturbedResponse:
         """Serve one query: reuse a recorded answer or perturb a fresh one.
 
-        ``q`` must have passed ``validate_query`` (``Network`` checks it at
-        endorsement); ``query_id`` is its tx id. ``state`` is only read.
+        ``q`` must have passed ``validate_query`` (``Network.submit`` checks it
+        first); ``query_id`` is its tx id. ``state`` is only read.
         A pending answer is preferred to a committed one, and a reuse is
         recorded by the accountant alone. ``eps_f`` is checked first, so a
         bad ε is neither spent nor logged as a reuse.

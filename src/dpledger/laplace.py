@@ -13,11 +13,13 @@ P[out_x in S] <= exp(epsilon) * P[out_y in S] on neighboring inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import conforms
 from .errors import IncompatibleBinning, NonPositiveEpsilon, NonPositiveSensitivity
 from .transactions import QUANTITY_MAX, Aggregate
 
@@ -56,14 +58,19 @@ def sensitivity(aggregate: Aggregate) -> float:
 
 
 def check_epsilon(epsilon: float) -> None:
-    if not math.isfinite(epsilon) or epsilon < EPSILON_MIN:
+    """Raise ``NonPositiveEpsilon`` unless ``epsilon`` is a finite real (a
+    bool is not one, as in ``codec``) of at least ``EPSILON_MIN``."""
+    if (not (type(epsilon) is float or conforms(epsilon, float))
+            or not math.isfinite(epsilon) or epsilon < EPSILON_MIN):
         raise NonPositiveEpsilon(
             f"epsilon must be >= {EPSILON_MIN} and finite, got {epsilon!r}"
         )
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def laplace_scale(epsilon: float, delta_f: float) -> float:
-    """Noise scale for a given budget and sensitivity: delta_f / epsilon."""
+    """Noise scale for a given budget and sensitivity: delta_f / epsilon.
+    Memoized: a run draws many answers at each of a few ε values."""
     check_epsilon(epsilon)
     if not math.isfinite(delta_f) or delta_f <= 0:
         raise NonPositiveSensitivity(f"sensitivity must be positive, got {delta_f!r}")

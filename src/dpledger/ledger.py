@@ -41,6 +41,9 @@ from .transactions import (
 CHANNEL_ID = "mychannel"
 GENESIS_PREV_HASH = bytes(32)
 
+_u32 = struct.Struct(">I").pack
+_i64 = struct.Struct(">q").pack
+
 
 def _add_write(cells: dict, tx: WriteTransaction) -> None:
     """Count ``tx`` in each of the eight aggregation cells it falls in: one
@@ -79,12 +82,11 @@ def compute_block_hash(height: int, prev_hash: bytes,
                        envelopes: Sequence[Envelope]) -> bytes:
     """SHA-256 over the height, the previous hash and each envelope's
     block-level encoding (its payload digest plus its endorsements)."""
-    body = b"B" + struct.pack(">q", height) + prev_hash
-    body += struct.pack(">I", len(envelopes))
+    parts = [b"B", _i64(height), prev_hash, _u32(len(envelopes))]
     for env in envelopes:
         raw = env.canonical_bytes()
-        body += struct.pack(">I", len(raw)) + raw
-    return _sha256(body)
+        parts += (_u32(len(raw)), raw)
+    return _sha256(b"".join(parts))
 
 
 def make_genesis(channel_id: str) -> Block:

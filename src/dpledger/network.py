@@ -21,21 +21,26 @@ its epsilon stays spent. The peer that executes a query produces the
 effect envelope; other members countersign its digest without
 re-executing, which keeps endorsement deterministic under fresh noise.
 
-Each envelope's payload digest (SHA-256 over its tx id, body and query
-effect) is computed once and kept as raw bytes: endorsers sign it,
-committers check signatures against it, and the block hash binds the
-height, the previous hash, and each envelope's payload digest plus its
-endorsements. An endorsement is only (peer id, signature), both raw in
-memory: the signature binds that peer to the digest of the envelope
-carrying it, so it verifies on no other payload. Each member signs a
-proposal once and the endorsed envelope is built once. A block commits
-only if every envelope has endorsements from enough distinct channel
-members, the one rule checked here, and the block keeps the rules of
-``ledger``: it ``follows`` the chain head, and ``fold_block`` checks
-each envelope's content and that its tx id is not yet on the chain,
-normalizes each write and sums it into one per-block cell delta. Every
-member applies that one fold; an invalid block goes to audit and no
-member changes.
+``submit`` validates a body before anything encodes it, so a malformed
+body or ε gets a rejected receipt naming its error type and never raises.
+The body keeps the verdict, so commit's content rule does not run the
+full check again. Each envelope's payload digest (SHA-256 over its tx id,
+body and query effect) is computed once and kept as raw bytes: endorsers
+sign it, committers check signatures against it, and the block hash binds
+the height, the previous hash, and each envelope's payload digest plus
+its endorsements. An endorsement is only (peer id, signature), both raw
+in memory: the signature binds that peer to the digest of the envelope
+carrying it, so it verifies on no other payload. Each member id is
+encoded once, each member signs a proposal once and the endorsed
+envelope is built once. A block commits only if every envelope has
+endorsements from enough distinct channel members, the one rule checked
+here. The check of an envelope stops once the policy's count is met: at
+policy 1, an envelope whose first endorsement is valid costs one
+signature. The block also keeps the rules of ``ledger``: it ``follows``
+the chain head, and ``fold_block`` checks each envelope's content and
+that its tx id is not yet on the chain, normalizes each write and sums
+it into one per-block cell delta. Every member applies that one fold; an
+invalid block goes to audit and no member changes.
 """
 
 from __future__ import annotations
@@ -80,17 +85,22 @@ from .transactions import (
 DEFAULT_ORGS = (("org1", ("peer0.org1",)), ("org2", ("peer0.org2",)))
 
 
-def _signature(peer_id: str, payload_digest: bytes) -> bytes:
-    return hashlib.sha256(peer_id.encode("utf-8") + payload_digest).digest()
+# The tx id's preimage starts with the channel id.
+_TX_ID_PREFIX = CHANNEL_ID.encode("utf-8")
+
+
+def _signature(peer_key: bytes, payload_digest: bytes) -> bytes:
+    """The signature of the peer whose UTF-8 encoded id is ``peer_key``."""
+    return hashlib.sha256(peer_key + payload_digest).digest()
 
 
 def sign_endorsement(peer_id: str, payload_digest: bytes) -> Endorsement:
-    return Endorsement(peer_id, _signature(peer_id, payload_digest))
+    return Endorsement(peer_id, _signature(peer_id.encode("utf-8"), payload_digest))
 
 
 def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     """True iff ``end`` signs ``payload_digest``, the carrying envelope's."""
-    return end.signature == _signature(end.peer_id, payload_digest)
+    return end.signature == _signature(end.peer_id.encode("utf-8"), payload_digest)
 
 
 def channel_members(orgs, endorsement_policy: int) -> List[str]:
@@ -177,11 +187,34 @@ class Channel:
     def __init__(self, members: Sequence[str], endorsement_policy: int,
                  epsilon_t: float, engine: ChaincodeEngine):
         self.members = list(members)
+        # Each member id, encoded once for signing and checking.
+        self.member_keys: Dict[str, bytes] = {m: m.encode("utf-8") for m in self.members}
         self.endorsement_policy = endorsement_policy
         self.chain: List[Block] = [make_genesis(CHANNEL_ID)]
         self.engine = engine
         self.accountant = BudgetAccountant(epsilon_t)
         self.audit: List[Block] = []
+
+    def sign(self, payload_digest: bytes) -> Tuple[Endorsement, ...]:
+        """Every member's endorsement of ``payload_digest``, in member order."""
+        return tuple([Endorsement(m, _signature(key, payload_digest))
+                      for m, key in self.member_keys.items()])
+
+    def meets_policy(self, env: Envelope) -> bool:
+        """True iff ``env`` carries valid endorsements from at least
+        ``endorsement_policy`` distinct members. Checking stops at that
+        count: an endorsement that is invalid, from a non-member or from a
+        member already counted never counts, so the verdict is the same."""
+        keys, digest, need = self.member_keys, env.payload_digest, self.endorsement_policy
+        counted: Set[str] = set()
+        for peer_id, signature in env.endorsements:
+            key = keys.get(peer_id)
+            if (key is not None and peer_id not in counted
+                    and signature == _signature(key, digest)):
+                counted.add(peer_id)
+                if len(counted) == need:
+                    return True
+        return False
 
 
 class SoloOrderer:
@@ -244,20 +277,16 @@ class Network:
     def _collect_endorsements(self, channel: Channel, tx_id: str, tx: Transaction,
                               effect: Optional[QueryEffect] = None) -> Envelope:
         """The envelope endorsed once by every channel member."""
-        members = channel.members
-        return Envelope.endorsed(
-            tx_id, tx, effect,
-            lambda digest: tuple(sign_endorsement(m, digest) for m in members))
+        return Envelope.endorsed(tx_id, tx, effect, channel.sign)
 
     def _endorse_tx(self, channel: Channel, tx: Transaction, tx_id: str,
                     eps_f: Optional[float],
                     target_peer: Optional[str]):
-        """Run phase 2. Returns (envelope or None, response or None)."""
+        """Run phase 2 on a body that ``submit`` has validated. Returns
+        (envelope or None, response or None)."""
         if isinstance(tx, WriteTransaction):
-            validate_write(tx)
             return self._collect_endorsements(channel, tx_id, tx), None
 
-        validate_query(tx)
         executor_id = target_peer if target_peer is not None else channel.members[0]
         if executor_id not in channel.members:
             raise NotMember(f"{executor_id} is not a member of {CHANNEL_ID}")
@@ -280,13 +309,28 @@ class Network:
     def submit(self, client_id: str, tx: Transaction, *,
                eps_f: Optional[float] = None,
                target_peer: Optional[str] = None) -> TransactionReceipt:
+        """Run phases 1-3 for ``tx`` and return its receipt; a body that fails
+        validation is rejected at endorsement, never raised.
+
+        The body is validated before anything encodes it, and the result is
+        kept on it. The tx id is the SHA-256 hex digest of the channel id,
+        the 8-byte submission number and the body's canonical bytes; a body
+        that fails validation is never encoded, and its tx id hashes the
+        channel id and the submission number alone.
+        """
         channel = self.channels[CHANNEL_ID]
         self._submit_seq += 1
-        kind = "write" if isinstance(tx, WriteTransaction) else "query"
+        is_write = isinstance(tx, WriteTransaction)
+        try:
+            (validate_write if is_write else validate_query)(tx)
+        except DPLedgerError as err:
+            invalid, body = err, b""
+        else:
+            invalid, body = None, tx.canonical_bytes()
         tx_id = hashlib.sha256(
-            CHANNEL_ID.encode() + self._submit_seq.to_bytes(8, "big") + tx.canonical_bytes()
-        ).hexdigest()
-        receipt = TransactionReceipt(tx_id=tx_id, kind=kind, submit_tick=self.clock)
+            _TX_ID_PREFIX + self._submit_seq.to_bytes(8, "big") + body).hexdigest()
+        receipt = TransactionReceipt(tx_id=tx_id, kind="write" if is_write else "query",
+                                     submit_tick=self.clock)
         self.receipts.append(receipt)
         self._receipts_by_id[tx_id] = receipt
 
@@ -296,6 +340,8 @@ class Network:
                                 NotAuthorized.__name__)
 
         # Phase 2: endorsement (queries execute the privacy module here).
+        if invalid is not None:
+            return self._reject(receipt, "endorsement", str(invalid), type(invalid).__name__)
         try:
             envelope, response = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
         except DPLedgerError as err:
@@ -344,14 +390,8 @@ class Network:
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
         """Check the endorsements, then ``follows`` and ``fold_block``; append
         the block on every member and return True, or audit it and return False."""
-        problems: List[str] = []
-        members = set(channel.members)
-        for env in block.envelopes:
-            digest = env.payload_digest
-            endorsers = {e.peer_id for e in env.endorsements
-                         if e.peer_id in members and endorsement_valid(e, digest)}
-            if len(endorsers) < channel.endorsement_policy:
-                problems.append(f"{env.tx_id}: endorsement policy not met")
+        problems = [f"{env.tx_id}: endorsement policy not met"
+                    for env in block.envelopes if not channel.meets_policy(env)]
 
         fold = None
         if not problems and follows(block, channel.chain[-1]):

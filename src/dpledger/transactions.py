@@ -8,14 +8,32 @@ hash derived from them is reproducible across platforms and runs. A
 transaction body or category key encodes itself once: ``canonical_bytes()``
 is computed on first use and kept on the frozen object, so the tx id and
 the envelope's payload digest read the same bytes, and a key shared by
-many queries and their effects is encoded once. Payload digests and endorsement
-signatures stay raw 32-byte values in memory; only exports write them as
-hex. The JSON form of every record here is read from its field annotations
-by ``codec``; the two transaction bodies carry the tag ``json_kind``.
+many queries and their effects is encoded once. A category key's hash is
+that of its kept encoding.
+
+A body is validated once as well, and the verdict shares the encoding's
+attribute, ``_canonical``: it is None until the body's validator
+(``validate_write`` or ``validate_query``) passes it, then ``_CHECKED``
+until the body is encoded, then the encoding. So endorsement and commit
+do not both run the full check, and only a validated body keeps its
+encoding. A body that fails is never kept and is encoded afresh on each
+call; only forged or malformed input does that. One attribute holds both
+because CPython 3.11 keeps just one attribute set after construction in
+an object's inline values when the objects were built in bulk (as
+``generate_workload`` builds writes); a second one gives each object a
+dict of its own, about 270 bytes per write. Each kept value lives on its
+own object only: ``dataclasses.replace``, ``codec.from_json`` and direct
+construction start without it.
+
+Payload digests and endorsement signatures stay raw 32-byte values in
+memory; only exports write them as hex. The JSON form of every record here
+is read from its field annotations by ``codec``; the two transaction
+bodies carry the tag ``json_kind``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -23,6 +41,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
+    DPLedgerError,
     InvalidQuantity,
     MissingField,
     UnsupportedAggregate,
@@ -57,6 +76,9 @@ def _normalize_filter(value: Optional[str]) -> Optional[str]:
 _u32 = struct.Struct(">I").pack
 _i64 = struct.Struct(">q").pack
 _f64 = struct.Struct(">d").pack
+# A query effect's fields between its key and its query id: ε spent, the
+# response tag, the noisy value, ε used, the reuse flag, the query id's length.
+_effect_middle = struct.Struct(">dcdd?I").pack
 
 
 def _text(s: str) -> bytes:
@@ -70,6 +92,30 @@ def _opt_text(s: Optional[str]) -> bytes:
     return b"\x01" + _text(s)
 
 
+# A body's ``_canonical`` once its validator has passed it and before it is
+# encoded; no encoding is empty.
+_CHECKED = b""
+
+
+def _kept_encoding(tx: "Transaction", validate: Callable[["Transaction"], None]) -> bytes:
+    """The encoding of ``tx``, a body not yet encoded: kept if ``validate``
+    passes it, else encoded without being kept."""
+    try:
+        validate(tx)
+    except DPLedgerError:
+        return tx._encode()
+    raw = tx._encode()
+    object.__setattr__(tx, "_canonical", raw)
+    return raw
+
+
+@functools.lru_cache(maxsize=1024)
+def _endorsement_head(peer_id: str, signature_len: int) -> bytes:
+    """An endorsement's encoding before its signature: the peer id, then the
+    signature's length. A channel has few members, so each is encoded once."""
+    return _text(peer_id) + _u32(signature_len)
+
+
 # ---------------------------------------------------------------------------
 # transaction bodies
 
@@ -81,33 +127,44 @@ class WriteTransaction:
     color: str
     quantity: int
     customer_name: str
-    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
+    # Not fields (no annotation): the JSON tag; the verdict, then the
+    # encoding (see the module docstring).
     json_kind = "write"
     _canonical = None
 
     def canonical_bytes(self) -> bytes:
         raw = self._canonical
-        if raw is None:
-            raw = b"".join((
-                b"W",
-                _text(self.product_name),
-                _text(self.color),
-                _i64(self.quantity),
-                _text(self.customer_name),
-            ))
-            object.__setattr__(self, "_canonical", raw)
-        return raw
+        return raw if raw else _kept_encoding(self, validate_write)
+
+    def _encode(self) -> bytes:
+        return b"".join((
+            b"W",
+            _text(self.product_name),
+            _text(self.color),
+            _i64(self.quantity),
+            _text(self.customer_name),
+        ))
 
 
 def validate_write(tx: WriteTransaction) -> None:
-    """Reject writes that violate the transaction-body invariants."""
+    """Reject writes that violate the transaction-body invariants: every
+    string field is a non-empty string, and the quantity is an int (a bool
+    is not one, as in ``codec``) in [QUANTITY_MIN, QUANTITY_MAX]. Success
+    is kept on ``tx``, so a second call returns at once."""
+    if tx._canonical is not None:
+        return
     for name in ("product_name", "color", "customer_name"):
-        if not getattr(tx, name):
+        value = getattr(tx, name)
+        if not value:
             raise MissingField(f"write transaction field {name!r} is empty")
-    if not isinstance(tx.quantity, int) or not QUANTITY_MIN <= tx.quantity <= QUANTITY_MAX:
+        if not isinstance(value, str):
+            raise ValidationFailure(f"write transaction field {name!r} is not a string")
+    qty = tx.quantity
+    if type(qty) is not int or not QUANTITY_MIN <= qty <= QUANTITY_MAX:
         raise InvalidQuantity(
-            f"quantity {tx.quantity!r} outside [{QUANTITY_MIN}, {QUANTITY_MAX}]"
+            f"quantity {qty!r} is not an int in [{QUANTITY_MIN}, {QUANTITY_MAX}]"
         )
+    object.__setattr__(tx, "_canonical", _CHECKED)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +177,11 @@ class CategoryKey:
     Two queries share a key only when the aggregate and every attribute
     match exactly after normalization; None, the wildcard, selects every
     value of its attribute. ``of`` builds a key from caller input.
+
+    A key's hash is the hash of its kept encoding, which holds the
+    aggregate's value and the attributes; the bytes object caches it. A
+    pickle holds the encoding's bytes, not their hash, so a key read back
+    in another process, where hashes differ, hashes afresh.
     """
 
     aggregate: Aggregate
@@ -128,6 +190,10 @@ class CategoryKey:
     color: Optional[str] = None
     # Not a field (no annotation): set on first use of canonical_bytes.
     _canonical = None
+
+    def __hash__(self) -> int:
+        raw = self._canonical
+        return hash(self.canonical_bytes() if raw is None else raw)
 
     @classmethod
     def of(cls, aggregate: Aggregate, customer_name: Optional[str] = None,
@@ -162,29 +228,39 @@ class QueryTransaction:
 
     key: CategoryKey
     requester_id: str
-    # Not fields (no annotation): the JSON tag; the encoding, set on first use.
+    # Not fields (no annotation): the JSON tag; the verdict, then the
+    # encoding (see the module docstring).
     json_kind = "query"
     _canonical = None
 
     def canonical_bytes(self) -> bytes:
         raw = self._canonical
-        if raw is None:
-            raw = b"Q" + self.key.canonical_bytes() + _text(self.requester_id)
-            object.__setattr__(self, "_canonical", raw)
-        return raw
+        return raw if raw else _kept_encoding(self, validate_query)
+
+    def _encode(self) -> bytes:
+        return b"Q" + self.key.canonical_bytes() + _text(self.requester_id)
 
 
 def validate_query(tx: QueryTransaction) -> None:
-    """Reject a query whose aggregate is unsupported, whose requester is
-    empty or whose key holds an attribute not in normalized form."""
+    """Reject a query whose key is not a ``CategoryKey``, whose aggregate is
+    unsupported, whose requester is not a non-empty string or whose key
+    holds an attribute that is not None or a normalized string. Success is
+    kept on ``tx``, so a second call returns at once."""
+    if tx._canonical is not None:
+        return
     key = tx.key
+    if not isinstance(key, CategoryKey):
+        raise ValidationFailure(f"query key {key!r} is not a CategoryKey")
     if not isinstance(key.aggregate, Aggregate):
         raise UnsupportedAggregate(f"unsupported aggregate {key.aggregate!r}")
     if not tx.requester_id:
         raise MissingField("query transaction field 'requester_id' is empty")
+    if not isinstance(tx.requester_id, str):
+        raise ValidationFailure("query transaction field 'requester_id' is not a string")
     for value in (key.customer_name, key.product_name, key.color):
-        if value is not None and value != normalize(value):
+        if value is not None and (not isinstance(value, str) or value != normalize(value)):
             raise ValidationFailure(f"query attribute {value!r} is not normalized")
+    object.__setattr__(tx, "_canonical", _CHECKED)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +275,6 @@ class PerturbedResponse:
     reused: bool
     query_id: str
 
-    def canonical_bytes(self) -> bytes:
-        return (b"R" + _f64(self.value) + _f64(self.epsilon_used)
-                + (b"\x01" if self.reused else b"\x00") + _text(self.query_id))
-
 
 @dataclass(frozen=True)
 class QueryRecord:
@@ -212,10 +284,6 @@ class QueryRecord:
     key: CategoryKey
     epsilon_spent: float
     response: PerturbedResponse
-
-    def canonical_bytes(self) -> bytes:
-        return (b"L" + self.key.canonical_bytes() + _f64(self.epsilon_spent)
-                + self.response.canonical_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +306,17 @@ class QueryEffect:
     eps_rem: float
 
     def canonical_bytes(self) -> bytes:
-        return b"E" + self.record.canonical_bytes() + _f64(self.eps_rem)
+        """``E``, then the record: ``L``, its key's kept encoding and ε
+        spent; then the response: ``R``, the value, ε used, the reuse flag
+        and the length-prefixed query id; then ε left. Built in one pass."""
+        rec = self.record
+        resp = rec.response
+        query_id = resp.query_id.encode("utf-8")
+        return b"".join((
+            b"EL", rec.key.canonical_bytes(),
+            _effect_middle(rec.epsilon_spent, b"R", resp.value, resp.epsilon_used,
+                           resp.reused, len(query_id)),
+            query_id, _f64(self.eps_rem)))
 
 
 Transaction = Union[WriteTransaction, QueryTransaction]
@@ -275,10 +353,9 @@ class Envelope:
         return env
 
     def payload_bytes(self) -> bytes:
-        body = _text(self.tx_id) + self.tx.canonical_bytes()
-        if self.effect is not None:
-            body += self.effect.canonical_bytes()
-        return body
+        effect = self.effect
+        return b"".join((_text(self.tx_id), self.tx.canonical_bytes(),
+                         b"" if effect is None else effect.canonical_bytes()))
 
     @property
     def payload_digest(self) -> bytes:
@@ -291,7 +368,7 @@ class Envelope:
     def canonical_bytes(self) -> bytes:
         """Block-level encoding: the 32-byte payload digest, then each
         endorsement's peer id and length-prefixed raw signature."""
-        body = self.payload_digest
+        parts = [self.payload_digest]
         for peer_id, signature in self.endorsements:
-            body += _text(peer_id) + _u32(len(signature)) + signature
-        return body
+            parts += (_endorsement_head(peer_id, len(signature)), signature)
+        return b"".join(parts)

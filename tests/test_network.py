@@ -29,9 +29,12 @@ from dpledger import (
     replay_chain,
     verify_chain,
 )
-from dpledger.errors import ValidationFailure
-from dpledger.ledger import compute_block_hash
+from dpledger import transactions
+from dpledger.codec import from_json, to_json
+from dpledger.errors import IoFailure, ValidationFailure
+from dpledger.ledger import compute_block_hash, fold_block
 from dpledger.network import endorsement_valid, sign_endorsement
+from dpledger.transactions import Endorsement, WriteTransaction
 
 from conftest import make_query, make_write
 
@@ -137,6 +140,54 @@ def test_unregistered_client_rejected_at_proposal():
     assert receipt.reject_reason == "NotAuthorized"
     assert receipt.reject_phase == "proposal"
     assert receipt.detail == "client not authorized"
+
+
+def _median_key_query():
+    q = make_query(Aggregate.SUM, color="red")
+    return dataclasses.replace(q, key=dataclasses.replace(q.key, aggregate="MEDIAN"))
+
+
+@pytest.mark.parametrize("client,tx,eps_f,reason", [
+    ("distributor-a", _median_key_query(), 0.1, "UnsupportedAggregate"),
+    ("loader-app", make_write(quantity="5"), None, "InvalidQuantity"),
+    ("loader-app", make_write(quantity=2**70), None, "InvalidQuantity"),
+    ("loader-app", make_write(quantity=True), None, "InvalidQuantity"),
+    ("loader-app", make_write(customer=None), None, "MissingField"),
+    ("loader-app", make_write(color=3), None, "ValidationFailure"),
+    ("distributor-a", QueryTransaction(CategoryKey(Aggregate.SUM, None, None, 3),
+                                       "distributor-a"), 0.1, "ValidationFailure"),
+    ("distributor-a", make_query(Aggregate.SUM, color="red", requester=None), 0.1,
+     "MissingField"),
+    ("distributor-a", make_query(Aggregate.SUM, color="red"), "0.1", "NonPositiveEpsilon"),
+], ids=["median-aggregate", "string-quantity", "quantity-past-64-bits", "bool-quantity",
+        "no-customer", "int-colour", "int-key-attribute", "no-requester", "string-epsilon"])
+def test_malformed_submission_gets_a_typed_rejection(client, tx, eps_f, reason):
+    """``submit`` returns a rejected receipt naming the error, and raises
+    nothing, for a body or ε that no encoding or spend can take."""
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    events, height = list(channel.accountant.events), channel.chain[-1].height
+    receipt = net.submit(client, tx, eps_f=eps_f)
+    assert receipt.status is ReceiptStatus.REJECTED
+    assert (receipt.reject_phase, receipt.reject_reason) == ("endorsement", reason)
+    assert receipt.detail and receipt.response is None
+    assert not net.orderer.has_pending()
+    assert channel.accountant.events == events
+    net.run_until_idle()
+    assert channel.chain[-1].height == height
+
+
+def test_tx_id_hashes_the_body_only_when_it_is_valid():
+    """A valid body's tx id hashes the channel id, the submission number and
+    the body's bytes; a body that fails validation is never encoded, and its
+    tx id hashes the first two alone."""
+    net = _network()
+    good, bad = make_write(), make_write(quantity=0)
+    ids = [net.submit("loader-app", tx).tx_id for tx in (good, bad)]
+    assert ids == [
+        hashlib.sha256(b"mychannel" + (1).to_bytes(8, "big") + good.canonical_bytes()).hexdigest(),
+        hashlib.sha256(b"mychannel" + (2).to_bytes(8, "big")).hexdigest()]
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +479,28 @@ def test_policy_counts_only_distinct_channel_members(signers, commits):
         _assert_audited(net, channel, committed, 0)
 
 
+@pytest.mark.parametrize("policy,first,commits", [
+    (1, "forged", True),
+    (1, "non-member", True),
+    (2, "forged", False),
+], ids=["policy-1-forged-first", "policy-1-non-member-first", "policy-2-one-forged"])
+def test_policy_check_stops_only_at_enough_valid_endorsements(policy, first, commits):
+    """The check stops once the policy's count of distinct valid members is
+    reached; an endorsement before that which does not count is skipped."""
+    net = _network(endorsement_policy=policy)
+    channel = net.channels["mychannel"]
+    env = _signed(Envelope(tx_id="w", tx=make_write()), ("mallory", "peer0.org2"))
+    if first == "forged":
+        env = dataclasses.replace(env, endorsements=(
+            Endorsement("peer0.org1", bytes(32)), env.endorsements[1]))
+    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    if commits:
+        assert committed is True
+        assert all(len(p.chains["mychannel"]) == 2 for p in net.peers.values())
+    else:
+        _assert_audited(net, channel, committed, 0)
+
+
 def test_endorsed_invalid_write_sends_block_to_audit():
     net = _network()
     _load(net, 3)
@@ -546,6 +619,59 @@ def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
             replay_chain(chain)
 
 
+@pytest.mark.parametrize("make_body", [
+    lambda tx: dataclasses.replace(tx, quantity=0),
+    lambda tx: from_json(WriteTransaction, {**to_json(tx), "quantity": 0}, IoFailure),
+    lambda tx: WriteTransaction(tx.product_name, tx.color, 0, tx.customer_name),
+], ids=["replace", "from-json", "constructed"])
+def test_kept_validation_does_not_carry_to_a_new_write(make_body):
+    """A write validated and committed once; a new body with quantity 0
+    built from it is rejected at endorsement, and an envelope forged around
+    it, never validated, is rejected by commit, fold, replay and verify."""
+    net = _network()
+    tx = make_write()
+    assert net.submit("loader-app", tx) and tx._canonical is not None
+    net.run_until_idle()
+    bad = make_body(tx)
+    assert bad._canonical is None
+    receipt = net.submit("loader-app", bad)
+    assert (receipt.status, receipt.reject_reason) == (ReceiptStatus.REJECTED,
+                                                       "InvalidQuantity")
+    channel = net.channels["mychannel"]
+    env = net._collect_endorsements(channel, "x0", bad)
+    block = build_block([env], channel.chain[-1])
+    with pytest.raises(ValidationFailure, match="^x0: quantity 0"):
+        fold_block(block, set())
+    chain = channel.chain + [block]
+    _assert_audited(net, channel, net.deliver_and_commit(channel, block), 1)
+    with pytest.raises(ValidationFailure, match="^x0: "):
+        replay_chain(chain)
+    assert verify_chain(chain) is False
+
+
+def test_kept_validation_does_not_carry_to_a_new_query():
+    """As for writes: a query answered once, then given an unnormalized key
+    by ``dataclasses.replace``, is rejected at endorsement and at commit."""
+    net = _network()
+    _load(net, 3)
+    q = make_query(Aggregate.SUM, color="red")
+    assert net.submit("distributor-a", q, eps_f=0.1).status is ReceiptStatus.PENDING
+    assert q._canonical is not None
+    bad = dataclasses.replace(q, key=dataclasses.replace(q.key, color=" Red"))
+    receipt = net.submit("distributor-a", bad, eps_f=0.1)
+    assert (receipt.status, receipt.reject_reason) == (ReceiptStatus.REJECTED,
+                                                       "ValidationFailure")
+    net.run_until_idle()
+    channel = net.channels["mychannel"]
+    height = channel.chain[-1].height
+    env = net._collect_endorsements(channel, "x0", bad, _effect(color=" Red"))
+    block = build_block([env], channel.chain[-1])
+    with pytest.raises(ValidationFailure, match="not normalized"):
+        fold_block(block, set())
+    _assert_audited(net, channel, net.deliver_and_commit(channel, block), height)
+    assert verify_chain(channel.chain + [block]) is False
+
+
 @pytest.mark.parametrize("case", ["replayed-write", "replayed-query",
                                   "one-query-id-twice-in-a-block"])
 def test_commit_replay_and_verify_reject_a_repeated_tx_id(case):
@@ -632,6 +758,38 @@ def test_tracked_objects_kept_per_transaction():
     _tracked_per_submission(reuse, writes[:100] + queries)
     assert _tracked_per_submission(reuse, queries * 50) == pytest.approx(2.0, abs=0.3)
     assert all(r.status is not ReceiptStatus.REJECTED for r in naive.receipts + reuse.receipts)
+
+
+def test_work_per_fresh_query(monkeypatch):
+    """On the default topology at policy 1, a committed fresh query costs
+    5.1 SHA-256 calls: its tx id, its payload digest, one signature per
+    member, one signature checked at commit (the policy is met there) and a
+    tenth of its block's hash. Each query body runs ``validate_query``'s
+    full check once, however often it is submitted: the check normalizes
+    each key attribute, and these keys have one."""
+    net = _network(epsilon_t=100.0, reuse_enabled=False)
+    queries = [make_query(Aggregate.SUM, color=f"c{i}") for i in range(20)]
+    calls = dict.fromkeys(("sha256", "normalize"), 0)
+    sha256, normalize = hashlib.sha256, transactions.normalize
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(hashlib, "sha256", counted("sha256", sha256))
+    monkeypatch.setattr(transactions, "normalize", counted("normalize", normalize))
+    for i, q in enumerate(queries * 10, 1):
+        net.submit("distributor-a", q, eps_f=0.01)
+        if i % 10 == 0:
+            net.tick()
+    net.run_until_idle()
+    monkeypatch.undo()
+    committed = [r for r in net.receipts if r.status is ReceiptStatus.COMMITTED]
+    assert len(committed) == 200
+    assert calls["sha256"] / len(committed) == pytest.approx(5.1)
+    assert calls["normalize"] / len(queries) == 1
 
 
 def test_serialized_state_does_not_grow_with_the_history():

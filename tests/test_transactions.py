@@ -1,6 +1,12 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +15,14 @@ from dpledger import (
     CategoryKey,
     Endorsement,
     Envelope,
+    InvalidQuantity,
     MissingField,
     PerturbedResponse,
     QueryEffect,
     QueryRecord,
     QueryTransaction,
     UnsupportedAggregate,
+    WriteTransaction,
     make_genesis,
     normalize,
     validate_query,
@@ -47,6 +55,22 @@ def test_write_validation_covers_every_string_field():
         broken = dataclasses.replace(tx, **{field: ""})
         with pytest.raises(MissingField):
             validate_write(broken)
+
+
+@pytest.mark.parametrize("quantity", [True, False, "5", 5.0, 2**70, 0],
+                         ids=["true", "false", "string", "float", "past-64-bits", "zero"])
+def test_write_quantity_must_be_an_int_in_range(quantity):
+    # A bool is not an int here, as in ``codec``: a write of quantity True
+    # would commit, and its export would not import back.
+    with pytest.raises(InvalidQuantity):
+        validate_write(make_write(quantity=quantity))
+
+
+def test_write_string_fields_must_be_strings():
+    with pytest.raises(MissingField):
+        validate_write(make_write(customer=None))
+    with pytest.raises(ValidationFailure, match="not a string"):
+        validate_write(make_write(color=5))
 
 
 def test_query_requires_supported_aggregate():
@@ -168,3 +192,69 @@ def test_kept_encoding_belongs_to_its_own_object(body, field, value):
                           for f in dataclasses.fields(copy)})
     assert copy.canonical_bytes() == fresh.canonical_bytes()
     assert body == dataclasses.replace(copy, **{field: getattr(body, field)})
+
+
+@pytest.mark.parametrize("body,field,value,error", [
+    (make_write(), "quantity", 0, InvalidQuantity),
+    (make_write(), "customer_name", "", MissingField),
+    (make_query(Aggregate.SUM, color="red"), "key",
+     CategoryKey(Aggregate.SUM, None, None, " Red"), ValidationFailure),
+    (make_query(Aggregate.SUM, color="red"), "requester_id", "", MissingField),
+], ids=["write-quantity", "write-customer", "query-key", "query-requester"])
+def test_kept_validation_belongs_to_its_own_object(body, field, value, error):
+    # The verdict shares the encoding's attribute: None until validated.
+    validate = validate_write if isinstance(body, WriteTransaction) else validate_query
+    validate(body)
+    assert body._canonical is not None
+    kept = body.canonical_bytes()
+    validate(body)  # kept: returns at once
+    assert body.canonical_bytes() is kept and body._canonical is kept
+    copy_ = dataclasses.replace(body, **{field: value})
+    assert copy_._canonical is None
+    with pytest.raises(error):
+        validate(copy_)
+    assert copy_.canonical_bytes() == copy_._encode()
+    assert copy_._canonical is None  # a failure is never kept
+    row = {**to_json(body), field: to_json(value) if field == "key" else value}
+    read = from_json(type(body), row, IoFailure)
+    assert read._canonical is None
+    with pytest.raises(error):
+        validate(read)
+
+
+def test_equal_keys_hash_alike_however_built():
+    built = [CategoryKey.of(Aggregate.SUM, customer_name=" Bob", color="RED"),
+             CategoryKey(Aggregate.SUM, "bob", None, "red"),
+             from_json(CategoryKey, {"aggregate": "SUM", "customer_name": "bob",
+                                     "color": "red"}, IoFailure)]
+    assert len({id(k) for k in built}) == 3
+    assert len({hash(k) for k in built}) == 1
+    assert all(k == built[0] for k in built)
+    assert len(set(built)) == 1
+    other = dataclasses.replace(built[0], aggregate=Aggregate.COUNT)
+    assert other._canonical is None and other != built[0]
+    assert {built[0]: 1}.get(other) is None
+
+
+def test_key_hash_is_made_afresh_in_another_process():
+    # String and bytes hashes differ between processes. A key hashed here
+    # and pickled must hash in a process with another hash seed as a key
+    # built there does, so that it finds its own dict entries.
+    key = CategoryKey.of(Aggregate.SUM, customer_name="Bob", color="red")
+    hash(key)
+    code = ("import pickle, sys\n"
+            "from dpledger import Aggregate, CategoryKey\n"
+            "key = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = CategoryKey.of(Aggregate.SUM, customer_name='Bob', color='red')\n"
+            "print(hash(key) == hash(fresh), {fresh: 1}.get(key), hash(fresh))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = set()
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(key), capture_output=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            timeout=60).stdout.split()
+        assert out[:2] == [b"True", b"1"]
+        hashes.add(out[2])
+    assert len(hashes) == 2  # the seeds do give different hashes
+    assert copy.deepcopy(key) == key and hash(copy.deepcopy(key)) == hash(key)
