@@ -1,17 +1,17 @@
 """Append-only hash-chained block store and the world state it folds into.
 
 Commits are serialized per channel (single writer); committed values are
-immutable and safe to share. Commit, ``replay_chain`` and ``verify_chain``
-judge a block by the rules stated here once: ``follows`` for its link,
-``_envelope_problem`` for each envelope's content, and, in ``fold_block``,
-that no tx id is on the chain twice. A block is folded once
-(``fold_block``): each envelope is checked against the world state's set
-of committed tx ids, and each write's eight attribute cells are summed into
-a per-block delta. Every member then applies that one fold to its own world
-state (``apply_block``). The world state is an index of what queries read:
-the cell counters, the newest answer per category, the height and the
-committed tx ids. The history itself, every write and every query effect
-with the ε left after it, is on the chain and nowhere else.
+immutable and safe to share. ``replay_chain`` is the one walk of a chain:
+it requires the channel's genesis block, then folds each block onto the
+one before (``fold_block``), as commit folds a block onto its chain head;
+``verify_chain`` is replay's verdict plus each block's hash. ``fold_block``
+states each rule once: the link, ``_envelope_problem`` for each envelope's
+content, and no tx id twice on the chain. It sums each write's eight
+attribute cells into a per-block delta, which every member applies to its
+own world state (``apply_block``). The world state is an index of what
+queries read: the cell counters, the newest answer per category, the
+height and the committed tx ids. The history itself, every write and
+every query effect with the ε left after it, is on the chain only.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ def build_block(pending: Sequence[Envelope], prev: Block) -> Block:
     )
 
 
-def follows(block: Block, prev: Block) -> bool:
-    """True iff ``block`` is at the height after ``prev`` and carries its hash."""
-    return block.height == prev.height + 1 and block.prev_hash == prev.block_hash
-
-
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
     may: a write or query must be valid, a write must carry no query effect,
@@ -149,27 +144,6 @@ def _envelope_problem(env: Envelope) -> str:
     return ""
 
 
-def verify_chain(chain: Sequence[Block]) -> bool:
-    """True iff every block ``follows`` the one before, matches its hash and
-    folds (``fold_block``): every envelope keeps the content rule of commit
-    and no tx id repeats. Keeps only the tx ids between folds. Never raises."""
-    try:
-        if not chain:
-            return False
-        genesis = chain[0]
-        if genesis.height != 0 or genesis.prev_hash != GENESIS_PREV_HASH:
-            return False
-        tx_ids: Set[str] = set()
-        for prev, block in zip(chain, chain[1:]):
-            if not follows(block, prev) or block.block_hash != compute_block_hash(
-                    block.height, block.prev_hash, block.envelopes):
-                return False
-            tx_ids |= fold_block(block, tx_ids).tx_ids
-        return True
-    except Exception:
-        return False
-
-
 class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
@@ -184,12 +158,14 @@ class BlockFold(NamedTuple):
     tx_ids: Set[str]
 
 
-def fold_block(block: Block, committed: AbstractSet[str]) -> BlockFold:
-    """Check each envelope of ``block`` against the content rule and against
-    ``committed``, the tx ids already on the chain, sum each write into the
-    block's cell delta, and collect the query effects. Raises
-    ``ValidationFailure`` naming the first envelope that breaks the content
-    rule or whose tx id is in ``committed`` or earlier in the block."""
+def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockFold:
+    """Check that ``block`` follows ``prev`` (the next height, carrying its
+    hash), and each envelope against the content rule and ``committed``, the
+    tx ids already on the chain; sum each write into the block's cell delta
+    and collect the query effects. Raises ``ValidationFailure`` on a broken
+    link, or naming the first envelope that breaks the content rule or repeats a tx id."""
+    if block.height != prev.height + 1 or block.prev_hash != prev.block_hash:
+        raise ValidationFailure(f"block {block.height} does not follow block {prev.height}")
     cells: dict = {}
     effects = []
     tx_ids: Set[str] = set()
@@ -217,8 +193,7 @@ class WorldState:
     block against. The writes and query effects themselves stay on the chain.
     """
 
-    def __init__(self, channel_id: str = CHANNEL_ID):
-        self.channel_id = channel_id
+    def __init__(self):
         self.height = 0
         self._latest: Dict[CategoryKey, QueryRecord] = {}
         self._agg: dict = {}
@@ -271,7 +246,6 @@ class WorldState:
         latest = sorted(self._latest.items(), key=lambda item: item[0].canonical_bytes())
         tx_ids = json.dumps(sorted(self.tx_ids), separators=(",", ":")).encode("utf-8")
         doc = {
-            "channel_id": self.channel_id,
             "height": self.height,
             "cells": [[*cell, *slot] for cell, slot in cells],
             "latest": [to_json(rec) for _, rec in latest],
@@ -299,18 +273,27 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
 
 
 def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldState:
-    """Rebuild world state by folding the whole chain in block order; raises
-    ``ValidationFailure`` as commit would audit: on a block that does not
-    ``follows`` the one before it, or one that ``fold_block`` rejects."""
-    state = WorldState(channel_id=channel_id)
-    for i, block in enumerate(chain):
-        if i == 0 and block.height == 0:
-            continue
-        if i > 0 and not follows(block, chain[i - 1]):
-            raise ValidationFailure(f"block {block.height} does not follow "
-                                    f"block {chain[i - 1].height}")
-        apply_block(state, fold_block(block, state.tx_ids))
+    """World state rebuilt by folding each block onto the one before it.
+    Raises ``ValidationFailure`` as commit would audit, and on a chain that
+    does not start with ``channel_id``'s genesis block."""
+    if not chain or chain[0] != make_genesis(channel_id):
+        raise ValidationFailure("chain does not start with the genesis block of "
+                                f"{channel_id!r}")
+    state = WorldState()
+    for prev, block in zip(chain, chain[1:]):
+        apply_block(state, fold_block(block, prev, state.tx_ids))
     return state
+
+
+def verify_chain(chain: Sequence[Block]) -> bool:
+    """True iff ``replay_chain`` accepts ``chain`` and every block matches
+    its hash. Never raises."""
+    try:
+        replay_chain(chain)
+        return all(b.block_hash == compute_block_hash(b.height, b.prev_hash, b.envelopes)
+                   for b in chain[1:])
+    except Exception:
+        return False
 
 
 # ---------------------------------------------------------------------------

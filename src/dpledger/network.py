@@ -22,7 +22,7 @@ effect envelope; other members countersign its digest without
 re-executing, which keeps endorsement deterministic under fresh noise.
 
 ``submit`` validates a body before anything encodes it, so a malformed
-body or ε gets a rejected receipt naming its error type and never raises.
+body or ε, or a non-body, gets a typed rejected receipt and never raises.
 The body keeps the verdict, so commit's content rule does not run the
 full check again. Each envelope's payload digest (SHA-256 over its tx id,
 body and query effect) is computed once and kept as raw bytes: endorsers
@@ -36,11 +36,11 @@ envelope is built once. A block commits only if every envelope has
 endorsements from enough distinct channel members, the one rule checked
 here. The check of an envelope stops once the policy's count is met: at
 policy 1, an envelope whose first endorsement is valid costs one
-signature. The block also keeps the rules of ``ledger``: it ``follows``
-the chain head, and ``fold_block`` checks each envelope's content and
-that its tx id is not yet on the chain, normalizes each write and sums
-it into one per-block cell delta. Every member applies that one fold; an
-invalid block goes to audit and no member changes.
+signature. The block also keeps the rules of ``ledger``: ``fold_block``
+checks it against the chain head as replay does (the link, each
+envelope's content, no tx id twice) and sums its writes into one cell
+delta. Every member applies that one fold; an invalid block goes to
+audit, its receipts name the broken rule, and no member changes.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ from .ledger import (
     apply_block,
     build_block,
     fold_block,
-    follows,
     make_genesis,
 )
 from .transactions import (
     Endorsement,
     Envelope,
     QueryEffect,
+    QueryTransaction,
     Transaction,
     WriteTransaction,
     validate_query,
@@ -310,7 +310,7 @@ class Network:
                eps_f: Optional[float] = None,
                target_peer: Optional[str] = None) -> TransactionReceipt:
         """Run phases 1-3 for ``tx`` and return its receipt; a body that fails
-        validation is rejected at endorsement, never raised.
+        validation, or no body at all, is rejected at endorsement, never raised.
 
         The body is validated before anything encodes it, and the result is
         kept on it. The tx id is the SHA-256 hex digest of the channel id,
@@ -322,6 +322,8 @@ class Network:
         self._submit_seq += 1
         is_write = isinstance(tx, WriteTransaction)
         try:
+            if not (is_write or isinstance(tx, QueryTransaction)):
+                raise ValidationFailure(f"{tx!r} is not a transaction body")
             (validate_write if is_write else validate_query)(tx)
         except DPLedgerError as err:
             invalid, body = err, b""
@@ -388,17 +390,17 @@ class Network:
                 raise RuntimeError("orderer failed to drain")
 
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
-        """Check the endorsements, then ``follows`` and ``fold_block``; append
+        """Check the endorsements, then ``fold_block`` onto the chain head; append
         the block on every member and return True, or audit it and return False."""
         problems = [f"{env.tx_id}: endorsement policy not met"
                     for env in block.envelopes if not channel.meets_policy(env)]
 
         fold = None
-        if not problems and follows(block, channel.chain[-1]):
+        if not problems:
             # Every member has committed the same tx ids; the first one's set stands for all.
             committed = self.peers[channel.members[0]].states[CHANNEL_ID].tx_ids
             try:
-                fold = fold_block(block, committed)
+                fold = fold_block(block, channel.chain[-1], committed)
             except ValidationFailure as err:
                 problems.append(str(err))
         # Committed or audited, the block's answers stop being pending.
@@ -411,8 +413,7 @@ class Network:
             for env in block.envelopes:
                 receipt = self._receipts_by_id.get(env.tx_id)
                 if receipt is not None:
-                    self._reject(receipt, "validation",
-                                 "; ".join(problems) or "broken chain link",
+                    self._reject(receipt, "validation", "; ".join(problems),
                                  "ValidationFailure")
             return False
 

@@ -97,6 +97,15 @@ def _opt_text(s: Optional[str]) -> bytes:
 _CHECKED = b""
 
 
+def _encodable(value: str) -> bool:
+    """True iff UTF-8 can encode ``value``; callers test ``value.isascii()`` first."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _kept_encoding(tx: "Transaction", validate: Callable[["Transaction"], None]) -> bytes:
     """The encoding of ``tx``, a body not yet encoded: kept if ``validate``
     passes it, else encoded without being kept."""
@@ -148,17 +157,18 @@ class WriteTransaction:
 
 def validate_write(tx: WriteTransaction) -> None:
     """Reject writes that violate the transaction-body invariants: every
-    string field is a non-empty string, and the quantity is an int (a bool
-    is not one, as in ``codec``) in [QUANTITY_MIN, QUANTITY_MAX]. Success
-    is kept on ``tx``, so a second call returns at once."""
+    string field is a non-empty string UTF-8 can encode, and the quantity is
+    an int (a bool is not one, as in ``codec``) in [QUANTITY_MIN, QUANTITY_MAX].
+    Success is kept on ``tx``, so a second call returns at once."""
     if tx._canonical is not None:
         return
     for name in ("product_name", "color", "customer_name"):
         value = getattr(tx, name)
         if not value:
             raise MissingField(f"write transaction field {name!r} is empty")
-        if not isinstance(value, str):
-            raise ValidationFailure(f"write transaction field {name!r} is not a string")
+        if not isinstance(value, str) or not (value.isascii() or _encodable(value)):
+            raise ValidationFailure(f"write transaction field {name!r} is not a string "
+                                    "UTF-8 can encode")
     qty = tx.quantity
     if type(qty) is not int or not QUANTITY_MIN <= qty <= QUANTITY_MAX:
         raise InvalidQuantity(
@@ -243,9 +253,9 @@ class QueryTransaction:
 
 def validate_query(tx: QueryTransaction) -> None:
     """Reject a query whose key is not a ``CategoryKey``, whose aggregate is
-    unsupported, whose requester is not a non-empty string or whose key
-    holds an attribute that is not None or a normalized string. Success is
-    kept on ``tx``, so a second call returns at once."""
+    unsupported, whose requester is not a non-empty string, or whose key
+    holds an attribute that is not None or a normalized string; UTF-8 must
+    encode each string. Success is kept on ``tx``, so a second call returns at once."""
     if tx._canonical is not None:
         return
     key = tx.key
@@ -253,13 +263,16 @@ def validate_query(tx: QueryTransaction) -> None:
         raise ValidationFailure(f"query key {key!r} is not a CategoryKey")
     if not isinstance(key.aggregate, Aggregate):
         raise UnsupportedAggregate(f"unsupported aggregate {key.aggregate!r}")
-    if not tx.requester_id:
+    requester = tx.requester_id
+    if not requester:
         raise MissingField("query transaction field 'requester_id' is empty")
-    if not isinstance(tx.requester_id, str):
-        raise ValidationFailure("query transaction field 'requester_id' is not a string")
+    if not isinstance(requester, str) or not (requester.isascii() or _encodable(requester)):
+        raise ValidationFailure("query transaction field 'requester_id' is not a string "
+                                "UTF-8 can encode")
     for value in (key.customer_name, key.product_name, key.color):
-        if value is not None and (not isinstance(value, str) or value != normalize(value)):
-            raise ValidationFailure(f"query attribute {value!r} is not normalized")
+        if value is not None and (not isinstance(value, str) or value != normalize(value)
+                                  or not (value.isascii() or _encodable(value))):
+            raise ValidationFailure(f"query attribute {value!r} is not normalized UTF-8 text")
     object.__setattr__(tx, "_canonical", _CHECKED)
 
 

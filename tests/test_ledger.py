@@ -182,6 +182,21 @@ def test_genesis_invariants():
     assert verify_chain([]) is False
 
 
+def _two_block_chain(genesis):
+    return [genesis, build_block([Envelope(tx_id="t1", tx=make_write())], genesis)]
+
+
+@pytest.mark.parametrize("chain", [[], _two_block_chain(make_genesis("mychannel"))[1:],
+                                   _two_block_chain(make_genesis("other"))],
+                         ids=["empty", "no-genesis", "other-channels-genesis"])
+def test_replay_and_verify_need_the_channels_genesis_block(chain):
+    """As export does, replay raises on and verify rejects a chain that does
+    not start with the channel's genesis block."""
+    assert verify_chain(chain) is False
+    with pytest.raises(ValidationFailure, match="genesis block of 'mychannel'"):
+        replay_chain(chain)
+
+
 def test_verify_never_raises_on_garbage():
     assert verify_chain([None, 3, "block"]) is False
 
@@ -249,7 +264,7 @@ def test_replay_is_deterministic_and_matches_incremental():
 
     incremental = WorldState()
     for block in chain[1:]:
-        apply_block(incremental, fold_block(block, incremental.tx_ids))
+        apply_block(incremental, fold_block(block, chain[block.height - 1], incremental.tx_ids))
     assert incremental.serialize() == state_a.serialize()
 
 

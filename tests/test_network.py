@@ -159,8 +159,17 @@ def _median_key_query():
     ("distributor-a", make_query(Aggregate.SUM, color="red", requester=None), 0.1,
      "MissingField"),
     ("distributor-a", make_query(Aggregate.SUM, color="red"), "0.1", "NonPositiveEpsilon"),
+    ("distributor-a", None, 0.1, "ValidationFailure"),
+    ("loader-app", 5, None, "ValidationFailure"),
+    ("loader-app", make_write(customer="\ud800"), None, "ValidationFailure"),
+    ("distributor-a", QueryTransaction(CategoryKey(Aggregate.SUM, None, None, "\ud800"),
+                                       "distributor-a"), 0.1, "ValidationFailure"),
+    ("distributor-a", make_query(Aggregate.SUM, color="red", requester="\ud800"), 0.1,
+     "ValidationFailure"),
 ], ids=["median-aggregate", "string-quantity", "quantity-past-64-bits", "bool-quantity",
-        "no-customer", "int-colour", "int-key-attribute", "no-requester", "string-epsilon"])
+        "no-customer", "int-colour", "int-key-attribute", "no-requester", "string-epsilon",
+        "none-body", "int-body", "surrogate-write-field", "surrogate-key-attribute",
+        "surrogate-requester"])
 def test_malformed_submission_gets_a_typed_rejection(client, tx, eps_f, reason):
     """``submit`` returns a rejected receipt naming the error, and raises
     nothing, for a body or ε that no encoding or spend can take."""
@@ -176,6 +185,21 @@ def test_malformed_submission_gets_a_typed_rejection(client, tx, eps_f, reason):
     assert channel.accountant.events == events
     net.run_until_idle()
     assert channel.chain[-1].height == height
+
+
+def test_audited_receipts_name_the_broken_link():
+    """A block that does not follow the chain head goes to audit, and each of
+    its receipts says so."""
+    net = _network()
+    _load(net, 3)
+    channel = net.channels["mychannel"]
+    receipt = net.submit("loader-app", make_write())
+    (_, env), = net.orderer._pending
+    block = build_block([env], channel.chain[-2])
+    height = channel.chain[-1].height
+    _assert_audited(net, channel, net.deliver_and_commit(channel, block), height)
+    assert (receipt.status, receipt.reject_phase) == (ReceiptStatus.REJECTED, "validation")
+    assert receipt.detail == f"block {height} does not follow block {height}"
 
 
 def test_tx_id_hashes_the_body_only_when_it_is_valid():
@@ -641,7 +665,7 @@ def test_kept_validation_does_not_carry_to_a_new_write(make_body):
     env = net._collect_endorsements(channel, "x0", bad)
     block = build_block([env], channel.chain[-1])
     with pytest.raises(ValidationFailure, match="^x0: quantity 0"):
-        fold_block(block, set())
+        fold_block(block, channel.chain[-1], set())
     chain = channel.chain + [block]
     _assert_audited(net, channel, net.deliver_and_commit(channel, block), 1)
     with pytest.raises(ValidationFailure, match="^x0: "):
@@ -667,7 +691,7 @@ def test_kept_validation_does_not_carry_to_a_new_query():
     env = net._collect_endorsements(channel, "x0", bad, _effect(color=" Red"))
     block = build_block([env], channel.chain[-1])
     with pytest.raises(ValidationFailure, match="not normalized"):
-        fold_block(block, set())
+        fold_block(block, channel.chain[-1], set())
     _assert_audited(net, channel, net.deliver_and_commit(channel, block), height)
     assert verify_chain(channel.chain + [block]) is False
 
