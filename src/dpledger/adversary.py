@@ -86,18 +86,6 @@ class AttackReport:
                    epsilon_observed=epsilon_observed, details=details or {})
 
 
-def _response_values(responses: Sequence) -> List[float]:
-    return [r.value if isinstance(r, PerturbedResponse) else float(r) for r in responses]
-
-
-def _epsilon_observed(responses: Sequence) -> float:
-    total = 0.0
-    for r in responses:
-        if isinstance(r, PerturbedResponse) and not r.reused:
-            total += r.epsilon_used
-    return total
-
-
 def _covers_target(query: QueryTransaction, target: Tuple[str, str, str]) -> bool:
     key = query.key
     tgt = tuple(normalize(v) for v in target)
@@ -107,29 +95,25 @@ def _covers_target(query: QueryTransaction, target: Tuple[str, str, str]) -> boo
     return True
 
 
-def linking_attack(query: QueryTransaction, responses: Sequence,
+def linking_attack(query: QueryTransaction, observed: float,
                    bk: BackgroundKnowledge, true_quantity: float,
                    tolerance: float = DEFAULT_TOLERANCE) -> AttackReport:
-    """Difference attack: observed SUM minus the known matching total.
+    """Difference attack: the observed SUM minus the known matching total.
 
     The estimate error is exactly the mechanism noise, so with noise
     disabled the target quantity is recovered exactly.
     """
-    if not responses:
-        raise PredicateMismatch("no responses to attack")
     if not _covers_target(query, bk.target):
         raise PredicateMismatch(
             f"query category does not cover the target {bk.target!r}"
         )
-    values = _response_values(responses)
-    estimate = statistics.fmean(values) - bk.matching_sum(query.key)
     return AttackReport.build(
         kind="linking",
-        estimate=estimate,
+        estimate=observed - bk.matching_sum(query.key),
         true_value=float(true_quantity),
         tolerance=tolerance,
-        queries_consumed=len(values),
-        epsilon_observed=_epsilon_observed(responses),
+        queries_consumed=1,
+        epsilon_observed=0.0,
     )
 
 
@@ -148,7 +132,7 @@ def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
     sample: List[AttackReport] = []
     for i in range(n_trials):
         observed = perturb(exact_total, epsilon, Aggregate.SUM, rng)
-        report = linking_attack(query, [observed], bk, true_quantity, tolerance)
+        report = linking_attack(query, observed, bk, true_quantity, tolerance)
         successes += report.success
         if i < 10:
             sample.append(report)
@@ -232,13 +216,16 @@ def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int, true_
         raise BudgetExhausted("provider budget was exhausted before any answer")
 
     values = [r.value for r in responses]
+    # Each distinct answer once: a repeat served from the record is the
+    # recorded response itself, named by the query that drew its noise.
+    distinct = {r.query_id: r for r in responses}
     details = {
         "requested": n,
         "answered": len(values),
         "truncated_by_budget": truncated,
         "distinct_values": len(set(values)),
         "sample_std": statistics.pstdev(values) if len(values) > 1 else 0.0,
-        "fresh_responses": sum(1 for r in responses if not r.reused),
+        "fresh_responses": len(distinct),
     }
     return AttackReport.build(
         kind="averaging",
@@ -246,6 +233,6 @@ def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int, true_
         true_value=float(true_value),
         tolerance=tolerance,
         queries_consumed=len(values),
-        epsilon_observed=_epsilon_observed(responses),
+        epsilon_observed=sum(r.epsilon_used for r in distinct.values()),
         details=details,
     )

@@ -490,8 +490,9 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
             "reused": reuse_receipt.status is ReceiptStatus.CACHED,
         }
         for mode, res in passes.items():
-            response = res.query_receipts[i].response
-            if response is not None and not response.reused:
+            receipt = res.query_receipts[i]
+            response = receipt.response
+            if response is not None and receipt.status is not ReceiptStatus.CACHED:
                 cum_eps[mode] += response.epsilon_used
             value_key, err_key, cum_key = columns[mode]
             row[value_key] = response.value if response is not None else None
@@ -702,7 +703,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
 
     if not dp_enabled:
         exact_total = bk.matching_sum(query.key) + true_qty
-        report = linking_attack(query, [exact_total], bk, true_qty, tolerance)
+        report = linking_attack(query, exact_total, bk, true_qty, tolerance)
         return {"report": report, "success_rate": 1.0 if report.success else 0.0,
                 "expected_rate": 1.0, "n_trials": 1}
 
@@ -742,7 +743,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                 receipt = net.submit("distributor-a", tx, eps_f=epsilon,
                                      target_peer=peer_id)
                 answers[peer_id].setdefault(key, []).append(receipt.response.value)
-                if not receipt.response.reused:
+                if receipt.status is not ReceiptStatus.CACHED:
                     observed += receipt.response.epsilon_used
     net.run_until_idle()
 

@@ -1,16 +1,17 @@
 """The privacy-preserving query module executed by peers.
 
 A query's body is its category: its aggregate and normalized attributes.
-On a 100% category match the previously recorded answer is returned and no
-new budget is spent; otherwise the budget is charged, the query is
-evaluated on the original ledger data, and the freshly perturbed response
-is held as pending until the block carrying it, together with the
-remaining budget, is committed to the ledger or sent to audit.
+On a 100% category match the previously recorded answer itself is returned
+and no new budget is spent; its response still names the query that drew
+its noise. Otherwise the budget is charged, the query is evaluated on the
+original ledger data, and the freshly perturbed answer is held as pending
+until the block carrying it, together with the remaining budget, is
+committed to the ledger or sent to audit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -37,9 +38,7 @@ class ChaincodeEngine:
     ``pending``: the fresh answer per category that is endorsed but not
     yet committed (kept only with reuse enabled, the one mode that serves
     repeats). ``settle`` drops an answer from ``pending`` once its block is
-    committed or sent to audit. ``last_record`` is the recorded answer
-    behind the response of the last call that returned; its key is the
-    query's own.
+    committed or sent to audit.
 
     Instrumented with probe/evaluation/noise counters so the linear-cost
     claim can be asserted, not assumed. reuse_enabled=False disables the
@@ -52,12 +51,12 @@ class ChaincodeEngine:
         self.evaluation_count = 0
         self.noise_draws = 0
         self.pending: Dict[CategoryKey, QueryRecord] = {}
-        self.last_record: Optional[QueryRecord] = None
 
     def answer_query(self, q: QueryTransaction, state: WorldState,
                      acct: BudgetAccountant, eps_f: float,
-                     rng: np.random.Generator, *, query_id: str) -> PerturbedResponse:
-        """Serve one query: reuse a recorded answer or perturb a fresh one.
+                     rng: np.random.Generator, *, query_id: str) -> QueryRecord:
+        """Serve one query and return the recorded answer behind it: the
+        recorded one for a repeat, pending or committed, or a fresh one.
 
         ``q`` must have passed ``validate_query`` (``Network.submit`` checks it
         first); ``query_id`` is its tx id. ``state`` is only read.
@@ -66,7 +65,8 @@ class ChaincodeEngine:
         bad ε is neither spent nor logged as a reuse.
         On the fresh path the budget is charged before the query is
         evaluated; a BudgetExhausted propagates with ``pending`` untouched.
-        With reuse enabled the fresh answer is added to ``pending``.
+        A fresh answer's response names ``query_id``, and with reuse
+        enabled the answer is added to ``pending``.
         """
         check_epsilon(eps_f)
         key = q.key
@@ -76,24 +76,17 @@ class ChaincodeEngine:
             cached = self.pending.get(key) or state.lookup(key)
             if cached is not None:
                 acct.record_reuse(query_id, q.requester_id, eps_f)
-                self.last_record = cached
-                return PerturbedResponse(
-                    value=cached.response.value,
-                    epsilon_used=cached.epsilon_spent,
-                    reused=True,
-                    query_id=query_id,
-                )
+                return cached
 
         acct.try_spend(eps_f, query_id, q.requester_id)
         self.evaluation_count += 1
         exact_value = evaluate_exact(q, state)
         noisy = perturb(exact_value, eps_f, key.aggregate, rng)
         self.noise_draws += 1
-        resp = PerturbedResponse(noisy, eps_f, False, query_id)
-        self.last_record = QueryRecord(key, eps_f, resp)
+        record = QueryRecord(key, eps_f, PerturbedResponse(noisy, eps_f, False, query_id))
         if self.reuse_enabled:
-            self.pending[key] = self.last_record
-        return resp
+            self.pending[key] = record
+        return record
 
     def settle(self, record: QueryRecord) -> None:
         """Drop ``record`` from ``pending`` if it is still the pending answer

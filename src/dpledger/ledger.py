@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -31,7 +30,10 @@ from .transactions import (
     Envelope,
     QueryEffect,
     QueryRecord,
+    QueryTransaction,
     WriteTransaction,
+    _i64,
+    _u32,
     normalize,
     validate_query,
     validate_write,
@@ -40,9 +42,6 @@ from .transactions import (
 # The id of the one channel the simulator runs; its genesis hash binds to it.
 CHANNEL_ID = "mychannel"
 GENESIS_PREV_HASH = bytes(32)
-
-_u32 = struct.Struct(">I").pack
-_i64 = struct.Struct(">q").pack
 
 
 def _add_write(cells: dict, tx: WriteTransaction) -> None:
@@ -115,11 +114,13 @@ def build_block(pending: Sequence[Envelope], prev: Block) -> Block:
 
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
-    may: a write or query must be valid, a write must carry no query effect,
-    and a query must carry a fresh effect that answers it: its ε one the
-    engine could spend (``check_epsilon``), keyed by its category, with its
-    tx id as the query id and a response that states that ε."""
+    may: its body must be a valid write or query, a write must carry no
+    query effect, and a query must carry a fresh effect that answers it: its
+    ε one the engine could spend (``check_epsilon``), keyed by its category,
+    with its tx id as the query id and a response that states that ε."""
     is_write = isinstance(env.tx, WriteTransaction)
+    if not (is_write or isinstance(env.tx, QueryTransaction)):
+        return f"{env.tx!r} is not a transaction body"
     try:
         (validate_write if is_write else validate_query)(env.tx)
     except DPLedgerError as err:

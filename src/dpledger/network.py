@@ -15,11 +15,14 @@ engine checks a query's ε before anything else, so a rejected ε is
 neither spent nor logged as a reuse. The engine answers a
 query from the executor peer's committed world state plus its overlay
 of fresh answers endorsed but not yet committed, so every member serves
-the identical answer. A block that commits or goes to audit takes its
-answers out of the overlay; an audited answer is never served again, and
-its epsilon stays spent. The peer that executes a query produces the
-effect envelope; other members countersign its digest without
-re-executing, which keeps endorsement deterministic under fresh noise.
+the identical answer. A repeat's receipt holds the recorded answer's own
+response, whose query id names the query that drew its noise; the
+receipt's CACHED status alone says that no ε was spent. A block that
+commits or goes to audit takes its answers out of the overlay; an audited
+answer is never served again, and its epsilon stays spent. The peer that
+executes a query produces the effect envelope; other members countersign
+its digest without re-executing, which keeps endorsement deterministic
+under fresh noise.
 
 ``submit`` validates a body before anything encodes it, so a malformed
 body or ε, or a non-body, gets a typed rejected receipt and never raises.
@@ -141,8 +144,10 @@ class TransactionReceipt:
     Proposal, endorsement and ordering run at ``submit_tick``, and
     validation runs at ``commit_tick``. A rejected receipt names the phase
     it stopped in (``reject_phase``), the error type (``reject_reason``)
-    and its message (``detail``). A cached receipt served from an answer
-    that is endorsed but not yet committed names that answer in ``detail``.
+    and its message (``detail``). A query's ``response`` is its recorded
+    answer's response, the very object for a repeat. A cached receipt
+    served from an answer that is endorsed but not yet committed names that
+    answer in ``detail``.
     A receipt keeps no record per phase: one is made per submission, and
     every object it holds would stay live for the garbage collector to
     walk until the network is dropped.
@@ -283,7 +288,8 @@ class Network:
                     eps_f: Optional[float],
                     target_peer: Optional[str]):
         """Run phase 2 on a body that ``submit`` has validated. Returns
-        (envelope or None, response or None)."""
+        (envelope or None, the query's recorded answer or None); a query
+        gets an envelope only when its answer is fresh, drawn for ``tx_id``."""
         if isinstance(tx, WriteTransaction):
             return self._collect_endorsements(channel, tx_id, tx), None
 
@@ -291,18 +297,17 @@ class Network:
         if executor_id not in channel.members:
             raise NotMember(f"{executor_id} is not a member of {CHANNEL_ID}")
         executor = self.peers[executor_id]
-        engine = channel.engine
         if eps_f is None:
             raise ConfigInvalid("eps_f is required for queries")
-        response = engine.answer_query(tx, executor.states[CHANNEL_ID],
-                                       channel.accountant, eps_f, executor.rng,
-                                       query_id=tx_id)
-        if response.reused:
+        record = channel.engine.answer_query(tx, executor.states[CHANNEL_ID],
+                                             channel.accountant, eps_f, executor.rng,
+                                             query_id=tx_id)
+        if record.response.query_id != tx_id:
             # Served from the recorded answer; nothing new goes to ordering.
-            return None, response
+            return None, record
         # The fresh answer just endorsed goes to ordering with the balance left.
-        effect = QueryEffect(record=engine.last_record, eps_rem=channel.accountant.epsilon_rem)
-        return self._collect_endorsements(channel, tx_id, tx, effect), response
+        effect = QueryEffect(record, channel.accountant.epsilon_rem)
+        return self._collect_endorsements(channel, tx_id, tx, effect), record
 
     # -- submission (phases 1-3; phase 4 happens on tick)
 
@@ -345,15 +350,15 @@ class Network:
         if invalid is not None:
             return self._reject(receipt, "endorsement", str(invalid), type(invalid).__name__)
         try:
-            envelope, response = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
+            envelope, record = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
         except DPLedgerError as err:
             return self._reject(receipt, "endorsement", str(err), type(err).__name__)
-        receipt.response = response
+        if record is not None:
+            receipt.response = record.response
 
         if envelope is None:
-            source = channel.engine.last_record
-            if channel.engine.pending.get(source.key) is source:
-                receipt.detail = f"served pending answer {source.response.query_id}"
+            if channel.engine.pending.get(record.key) is record:
+                receipt.detail = f"served pending answer {record.response.query_id}"
             receipt.status = ReceiptStatus.CACHED
             receipt.commit_tick = self.clock
             return receipt

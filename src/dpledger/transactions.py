@@ -281,7 +281,10 @@ def validate_query(tx: QueryTransaction) -> None:
 
 @dataclass(frozen=True)
 class PerturbedResponse:
-    """Query answer handed back to a requester, with noise provenance."""
+    """Query answer handed back to a requester, with noise provenance:
+    ``query_id`` names the query that drew the noise. A repeat gets the
+    recorded response itself, so ``reused`` is false on every response the
+    library builds; the on-chain effect still encodes it."""
 
     value: float
     epsilon_used: float

@@ -49,7 +49,7 @@ def test_linking_with_noise_disabled_recovers_target_exactly():
     true_qty = records[7].quantity
     q = make_query(Aggregate.SUM)
     exact_response = float(sum(tx.quantity for tx in records))
-    report = linking_attack(q, [exact_response], bk, true_qty, tolerance=0.0)
+    report = linking_attack(q, exact_response, bk, true_qty, tolerance=0.0)
     assert report.success
     assert report.abs_error == 0.0
     assert report.estimate == true_qty
@@ -63,7 +63,7 @@ def test_linking_rejects_noncovering_predicate():
     bk = BackgroundKnowledge.from_ledger(records, target_index=target)
     q = make_query(Aggregate.SUM, product="valve")
     with pytest.raises(PredicateMismatch):
-        linking_attack(q, [100.0], bk, records[target].quantity)
+        linking_attack(q, 100.0, bk, records[target].quantity)
 
 
 def test_linking_error_follows_noise_cdf(rng):
@@ -141,14 +141,15 @@ def test_single_peer_single_repeat_degenerates_to_one_observation():
 # repeated-query averaging
 
 def _asker(values):
-    stream = iter(values)
+    """Fresh answers, each drawn for a query of its own."""
+    stream = enumerate(values)
 
     def ask():
-        value = next(stream)
+        i, value = next(stream)
         if value is None:
             raise BudgetExhausted("spent")
         return PerturbedResponse(value=value, epsilon_used=1.0, reused=False,
-                                 query_id="q")
+                                 query_id=f"q{i}")
     return ask
 
 
@@ -157,6 +158,8 @@ def test_averaging_mean_and_counts():
     assert report.estimate == 12.0
     assert report.queries_consumed == 3
     assert report.details["distinct_values"] == 3
+    assert report.details["fresh_responses"] == 3
+    assert report.epsilon_observed == 3.0
 
 
 def test_averaging_truncates_on_budget_exhaustion():

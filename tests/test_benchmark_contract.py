@@ -30,31 +30,38 @@ def test_every_traced_target_resolves(target):
 
 
 def _small_run(reuse):
-    """Writes, then every category asked of each peer in two rounds."""
+    """Writes, then every category asked of each peer in two rounds; the
+    network and the key of each query, in submission order."""
     net = Network(seed=5, reuse_enabled=reuse, epsilon_t=10.0)
     net.register_client(workloads.LOADER)
     net.register_client(workloads.REQUESTER)
     for i in range(20):
         net.submit(workloads.LOADER, make_write(quantity=1 + i, color=("red", "blue")[i % 2]))
     net.run_until_idle()
+    keys = []
     for _ in range(2):
         for color in ("red", "blue"):
             for peer in net.channels[checks.CHANNEL].members:
-                net.submit(workloads.REQUESTER, make_query(color=color), eps_f=0.5,
-                           target_peer=peer)
+                query = make_query(color=color)
+                net.submit(workloads.REQUESTER, query, eps_f=0.5, target_peer=peer)
+                keys.append(query.key)
         net.tick()
     net.run_until_idle()
-    return net
+    return net, keys
 
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["naive", "reuse"])
 def test_benchmark_checks_pass_on_a_small_run(tmp_path, reuse):
-    net = _small_run(reuse)
+    net, keys = _small_run(reuse)
     statuses = [r.status for r in net.receipts]
     assert (ReceiptStatus.CACHED in statuses) is reuse
     assert checks.receipt_problems(net.receipts) == []
     assert checks.chain_problems(net, {}) == []
     assert checks.committed_answer_problems(net, net.receipts) == []
+    if reuse:
+        # What a cached receipt holds is what the repeat-queries check reads.
+        queries = [r for r in net.receipts if r.kind == "query"]
+        assert checks.repeat_answer_problems(queries, keys) == []
     trial = workloads.Trial(tmp_path)
     trial.observe([(net, net.receipts)])
     assert trial.counts["committed_txs"] == statuses.count(ReceiptStatus.COMMITTED)

@@ -107,20 +107,19 @@ def test_repeat_returns_identical_response_and_spends_once(rng):
     state, acct, engine = _setup()
     q = make_query(Aggregate.SUM, customer="Claire")
     first = engine.answer_query(q, state, acct, 0.5, rng, query_id="q0")
-    assert first.reused is False
+    assert first.response.query_id == "q0" and first.response.reused is False
     spent_after_first = acct.accumulated()
     for i in range(9):
         again = engine.answer_query(q, state, acct, 0.5, rng, query_id=f"q{i+1}")
-        assert again.reused is True
-        assert again.value == first.value
-        assert again.epsilon_used == first.epsilon_used
+        # A repeat is served the recorded answer itself; nothing new is built.
+        assert again is first
     assert acct.accumulated() == spent_after_first
     assert len(acct.spend_log) == 1
     assert len(acct.events) == 10
     # Repeats are recorded by the accountant only; the committed state is
     # read, never written, and the one fresh answer waits in the overlay.
     assert state._latest == {}
-    assert [r.response for r in engine.pending.values()] == [first]
+    assert list(engine.pending) == [q.key] and engine.pending[q.key] is first
 
 
 def test_probe_of_unasked_key_spends_nothing(rng):
@@ -151,10 +150,10 @@ def test_fresh_noise_of_two_gives_502():
     acct = BudgetAccountant(10.0)
     engine = ChaincodeEngine()
     u = 1.0 - math.exp(-2.0 / 100.0) / 2.0
-    resp = engine.answer_query(make_query(Aggregate.SUM), state, acct, 1.0,
-                               FixedUniformRng([u]), query_id="q0")
-    assert resp.value == pytest.approx(502.0, abs=1e-9)
-    assert resp.epsilon_used == 1.0
+    record = engine.answer_query(make_query(Aggregate.SUM), state, acct, 1.0,
+                                 FixedUniformRng([u]), query_id="q0")
+    assert record.response.value == pytest.approx(502.0, abs=1e-9)
+    assert record.response.epsilon_used == 1.0
     assert acct.epsilon_rem == 9.0
 
 
@@ -169,8 +168,8 @@ def test_reuse_determinism_across_random_sequences(rng):
     seen = {}
     for i in range(200):
         q = queries[int(rng.integers(len(queries)))]
-        resp = engine.answer_query(q, state, acct, 0.2, rng, query_id=f"q{i}")
-        seen.setdefault(q.key, set()).add(resp.value)
+        record = engine.answer_query(q, state, acct, 0.2, rng, query_id=f"q{i}")
+        seen.setdefault(q.key, set()).add(record.response.value)
     assert all(len(values) == 1 for values in seen.values())
     assert acct.accumulated() == pytest.approx(0.2 * len(seen))
 
@@ -180,7 +179,7 @@ def test_naive_mode_never_consults_the_cache(rng):
     q = make_query(Aggregate.SUM)
     a = engine.answer_query(q, state, acct, 0.5, rng, query_id="qa")
     b = engine.answer_query(q, state, acct, 0.5, rng, query_id="qb")
-    assert a.value != b.value
+    assert a.response.value != b.response.value
     assert engine.probe_count == 0
     assert acct.accumulated() == 1.0
 
@@ -201,10 +200,8 @@ def test_record_key_is_the_query_key(rng):
     a = make_query(Aggregate.SUM, customer="Bob", color="red")
     b = make_query(Aggregate.SUM, customer=" BOB ", color="Red")
     assert a == b and a.key is not b.key
-    records = []
-    for i, q in enumerate((a, b)):
-        engine.answer_query(q, state, acct, 0.5, rng, query_id=f"q{i}")
-        records.append(engine.last_record)
+    records = [engine.answer_query(q, state, acct, 0.5, rng, query_id=f"q{i}")
+               for i, q in enumerate((a, b))]
     # The chaincode builds no key: each record holds its query's own.
     assert records[0].key is a.key and records[1].key is b.key
 

@@ -5,6 +5,7 @@ import pytest
 
 from dpledger import (
     Aggregate,
+    Block,
     BudgetAccountant,
     CategoryKey,
     EmptyBatch,
@@ -195,6 +196,17 @@ def test_replay_and_verify_need_the_channels_genesis_block(chain):
     assert verify_chain(chain) is False
     with pytest.raises(ValidationFailure, match="genesis block of 'mychannel'"):
         replay_chain(chain)
+
+
+@pytest.mark.parametrize("body", [None, 5], ids=["none", "int"])
+def test_content_rule_refuses_an_envelope_without_a_body(body):
+    """An envelope whose body is neither a write nor a query fails the
+    content rule: replay raises naming its tx id, and verify rejects it."""
+    genesis = make_genesis("mychannel")
+    chain = [genesis, Block(1, genesis.block_hash, (Envelope(tx_id="z", tx=body),), bytes(32))]
+    with pytest.raises(ValidationFailure, match=r"^z: .* is not a transaction body$"):
+        replay_chain(chain)
+    assert verify_chain(chain) is False
 
 
 def test_verify_never_raises_on_garbage():

@@ -156,7 +156,8 @@ def _single_answers(q, state, seed):
     answers, charged = np.empty(N), set()
     for i in range(N):
         acct = BudgetAccountant(EPSILON)
-        answers[i] = engine.answer_query(q, state, acct, EPSILON, rng, query_id=f"q{i}").value
+        record = engine.answer_query(q, state, acct, EPSILON, rng, query_id=f"q{i}")
+        answers[i] = record.response.value
         charged.add(acct.accumulated())
     return answers, charged
 
@@ -170,8 +171,8 @@ def _pair_means(q, state, seed, reuse_enabled=True):
     for i in range(N):
         engine = ChaincodeEngine(reuse_enabled=reuse_enabled)
         acct = BudgetAccountant(2 * EPSILON)
-        first = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q0").value
-        second = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q1").value
+        first = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q0").response.value
+        second = engine.answer_query(q, state, acct, EPSILON, rng, query_id="q1").response.value
         means[i] = (first + second) / 2.0
         charged.add(acct.accumulated())
     return means, charged
