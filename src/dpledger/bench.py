@@ -43,6 +43,7 @@ from .transactions import (
     CategoryKey,
     QueryTransaction,
     WriteTransaction,
+    category_label,
 )
 
 # Grid step for generated epsilon values; float sums of grid multiples
@@ -283,21 +284,22 @@ def _epsilon_values(cfg: WorkloadConfig, rng: np.random.Generator,
     return values
 
 
-def _candidate_keys(cfg: WorkloadConfig, state: WorldState) -> List[CategoryKey]:
-    """Non-empty aggregate/attribute-cell combinations, largest answers first.
+def _candidate_keys(cfg: WorkloadConfig, state: WorldState, n: int) -> List[CategoryKey]:
+    """The ``n`` non-empty aggregate/attribute-cell combinations with the
+    largest answers, ties in label order; all of them if there are fewer.
 
     Ordering by magnitude keeps the query stream on the aggregates a
     supply-chain requester actually asks for (totals and marginals
-    before sparse three-attribute cells).
+    before sparse three-attribute cells). Only the chosen ones become keys.
     """
     aggregates = (Aggregate.SUM,) if cfg.sum_only else (Aggregate.SUM, Aggregate.COUNT)
-    keys = [
-        (CategoryKey(agg, *cell), total[1 if agg is Aggregate.SUM else 0])
+    ranked = [
+        (-total[1 if agg is Aggregate.SUM else 0], category_label(agg, *cell), agg, cell)
         for agg in aggregates
         for cell, total in state.cells()
     ]
-    keys.sort(key=lambda item: (-item[1], item[0].label()))
-    return [k for k, _ in keys]
+    ranked.sort(key=lambda item: (item[0], item[1]))
+    return [CategoryKey(agg, *cell) for _, _, agg, cell in ranked[:n]]
 
 
 def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
@@ -325,15 +327,14 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     written = WorldState()
     for _, tx in writes:
         written.apply_write(tx)
-    candidates = _candidate_keys(cfg, written)
     n_repeats = cfg.n_repeats
     n_fresh = cfg.n_queries - n_repeats
-    if n_fresh > len(candidates):
+    selected = _candidate_keys(cfg, written, n_fresh)
+    if n_fresh > len(selected):
         raise ConfigInvalid(
             f"need {n_fresh} distinct query categories but the workload "
-            f"only produced {len(candidates)}"
+            f"only produced {len(selected)}"
         )
-    selected = candidates[:n_fresh]
     rng.shuffle(selected)
 
     repeat_slots: set = set()
@@ -729,8 +730,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     state = _committed_state(net)
     peers = net.channels[CHANNEL_ID].members[:2]
 
-    keys = [k for k in _candidate_keys(cfg, state)
-            if k.aggregate is Aggregate.SUM][:categories]
+    keys = _candidate_keys(cfg, state, categories)
     if len(keys) < categories:
         raise ConfigInvalid(f"workload produced only {len(keys)} query categories")
 
@@ -782,9 +782,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                         for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -7,15 +7,16 @@ one before (``fold_block``), as commit folds a block onto its chain head;
 ``verify_chain`` is replay's verdict plus each block's hash. ``fold_block``
 states each rule once: the link, ``_envelope_problem`` for each envelope's
 content, and no tx id twice on the chain. It sums each write's eight
-attribute cells into a per-block delta, which every member applies to its
-own world state (``apply_block``). The world state is an index of what
-queries read: the cell counters, the newest answer per category, the
-height and the committed tx ids. The history itself, every write and
+attribute cells into a per-block delta keyed by cell id, which every member
+adds into counters of its own (``apply_block``). The world state is an
+index of what queries read: the cell counters, the newest answer per
+category, the height and the committed tx ids. The history itself, every write and
 every query effect with the ε left after it, is on the chain only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -44,23 +45,32 @@ CHANNEL_ID = "mychannel"
 GENESIS_PREV_HASH = bytes(32)
 
 
-def _add_write(cells: dict, tx: WriteTransaction) -> None:
-    """Count ``tx`` in each of the eight aggregation cells it falls in: one
-    per subset of its three normalized attributes, the others wildcarded as
-    None. A cell's value is a ``[count, quantity sum]`` list."""
-    customer, product, color = (normalize(tx.customer_name), normalize(tx.product_name),
-                                normalize(tx.color))
-    qty = tx.quantity
-    for cell in ((None, None, None), (None, None, color),
-                 (None, product, None), (None, product, color),
-                 (customer, None, None), (customer, None, color),
-                 (customer, product, None), (customer, product, color)):
-        slot = cells.get(cell)
-        if slot is None:
-            cells[cell] = [1, qty]
-        else:
-            slot[0] += 1
-            slot[1] += qty
+# Every attribute cell, a (customer, product, colour) triple of normalized
+# names with None as the wildcard, is numbered the first time any state
+# counts a write in it. The numbering is process-wide and append-only, so a
+# cell's id never changes; each state keeps its own counters, indexed by id.
+_CELL_IDS: Dict[tuple, int] = {}
+_CELLS: List[tuple] = []
+
+
+def _cell_id(cell: tuple) -> int:
+    i = _CELL_IDS.get(cell)
+    if i is None:
+        i = _CELL_IDS[cell] = len(_CELLS)
+        _CELLS.append(cell)
+    return i
+
+
+@functools.lru_cache(maxsize=4096)
+def _write_cells(customer: str, product: str, color: str) -> Tuple[int, ...]:
+    """The ids of the eight cells a write with these raw attributes counts
+    in: one per subset of its normalized attributes, the others wildcarded.
+    Memoized: a run writes many records with each of a few attribute triples."""
+    customer, product, color = normalize(customer), normalize(product), normalize(color)
+    return tuple(map(_cell_id, ((None, None, None), (None, None, color),
+                                (None, product, None), (None, product, color),
+                                (customer, None, None), (customer, None, color),
+                                (customer, product, None), (customer, product, color))))
 
 
 def _sha256(data: bytes) -> bytes:
@@ -148,13 +158,13 @@ def _envelope_problem(env: Envelope) -> str:
 class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
-    ``cells`` maps each attribute cell the block's writes fall in to their
-    ``[count, quantity sum]``; it and ``tx_ids``, the block's tx ids, are only
-    read, and each member adds them into counters and a set of its own.
+    ``cells`` maps the id of each attribute cell the block's writes fall in
+    to their ``[count, quantity sum]``; it and ``tx_ids``, the block's tx ids,
+    are only read, and each member adds them into counters and a set of its own.
     """
 
     height: int
-    cells: Dict[tuple, List[int]]
+    cells: Dict[int, List[int]]
     effects: Tuple[QueryEffect, ...]
     tx_ids: Set[str]
 
@@ -167,7 +177,7 @@ def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockF
     link, or naming the first envelope that breaks the content rule or repeats a tx id."""
     if block.height != prev.height + 1 or block.prev_hash != prev.block_hash:
         raise ValidationFailure(f"block {block.height} does not follow block {prev.height}")
-    cells: dict = {}
+    cells: Dict[int, List[int]] = {}
     effects = []
     tx_ids: Set[str] = set()
     for env in block.envelopes:
@@ -179,7 +189,14 @@ def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockF
         tx_ids.add(env.tx_id)
         tx = env.tx
         if isinstance(tx, WriteTransaction):
-            _add_write(cells, tx)
+            qty = tx.quantity
+            for i in _write_cells(tx.customer_name, tx.product_name, tx.color):
+                slot = cells.get(i)
+                if slot is None:
+                    cells[i] = [1, qty]
+                else:
+                    slot[0] += 1
+                    slot[1] += qty
         else:
             effects.append(env.effect)
     return BlockFold(block.height, cells, tuple(effects), tx_ids)
@@ -188,8 +205,10 @@ def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockF
 class WorldState:
     """One member's index of a channel ledger: what its queries read.
 
-    ``_agg`` maps each attribute cell to its ``[count, quantity sum]``,
-    ``_latest`` each category to its newest committed answer, and
+    ``_counts`` and ``_sums`` hold each attribute cell's count and quantity
+    sum at the cell's id; they grow when the state counts a write in a cell
+    numbered after their end, and a cell past their end reads as empty.
+    ``_latest`` maps each category to its newest committed answer, and
     ``tx_ids`` is the set of committed tx ids that ``fold_block`` checks a
     block against. The writes and query effects themselves stay on the chain.
     """
@@ -197,30 +216,49 @@ class WorldState:
     def __init__(self):
         self.height = 0
         self._latest: Dict[CategoryKey, QueryRecord] = {}
-        self._agg: dict = {}
+        self._counts: List[int] = []
+        self._sums: List[int] = []
         self.tx_ids: Set[str] = set()
 
     # -- writes
 
+    def _cover_cells(self) -> None:
+        """Extend the counters over every cell numbered so far."""
+        short = len(_CELLS) - len(self._counts)
+        if short > 0:
+            self._counts += [0] * short
+            self._sums += [0] * short
+
     def apply_write(self, tx: WriteTransaction) -> None:
         """Count one validated write in its attribute cells."""
         validate_write(tx)
-        _add_write(self._agg, tx)
+        ids = _write_cells(tx.customer_name, tx.product_name, tx.color)
+        self._cover_cells()
+        counts, sums, qty = self._counts, self._sums, tx.quantity
+        for i in ids:
+            counts[i] += 1
+            sums[i] += qty
 
     def aggregate_cell(self, customer: Optional[str], product: Optional[str],
                        color: Optional[str]) -> Tuple[int, int]:
         """(count, quantity sum) for a normalized attribute cell."""
-        return tuple(self._agg.get((customer, product, color), (0, 0)))
+        i = _CELL_IDS.get((customer, product, color))
+        if i is None or i >= len(self._counts):
+            return (0, 0)
+        return (self._counts[i], self._sums[i])
 
     def answer(self, key: CategoryKey) -> float:
         """The exact answer to ``key``'s query: its cell's count for COUNT,
         its quantity sum for SUM, and 0.0 for an empty cell."""
-        slot = self._agg.get((key.customer_name, key.product_name, key.color), (0, 0))
-        return float(slot[0] if key.aggregate is Aggregate.COUNT else slot[1])
+        i = _CELL_IDS.get((key.customer_name, key.product_name, key.color))
+        if i is None or i >= len(self._counts):
+            return 0.0
+        return float(self._counts[i] if key.aggregate is Aggregate.COUNT else self._sums[i])
 
     def cells(self) -> Iterator[Tuple[tuple, Tuple[int, int]]]:
         """Every non-empty attribute cell with its (count, quantity sum)."""
-        return ((cell, (count, qty)) for cell, (count, qty) in self._agg.items())
+        return ((_CELLS[i], (count, qty))
+                for i, (count, qty) in enumerate(zip(self._counts, self._sums)) if count)
 
     # -- answers
 
@@ -242,7 +280,7 @@ class WorldState:
         are sorted with None before any name, answers by their key's
         canonical bytes, and the tx ids enter as the SHA-256 of their
         sorted JSON list."""
-        cells = sorted(self._agg.items(),
+        cells = sorted(self.cells(),
                        key=lambda item: [(v is not None, v or "") for v in item[0]])
         latest = sorted(self._latest.items(), key=lambda item: item[0].canonical_bytes())
         tx_ids = json.dumps(sorted(self.tx_ids), separators=(",", ":")).encode("utf-8")
@@ -260,14 +298,11 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
     state's own counters and its tx ids into the state's own set, and make
     each of its query effects its category's newest answer."""
     state.tx_ids.update(fold.tx_ids)
-    agg = state._agg
-    for cell, (count, qty) in fold.cells.items():
-        slot = agg.get(cell)
-        if slot is None:
-            agg[cell] = [count, qty]
-        else:
-            slot[0] += count
-            slot[1] += qty
+    state._cover_cells()
+    counts, sums = state._counts, state._sums
+    for i, (count, qty) in fold.cells.items():
+        counts[i] += count
+        sums[i] += qty
     for effect in fold.effects:
         state.record_query(effect.record)
     state.height = fold.height

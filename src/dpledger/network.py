@@ -88,6 +88,9 @@ from .transactions import (
 DEFAULT_ORGS = (("org1", ("peer0.org1",)), ("org2", ("peer0.org2",)))
 
 
+# The body types; an envelope holding anything else breaks the content rule.
+_BODIES = (WriteTransaction, QueryTransaction)
+
 # The tx id's preimage starts with the channel id.
 _TX_ID_PREFIX = CHANNEL_ID.encode("utf-8")
 
@@ -397,8 +400,9 @@ class Network:
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
         """Check the endorsements, then ``fold_block`` onto the chain head; append
         the block on every member and return True, or audit it and return False."""
-        problems = [f"{env.tx_id}: endorsement policy not met"
-                    for env in block.envelopes if not channel.meets_policy(env)]
+        # A digest exists only for a transaction body; the content rule names any other.
+        problems = [f"{env.tx_id}: endorsement policy not met" for env in block.envelopes
+                    if isinstance(env.tx, _BODIES) and not channel.meets_policy(env)]
 
         fold = None
         if not problems:

@@ -223,12 +223,15 @@ class CategoryKey:
         return raw
 
     def label(self) -> str:
-        parts = [self.aggregate.value]
-        for name, value in (("customer", self.customer_name),
-                            ("product", self.product_name),
-                            ("color", self.color)):
-            parts.append(f"{name}={'*' if value is None else value}")
-        return " ".join(parts)
+        return category_label(self.aggregate, self.customer_name, self.product_name, self.color)
+
+
+def category_label(aggregate: Aggregate, customer_name: Optional[str],
+                   product_name: Optional[str], color: Optional[str]) -> str:
+    """The label of the category with these fields, "*" for a wildcard."""
+    return (f"{aggregate.value} customer={'*' if customer_name is None else customer_name}"
+            f" product={'*' if product_name is None else product_name}"
+            f" color={'*' if color is None else color}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dpledger import (
 )
 from dpledger.bench import WorkloadConfig, generate_workload
 from dpledger.errors import IoFailure, ValidationFailure
-from dpledger.ledger import GENESIS_PREV_HASH, apply_block, fold_block
+from dpledger.ledger import _CELL_IDS, _CELLS, GENESIS_PREV_HASH, apply_block, fold_block
 from dpledger.network import sign_endorsement
 
 from conftest import make_query, make_write
@@ -305,7 +305,7 @@ def test_serialize_is_independent_of_write_order():
 
 
 def _bump_cell(state):
-    state._agg[("bob", "bolt", "red")][0] += 1
+    state._counts[_CELL_IDS[("bob", "bolt", "red")]] += 1
 
 
 def _newer_answer(state):
@@ -328,6 +328,36 @@ def test_serialize_tells_one_changed_datum(change):
     assert state.serialize() == replay_chain(chain).serialize()
     change(state)
     assert state.serialize() != replay_chain(chain).serialize()
+
+
+def test_state_reads_a_cell_numbered_after_its_counters_as_empty():
+    """Cell ids are process-wide. A state whose counters end before a cell
+    that another state numbers later reads it as empty and serializes as
+    before; once it applies a write in that cell, by a block fold or by
+    ``apply_write``, it counts it like a state that saw every write."""
+    by_fold, by_write = WorldState(), WorldState()
+    for state in (by_fold, by_write):
+        state.apply_write(make_write("Bob", "bolt", "red", 10))
+    before = by_fold.serialize()
+    cell = (f"customer {len(_CELLS)}", "sprocket", "mauve")
+    assert cell not in _CELL_IDS
+    late = make_write(*cell, quantity=4)
+    other = WorldState()
+    other.apply_write(late)
+    assert _CELL_IDS[cell] >= len(by_fold._counts)
+    for state in (by_fold, by_write):
+        assert state.aggregate_cell(*cell) == (0, 0)
+        assert state.answer(CategoryKey(Aggregate.SUM, *cell)) == 0.0
+        assert state.serialize() == before
+    genesis = make_genesis("mychannel")
+    apply_block(by_fold, fold_block(build_block([Envelope(tx_id="w1", tx=late)], genesis),
+                                    genesis, set()))
+    by_write.apply_write(late)
+    for state in (by_fold, by_write):
+        assert state.aggregate_cell(*cell) == (1, 4)
+        assert state.answer(CategoryKey(Aggregate.COUNT, *cell)) == 1.0
+        assert state.aggregate_cell(None, None, None) == (2, 14)
+    assert dict(by_fold.cells()) == dict(by_write.cells())
 
 
 def test_export_import_round_trip(tmp_path):

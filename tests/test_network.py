@@ -12,6 +12,7 @@ import pytest
 
 from dpledger import (
     Aggregate,
+    Block,
     CategoryKey,
     ConfigInvalid,
     Envelope,
@@ -388,6 +389,28 @@ def test_receipts_of_an_audited_block_name_the_failing_envelope():
         assert receipt.reject_reason == "ValidationFailure"
         assert receipt.detail == f"{bad.tx_id}: endorsement policy not met"
         assert receipt.commit_tick is None
+
+
+@pytest.mark.parametrize("body", [None, 5], ids=["none", "int"])
+def test_block_with_an_envelope_without_a_body_goes_to_audit(body):
+    """Commit leaves an envelope whose body is not a transaction, which has
+    no payload digest to check endorsements against, to the content rule:
+    its block goes to audit and the block's receipts name it."""
+    net = _network()
+    channel = net.channels["mychannel"]
+    stray = Block(1, channel.chain[-1].block_hash, (Envelope(tx_id="z", tx=body),), bytes(32))
+    _assert_audited(net, channel, net.deliver_and_commit(channel, stray), 0)
+
+    good = net.submit("loader-app", make_write())
+    bad = net.submit("loader-app", make_write(quantity=7))
+    (_, good_env), (_, bad_env) = net.orderer._pending
+    net.orderer._pending.clear()
+    block = Block(1, channel.chain[-1].block_hash,
+                  (good_env, dataclasses.replace(bad_env, tx=body)), bytes(32))
+    _assert_audited(net, channel, net.deliver_and_commit(channel, block), 0, n_audited=2)
+    for receipt in (good, bad):
+        assert (receipt.status, receipt.reject_phase) == (ReceiptStatus.REJECTED, "validation")
+        assert receipt.detail == f"{bad.tx_id}: {body!r} is not a transaction body"
 
 
 def test_query_to_non_member_peer_rejected():
