@@ -33,7 +33,7 @@ from .adversary import (
 )
 from .budget import allocate_equal
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
-from .laplace import EPSILON_MIN, laplace_scale, sensitivity
+from .laplace import EPSILON_MIN, check_epsilon, laplace_scale, sensitivity
 from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
 from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members, check_batching
 from .transactions import (
@@ -194,48 +194,6 @@ class WorkloadSchedule:
     queries: List[QueryPlan]
 
 
-_WORD = 1 << 32
-
-
-def _bounded_columns(rng: np.random.Generator, bounds: Sequence[int],
-                     rows: int) -> List[List[int]]:
-    """``rows`` rounds of ``int(rng.integers(b))`` for each ``b`` in ``bounds``,
-    drawn in bulk: one column of ints per bound.
-
-    For a bound ``b`` in [1, 2**32], ``Generator.integers(b)`` takes a 32-bit
-    word ``w`` and returns ``(w * b) >> 32``, unless
-    ``(w * b) mod 2**32 < (2**32 - b) % b``: then it rejects ``w`` and takes
-    the next word (Lemire, arXiv:1805.10941). A bound of 1 takes no word.
-    Here one call draws a word for each slot left. After a rejected word, its
-    slot and the ones after it take the next words already drawn, and more
-    are drawn only once all are used. So the columns, and the state the
-    generator is left in, are those of the scalar calls.
-    """
-    live = [b for b in bounds if b > 1]
-    n = np.tile(np.array(live, dtype=np.uint64), rows)
-    threshold = (_WORD - n) % n
-    out = np.empty_like(n)
-    words = n[:0]  # none drawn yet
-    used = slot = 0
-    while slot < n.size:
-        if used == words.size:
-            # Every slot takes at least one word, so none is left over.
-            words = rng.integers(0, _WORD, size=n.size - slot,
-                                 dtype=np.uint32).astype(np.uint64)
-            used = 0
-        take = min(words.size - used, n.size - slot)
-        m = words[used:used + take] * n[slot:slot + take]
-        rejected = np.flatnonzero(m & (_WORD - 1) < threshold[slot:slot + take])
-        kept = int(rejected[0]) if rejected.size else take
-        out[slot:slot + kept] = m[:kept] >> 32
-        slot += kept
-        used += kept
-        if rejected.size:
-            used += 1  # the rejected word; its slot takes the next one
-    drawn = iter(out.reshape(rows, len(live)).T.tolist())
-    return [next(drawn) if b > 1 else [0] * rows for b in bounds]
-
-
 def _fit_units(rng: np.random.Generator, count: int, lo_u: int, hi_u: int,
                target_u: int) -> List[int]:
     """Grid draws in [lo_u, hi_u] adjusted to hit target_u exactly."""
@@ -311,10 +269,12 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
 
-    # Each write draws its product, colour, quantity and customer, in that order.
-    columns = _bounded_columns(rng, (len(cfg.products), len(cfg.colors),
-                                     QUANTITY_MAX - QUANTITY_MIN + 1, len(cfg.customers)),
-                               cfg.n_writes)
+    # Each write draws its product, colour, quantity and customer, in that order,
+    # as scalar ``rng.integers(b)`` calls would; the query round goes on from
+    # the state they leave.
+    columns = rng.integers((len(cfg.products), len(cfg.colors),
+                            QUANTITY_MAX - QUANTITY_MIN + 1, len(cfg.customers)),
+                           size=(cfg.n_writes, 4)).T.tolist()
     writes: List[Tuple[int, WriteTransaction]] = [
         (i // cfg.write_rate, WriteTransaction(cfg.products[p], cfg.colors[c],
                                                QUANTITY_MIN + q, cfg.customers[u]))
@@ -686,6 +646,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     with noise, the Monte-Carlo success rate is compared with the noise
     CDF at the tolerance.
     """
+    check_epsilon(epsilon)
     _check_counts(n_trials=n_trials)
     if not tolerance >= 0:
         raise ConfigInvalid(f"attack tolerance must be >= 0: tolerance={tolerance!r}")
@@ -722,6 +683,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                            repeats: int = 50, epsilon: float = 1.0,
                            n_writes: int = 300, seed: int = 7) -> AttackReport:
     """Send one query set to both channel peers, repeatedly, and average."""
+    check_epsilon(epsilon)
     _check_counts(categories=categories, repeats=repeats)
     needed = 2 * repeats * categories * epsilon + 1
     cfg = WorkloadConfig(name="attack-composition", n_writes=n_writes, n_queries=0,
@@ -756,6 +718,7 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
                          epsilon: float = 1.0, epsilon_t: Optional[float] = None,
                          n_writes: int = 200, seed: int = 7) -> AttackReport:
     """Repeat one query n times and average the answers."""
+    check_epsilon(epsilon)
     _check_counts(n=n)
     eps_t = epsilon_t if epsilon_t is not None else n * epsilon + 1
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
@@ -824,15 +787,8 @@ def _writer(out_dir) -> Callable[[str, str], Path]:
     return emit
 
 
-def export_report(report: dict, out_dir) -> List[Path]:
-    """Write the report as one JSON summary plus one CSV per metric series.
-
-    Output is deterministic: re-exporting the same report produces
-    byte-identical files.
-    """
-    emit = _writer(out_dir)
-    written = [emit("report.json", _json_text(report))]
-
+def _report_files(report: dict) -> Dict[str, str]:
+    """The text of each file ``export_report`` writes, by file name."""
     summary = {
         "scenario": report["config"]["name"],
         "seed": report["config"]["seed"],
@@ -846,25 +802,47 @@ def export_report(report: dict, out_dir) -> List[Path]:
         "naive": report["naive"],
         "reuse": report["reuse"],
     }
-    written.append(emit("summary.json", _json_text(summary)))
-
-    written.append(emit("budget_curve.csv", _csv_text(
-        ["query_index", "naive_eps_sum", "reuse_eps_sum"],
-        [(r["index"], r["cum_eps_naive"], r["cum_eps_reuse"]) for r in report["rows"]],
-    )))
-    written.append(emit("relative_errors.csv", _csv_text(
-        ["query_index", "category", "exact", "value_naive", "value_reuse",
-         "rel_err_naive", "rel_err_reuse", "reused"],
-        [(r["index"], r["category"], r["exact"], r["value_naive"], r["value_reuse"],
-          r["rel_err_naive"], r["rel_err_reuse"], int(r["reused"])) for r in report["rows"]],
-    )))
+    files = {
+        "report.json": _json_text(report),
+        "summary.json": _json_text(summary),
+        "budget_curve.csv": _csv_text(
+            ["query_index", "naive_eps_sum", "reuse_eps_sum"],
+            [(r["index"], r["cum_eps_naive"], r["cum_eps_reuse"]) for r in report["rows"]],
+        ),
+        "relative_errors.csv": _csv_text(
+            ["query_index", "category", "exact", "value_naive", "value_reuse",
+             "rel_err_naive", "rel_err_reuse", "reused"],
+            [(r["index"], r["category"], r["exact"], r["value_naive"], r["value_reuse"],
+              r["rel_err_naive"], r["rel_err_reuse"], int(r["reused"])) for r in report["rows"]],
+        ),
+    }
     if report.get("performance"):
         keys = list(report["performance"][0])
-        written.append(emit("performance.csv", _csv_text(
-            keys, [[row[k] for k in keys] for row in report["performance"]],
-        )))
-    written += [emit(name, text) for name, text in report.get("artifacts", {}).items()]
-    return written
+        files["performance.csv"] = _csv_text(
+            keys, [[row[k] for k in keys] for row in report["performance"]])
+    for name, text in report.get("artifacts", {}).items():
+        if Path(name).name != name or not isinstance(text, str):
+            raise ConfigInvalid(f"not a report: artifact {name!r} is not a file name "
+                                f"with its text")
+        files[name] = text
+    return files
+
+
+def export_report(report: dict, out_dir) -> List[Path]:
+    """Write the report as one JSON summary plus one CSV per metric series.
+
+    Output is deterministic: re-exporting the same report produces
+    byte-identical files. A document that is not shaped like a report
+    raises ``ConfigInvalid`` before any file is written.
+    """
+    try:
+        files = _report_files(report)
+    except KeyError as err:
+        raise ConfigInvalid(f"not a report: no key {err}") from err
+    except (AttributeError, IndexError, TypeError, ValueError) as err:
+        raise ConfigInvalid(f"not a report: {err}") from err
+    emit = _writer(out_dir)
+    return [emit(name, text) for name, text in files.items()]
 
 
 def export_sweep(sweep_result: dict, out_dir) -> List[Path]:

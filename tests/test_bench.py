@@ -21,7 +21,6 @@ from dpledger.bench import (
     EpsilonSchedule,
     WorkloadConfig,
     _at_rate,
-    _bounded_columns,
     export_report,
     export_sweep,
     generate_workload,
@@ -30,7 +29,7 @@ from dpledger.bench import (
     sweep,
 )
 from dpledger.budget import exact
-from dpledger.transactions import QUANTITY_MAX
+from dpledger.transactions import QUANTITY_MAX, QUANTITY_MIN, WriteTransaction
 
 
 def _tiny_cfg(**kwargs):
@@ -218,10 +217,10 @@ def test_workload_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bulk_draws_equal_numpy_scalar_draws(seed):
-    """The bulk draw of ``generate_workload`` gives the indices that
-    ``int(rng.integers(b))`` gives row by row, and leaves the generator in
-    the same state. A bound of 1 takes no word; 3 * 2**30 rejects a quarter
-    of all words, so rejected slots take the next words already drawn."""
+    """``Generator.integers`` with an array of bounds, the call that
+    ``generate_workload`` makes, gives the indices that ``int(rng.integers(b))``
+    gives row by row, and leaves the generator in the same state. A bound of 1
+    takes no word; 3 * 2**30 rejects a quarter of all words."""
     bounds = (1, 8, 100, 3 * 2 ** 30, 1)
     rows = 60
     bulk, scalar, plain = (np.random.default_rng(seed) for _ in range(3))
@@ -231,11 +230,22 @@ def test_bulk_draws_equal_numpy_scalar_draws(seed):
     for _ in range(rows):
         for column, b in zip(expected, bounds):
             column.append(int(scalar.integers(b)))
-    assert _bounded_columns(bulk, bounds, rows) == expected
+    assert bulk.integers(bounds, size=(rows, len(bounds))).T.tolist() == expected
     assert bulk.bit_generator.state == scalar.bit_generator.state
     # One word per slot would have left it elsewhere: some word was rejected.
     plain.integers(0, 2 ** 32, size=rows * 3, dtype=np.uint32)
     assert plain.bit_generator.state != scalar.bit_generator.state
+
+    # A single customer is a bound of 1 in every write's row.
+    cfg = _tiny_cfg(seed=seed, n_queries=0, n_repeats=0, customers=("Alice",))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    writes = []
+    for i in range(cfg.n_writes):
+        p, c, q, u = (int(rng.integers(b)) for b in (
+            len(cfg.products), len(cfg.colors), QUANTITY_MAX - QUANTITY_MIN + 1, 1))
+        writes.append((i // cfg.write_rate, WriteTransaction(
+            cfg.products[p], cfg.colors[c], QUANTITY_MIN + q, cfg.customers[u])))
+    assert generate_workload(cfg).writes == writes
 
 
 def test_calibrated_epsilons_hit_exact_totals():

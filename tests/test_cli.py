@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,40 @@ def test_linking_attack_negative_tolerance_is_config_invalid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0", "1e-7", "-1", "nan"])
+@pytest.mark.parametrize("kind", ["linking", "composition", "averaging"])
+def test_attack_epsilon_is_checked_first(tmp_path, capsys, kind, epsilon):
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", kind, f"--epsilon={epsilon}", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NonPositiveEpsilon"
+    assert not out.exists()
+
+
+# Digests of each attack report at seed 7 with small driver knobs.
+_ATTACK_SHA256 = {
+    ("linking", None): "c10142d21070f5c0165bb776a2f2a3713442ebd48f280eab04978bc405077045",
+    ("composition", "reuse"): "b36cb7b95621045f586dfacbf3f6affc24099c88e59db77fd5b8d7d840f7fabe",
+    ("composition", "naive"): "6cc0ee634129d39ddd1471df399b582e68b83230e786709511e3eec4decdd96a",
+    ("averaging", "reuse"): "605cacba0d1837ff90ba87cc926b44a5add16ff3ba53e1a13b2eee491815fb1a",
+}
+_ATTACK_KNOBS = {
+    "linking": {"n_trials": 500, "n_writes": 80},
+    "composition": {"categories": 20, "repeats": 5, "n_writes": 120},
+    "averaging": {"n": 20, "n_writes": 80},
+}
+
+
+@pytest.mark.parametrize("kind,mode", sorted(_ATTACK_SHA256, key=str))
+def test_attack_report_digests(tmp_path, kind, mode):
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps(_ATTACK_KNOBS[kind]))
+    out = tmp_path / "attack"
+    argv = ["attack", "--kind", kind, "--seed", "7", "--config", str(config), "--out", str(out)]
+    assert _run(argv + (["--mode", mode] if mode else [])) == 0
+    digest = hashlib.sha256((out / f"attack_{kind}.json").read_bytes()).hexdigest()
+    assert digest == _ATTACK_SHA256[kind, mode]
+
+
 def test_init_ledger_command(tmp_path):
     out = tmp_path / "ledger"
     assert _run(["init-ledger", "--scenario", "error-150", "--out", str(out)]) == 0
@@ -122,6 +157,31 @@ def test_export_round_trip(tmp_path):
                  "--out", str(export_dir)]) == 0
     for path in run_dir.iterdir():
         assert path.read_bytes() == (export_dir / path.name).read_bytes()
+
+
+_SHAPED = {"config": {"name": "x", "seed": 1, "n_writes": 1, "n_queries": 1},
+           "naive_eps_sum": 1.0, "reuse_eps_sum": 1.0, "savings_pct": 0.0,
+           "naive": {}, "reuse": {"mean_relative_error": None, "accuracy": None},
+           "rows": []}
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({}, "'config'"),
+    ([1], ""),
+    ({"config": {"name": "x"}}, "'seed'"),
+    ({**_SHAPED, "rows": [{"index": 0}]}, "'cum_eps_naive'"),
+    ({**_SHAPED, "artifacts": {"../stray.csv": "x"}}, "'../stray.csv'"),
+    ({**_SHAPED, "artifacts": {"stray.csv": 1}}, "'stray.csv'"),
+], ids=["empty", "array", "no-seed", "short-row", "artifact-path", "artifact-text"])
+def test_export_refuses_a_document_that_is_not_a_report(tmp_path, capsys, doc, named):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "re"
+    assert _run(["export", "--report", str(report), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert named in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_errors_emit_machine_readable_json(tmp_path, capsys):
