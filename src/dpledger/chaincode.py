@@ -60,9 +60,11 @@ class ChaincodeEngine:
 
         ``q`` must have passed ``validate_query`` (``Network.submit`` checks it
         first); ``query_id`` is its tx id. ``state`` is only read.
-        A pending answer is preferred to a committed one, and a reuse is
-        recorded by the accountant alone. ``eps_f`` is checked first, so a
-        bad ε is neither spent nor logged as a reuse.
+        A pending answer is preferred to a committed one, and ``pending`` is
+        probed only when it holds answers: a repeat on a quiet overlay hashes
+        its key once, in ``state``. A reuse is recorded by the accountant
+        alone. ``eps_f`` is checked first, so a bad ε is neither spent nor
+        logged as a reuse.
         On the fresh path the budget is charged before the query is
         evaluated; a BudgetExhausted propagates with ``pending`` untouched.
         A fresh answer's response names ``query_id``, and with reuse
@@ -73,7 +75,7 @@ class ChaincodeEngine:
 
         if self.reuse_enabled:
             self.probe_count += 1
-            cached = self.pending.get(key) or state.lookup(key)
+            cached = (self.pending and self.pending.get(key)) or state.lookup(key)
             if cached is not None:
                 acct.record_reuse(query_id, q.requester_id, eps_f)
                 return cached

@@ -43,7 +43,10 @@ signature. The block also keeps the rules of ``ledger``: ``fold_block``
 checks it against the chain head as replay does (the link, each
 envelope's content, no tx id twice) and sums its writes into one cell
 delta. Every member applies that one fold; an invalid block goes to
-audit, its receipts name the broken rule, and no member changes.
+audit, its receipts name the broken rule, and no member changes. Only
+in-flight receipts are indexed, from hand-over to the orderer until their
+block commits or goes to audit; a cached or rejected receipt is final at
+submit, and an audited replay of a committed envelope leaves its receipt alone.
 """
 
 from __future__ import annotations
@@ -263,6 +266,7 @@ class Network:
         self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
         self.clients: Set[str] = set()
         self.receipts: List[TransactionReceipt] = []
+        # The receipts of envelopes handed to the orderer and not yet committed or audited.
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
         self._submit_seq = 0
 
@@ -339,10 +343,8 @@ class Network:
             invalid, body = None, tx.canonical_bytes()
         tx_id = hashlib.sha256(
             _TX_ID_PREFIX + self._submit_seq.to_bytes(8, "big") + body).hexdigest()
-        receipt = TransactionReceipt(tx_id=tx_id, kind="write" if is_write else "query",
-                                     submit_tick=self.clock)
+        receipt = TransactionReceipt(tx_id, "write" if is_write else "query", self.clock)
         self.receipts.append(receipt)
-        self._receipts_by_id[tx_id] = receipt
 
         # Phase 1: proposal from a known, authorized participant.
         if client_id not in self.clients:
@@ -360,13 +362,15 @@ class Network:
             receipt.response = record.response
 
         if envelope is None:
-            if channel.engine.pending.get(record.key) is record:
+            pending = channel.engine.pending
+            if pending and pending.get(record.key) is record:
                 receipt.detail = f"served pending answer {record.response.query_id}"
             receipt.status = ReceiptStatus.CACHED
             receipt.commit_tick = self.clock
             return receipt
 
-        # Phase 3: hand over to the ordering service.
+        # Phase 3: hand over to the ordering service; the receipt is now in flight.
+        self._receipts_by_id[tx_id] = receipt
         self.orderer.enqueue(envelope, self.clock)
         return receipt
 
@@ -399,7 +403,10 @@ class Network:
 
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
         """Check the endorsements, then ``fold_block`` onto the chain head; append
-        the block on every member and return True, or audit it and return False."""
+        the block on every member and return True, or audit it and return False.
+        Each in-flight receipt of the block leaves the index with its final
+        status; an envelope not in flight, such as a committed one replayed,
+        changes no receipt."""
         # A digest exists only for a transaction body; the content rule names any other.
         problems = [f"{env.tx_id}: endorsement policy not met" for env in block.envelopes
                     if isinstance(env.tx, _BODIES) and not channel.meets_policy(env)]
@@ -420,7 +427,7 @@ class Network:
         if fold is None:
             channel.audit.append(block)
             for env in block.envelopes:
-                receipt = self._receipts_by_id.get(env.tx_id)
+                receipt = self._receipts_by_id.pop(env.tx_id, None)
                 if receipt is not None:
                     self._reject(receipt, "validation", "; ".join(problems),
                                  "ValidationFailure")
@@ -432,7 +439,7 @@ class Network:
             peer.chains[CHANNEL_ID].append(block)
             apply_block(peer.states[CHANNEL_ID], fold)
         for env in block.envelopes:
-            receipt = self._receipts_by_id.get(env.tx_id)
+            receipt = self._receipts_by_id.pop(env.tx_id, None)
             if receipt is not None:
                 receipt.status = ReceiptStatus.COMMITTED
                 receipt.commit_height = block.height

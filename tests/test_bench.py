@@ -29,6 +29,7 @@ from dpledger.bench import (
     sweep,
 )
 from dpledger.budget import exact
+from dpledger.ledger import CHANNEL_ID, export_transactions
 from dpledger.transactions import QUANTITY_MAX, QUANTITY_MIN, WriteTransaction
 
 
@@ -574,3 +575,36 @@ def test_error_150_sweep_digests(tmp_path):
     paths = export_sweep(sweep(scenario_config("error-150"), [1, 2, 3]), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == _ERROR_150_SWEEP_SHA256
+
+
+# Digests of the chains a run builds at seed 7: the files ``export_ledger``
+# writes (``dpledger init-ledger``), and budget-155's naive and reuse chains
+# as ``export_transactions`` prints them, which bind every query effect. A
+# change to a tx id, an endorsement or a block hash moves them. The three
+# scenarios draw the same 500 writes at seed 7, so their ledgers agree.
+_INIT_LEDGER_SHA256 = {
+    "ledger.jsonl": "91ac4bcc22e6bf7e497fb9c28f30568ba9d167208e26cee24cd9fefffe24f630",
+    "blocks.jsonl": "10eba5e9c117dadc8746b841424e977f0df02ecd004c7c3b7a9c6bf8a40c3143",
+}
+_BUDGET_155_CHAIN_SHA256 = {
+    "naive": "9fff79a3d729f6c8d4503f148b28d53238d56a472945489b3b34e0e7d923b75a",
+    "reuse": "4e7a847bef10fd87c7c421223c03ae66f475315a2cce3c2c470a59d5932e9990",
+}
+
+
+@pytest.mark.parametrize("name", bench.SCENARIO_NAMES)
+def test_init_ledger_digests(tmp_path, name):
+    paths = bench.export_ledger(scenario_config(name), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == _INIT_LEDGER_SHA256
+
+
+def test_budget_155_chain_digests():
+    cfg = scenario_config("budget-155")
+    schedule = generate_workload(cfg)
+    digests = {}
+    for mode in _BUDGET_155_CHAIN_SHA256:
+        chain = bench._execute(cfg, schedule, mode == "reuse").net.channels[CHANNEL_ID].chain
+        digests[mode] = hashlib.sha256(
+            export_transactions(chain, CHANNEL_ID).encode("utf-8")).hexdigest()
+    assert digests == _BUDGET_155_CHAIN_SHA256

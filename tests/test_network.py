@@ -203,6 +203,24 @@ def test_audited_receipts_name_the_broken_link():
     assert receipt.detail == f"block {height} does not follow block {height}"
 
 
+def test_replayed_envelope_leaves_its_committed_receipt():
+    """An envelope ordered again after its block committed sends the new block
+    to audit; its committed receipt keeps its status and height, and its
+    transaction stays on every member's chain."""
+    net = _network()
+    receipts = [net.submit("loader-app", make_write(quantity=q)) for q in (1, 2)]
+    net.run_until_idle()
+    channel = net.channels["mychannel"]
+    replayed = channel.chain[-1].envelopes[0]
+    assert replayed.tx_id == receipts[0].tx_id
+    net.orderer.enqueue(replayed, net.clock)
+    net.run_until_idle()
+    assert [b.height for b in channel.audit] == [2]
+    assert [(r.status, r.commit_height, r.detail) for r in receipts] == [
+        (ReceiptStatus.COMMITTED, 1, "")] * 2
+    assert all(p.chains["mychannel"][1].envelopes[0] is replayed for p in net.peers.values())
+
+
 def test_tx_id_hashes_the_body_only_when_it_is_valid():
     """A valid body's tx id hashes the channel id, the submission number and
     the body's bytes; a body that fails validation is never encoded, and its
@@ -837,6 +855,38 @@ def test_work_per_fresh_query(monkeypatch):
     assert len(committed) == 200
     assert calls["sha256"] / len(committed) == pytest.approx(5.1)
     assert calls["normalize"] / len(queries) == 1
+
+
+def test_work_per_cached_query(monkeypatch):
+    """A repeat served while no answer is pending hashes its key once, in the
+    committed state, and no receipt stays indexed once the network is idle:
+    the index holds only receipts whose envelopes are in flight."""
+    queries = [make_query(Aggregate.SUM, color=f"c{i}") for i in range(20)]
+    for reuse_enabled in (False, True):
+        net = _network(epsilon_t=100.0, reuse_enabled=reuse_enabled)
+        _load(net, 50)
+        for _ in range(10):
+            for q in queries:
+                net.submit("distributor-a", q, eps_f=0.01)
+            net.tick()
+        net.run_until_idle()
+        assert len(net.receipts) == 250
+        assert net._receipts_by_id == {}
+
+    assert net.channels["mychannel"].engine.pending == {}
+    calls = [0]
+    key_hash = CategoryKey.__hash__
+
+    def counted(key):
+        calls[0] += 1
+        return key_hash(key)
+
+    monkeypatch.setattr(CategoryKey, "__hash__", counted)
+    cached = [net.submit("distributor-a", q, eps_f=0.01) for q in queries * 10]
+    monkeypatch.undo()
+    assert all(r.status is ReceiptStatus.CACHED for r in cached)
+    assert calls[0] / len(cached) == 1.0
+    assert net._receipts_by_id == {}
 
 
 def test_serialized_state_does_not_grow_with_the_history():
