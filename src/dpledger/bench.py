@@ -35,7 +35,7 @@ from .budget import allocate_equal
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import EPSILON_MIN, check_epsilon, laplace_scale, sensitivity
 from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
-from .network import DEFAULT_ORGS, Network, ReceiptStatus, channel_members, check_batching
+from .network import Network, ReceiptStatus
 from .transactions import (
     QUANTITY_MAX,
     QUANTITY_MIN,
@@ -56,15 +56,17 @@ def _units(value: float) -> int:
     return round(value / EPS_UNIT)
 
 
-DEFAULT_CUSTOMERS = ("Bob", "Claire", "David", "Ali", "Alice")
-DEFAULT_PRODUCTS = (
+# The write vocabulary: each write draws one of each.
+CUSTOMERS = ("Bob", "Claire", "David", "Ali", "Alice")
+PRODUCTS = (
     "bolt", "bearing", "gasket", "valve", "sensor", "cable", "motor",
     "filter", "switch", "pump", "relay", "gear", "clamp", "fuse",
     "hinge", "nozzle", "washer", "spring", "seal", "rotor",
 )
-DEFAULT_COLORS = ("red", "blue", "green", "black", "white", "yellow", "orange", "grey")
+COLORS = ("red", "blue", "green", "black", "white", "yellow", "orange", "grey")
 
 LOADER_CLIENT = "loader-app"
+REQUESTER = "distributor-a"
 
 
 @dataclass(frozen=True)
@@ -89,26 +91,18 @@ class EpsilonSchedule:
 
 @dataclass
 class WorkloadConfig:
-    """Everything a scenario run depends on; validated up front."""
+    """What a scenario varies; validated up front."""
 
     name: str = "custom"
     n_writes: int = 500
-    customers: Tuple[str, ...] = DEFAULT_CUSTOMERS
-    products: Tuple[str, ...] = DEFAULT_PRODUCTS
-    colors: Tuple[str, ...] = DEFAULT_COLORS
     n_queries: int = 150
     n_repeats: int = 0
     sum_only: bool = True
-    requesters: Tuple[str, ...] = ("distributor-a",)
     epsilon_t: float = 1.0
     epsilon_schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     write_rate: int = 25
     query_rate: int = 25
     rate_sweep: Optional[Tuple[int, ...]] = None
-    orgs: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
-    batch_size: int = 10
-    batch_timeout: int = 2
-    endorsement_policy: int = 1
     seed: int = 7
 
     def validate(self) -> None:
@@ -117,6 +111,8 @@ class WorkloadConfig:
                if not codec.conforms(getattr(self, name), annotation)]
         if bad:
             raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.n_writes < 1:
             raise ConfigInvalid("n_writes must be >= 1")
         if self.n_queries < 0:
@@ -134,17 +130,6 @@ class WorkloadConfig:
             raise ConfigInvalid("rate_sweep entries must be positive")
         if self.epsilon_t <= 0:
             raise ConfigInvalid("epsilon_t must be positive")
-        if not self.customers or not self.products or not self.colors:
-            raise ConfigInvalid("customers, products, and colors must be non-empty")
-        blank = [name for name in (*self.customers, *self.products, *self.colors,
-                                   *self.requesters) if not name.strip()]
-        if blank:
-            raise ConfigInvalid(f"blank customer, product, color or requester names: {blank}")
-        if not self.requesters or len(set(self.requesters)) != len(self.requesters):
-            raise ConfigInvalid("requesters must be non-empty and unique")
-        channel_members(DEFAULT_ORGS if self.orgs is None else self.orgs,
-                        self.endorsement_policy)
-        check_batching(self.batch_size, self.batch_timeout)
         sched = self.epsilon_schedule
         if sched.kind not in ("equal", "fixed", "uniform", "calibrated"):
             raise ConfigInvalid(f"unknown epsilon schedule {sched.kind!r}")
@@ -272,12 +257,12 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     # Each write draws its product, colour, quantity and customer, in that order,
     # as scalar ``rng.integers(b)`` calls would; the query round goes on from
     # the state they leave.
-    columns = rng.integers((len(cfg.products), len(cfg.colors),
-                            QUANTITY_MAX - QUANTITY_MIN + 1, len(cfg.customers)),
+    columns = rng.integers((len(PRODUCTS), len(COLORS),
+                            QUANTITY_MAX - QUANTITY_MIN + 1, len(CUSTOMERS)),
                            size=(cfg.n_writes, 4)).T.tolist()
     writes: List[Tuple[int, WriteTransaction]] = [
-        (i // cfg.write_rate, WriteTransaction(cfg.products[p], cfg.colors[c],
-                                               QUANTITY_MIN + q, cfg.customers[u]))
+        (i // cfg.write_rate, WriteTransaction(PRODUCTS[p], COLORS[c],
+                                               QUANTITY_MIN + q, CUSTOMERS[u]))
         for i, p, c, q, u in zip(range(cfg.n_writes), *columns)
     ]
 
@@ -317,10 +302,9 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
             key = next(fresh_iter)
             repeat_of = None
             emitted.append((i, key))
-        tx = QueryTransaction(key, cfg.requesters[i % len(cfg.requesters)])
         queries.append(QueryPlan(
-            tick=i // cfg.query_rate, tx=tx, eps_f=eps_values[i],
-            key=key, repeat_of=repeat_of,
+            tick=i // cfg.query_rate, tx=QueryTransaction(key, REQUESTER),
+            eps_f=eps_values[i], key=key, repeat_of=repeat_of,
         ))
     return WorkloadSchedule(writes=writes, queries=queries)
 
@@ -346,18 +330,9 @@ class ExecResult:
 
 
 def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
-    net = Network(
-        orgs=cfg.orgs or DEFAULT_ORGS,
-        endorsement_policy=cfg.endorsement_policy,
-        batch_size=cfg.batch_size,
-        batch_timeout=cfg.batch_timeout,
-        epsilon_t=cfg.epsilon_t,
-        reuse_enabled=reuse_enabled,
-        seed=cfg.seed,
-    )
+    net = Network(epsilon_t=cfg.epsilon_t, reuse_enabled=reuse_enabled, seed=cfg.seed)
     net.register_client(LOADER_CLIENT)
-    for requester in cfg.requesters:
-        net.register_client(requester)
+    net.register_client(REQUESTER)
     return net
 
 
@@ -630,10 +605,11 @@ SCENARIO_NAMES = ("error-150", "budget-155", "throughput-755")
 # attack drivers
 
 def _check_counts(**counts: int) -> None:
-    """Raise ``ConfigInvalid`` naming each attack count below 1."""
-    low = [f"{name}={n!r}" for name, n in counts.items() if n < 1]
-    if low:
-        raise ConfigInvalid(f"attack counts must be >= 1: {', '.join(low)}")
+    """Raise ``ConfigInvalid`` naming each attack count that is not an integer >= 1."""
+    bad = [f"{name}={n!r}" for name, n in counts.items()
+           if not (codec.conforms(n, int) and n >= 1)]
+    if bad:
+        raise ConfigInvalid(f"attack counts must be integers >= 1: {', '.join(bad)}")
 
 
 def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
@@ -661,7 +637,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     target_index = int(rng.integers(len(records)))
     bk = BackgroundKnowledge.from_ledger(records, target_index)
     true_qty = float(records[target_index].quantity)
-    query = QueryTransaction(CategoryKey(Aggregate.SUM), "distributor-a")
+    query = QueryTransaction(CategoryKey(Aggregate.SUM), REQUESTER)
 
     if not dp_enabled:
         exact_total = bk.matching_sum(query.key) + true_qty
@@ -698,11 +674,11 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
 
     answers: Dict[str, Dict[CategoryKey, List[float]]] = {p: {} for p in peers}
     observed = 0.0
-    queries = [(key, QueryTransaction(key, "distributor-a")) for key in keys]
+    queries = [(key, QueryTransaction(key, REQUESTER)) for key in keys]
     for _ in range(repeats):
         for key, tx in queries:
             for peer_id in peers:
-                receipt = net.submit("distributor-a", tx, eps_f=epsilon,
+                receipt = net.submit(REQUESTER, tx, eps_f=epsilon,
                                      target_peer=peer_id)
                 answers[peer_id].setdefault(key, []).append(receipt.response.value)
                 if receipt.status is not ReceiptStatus.CACHED:
@@ -724,11 +700,11 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
-    query = QueryTransaction(CategoryKey.of(Aggregate.SUM, cfg.customers[0]), "distributor-a")
+    query = QueryTransaction(CategoryKey.of(Aggregate.SUM, CUSTOMERS[0]), REQUESTER)
     true_value = _committed_state(net).answer(query.key)
 
     def ask():
-        receipt = net.submit("distributor-a", query, eps_f=epsilon)
+        receipt = net.submit(REQUESTER, query, eps_f=epsilon)
         if receipt.status is ReceiptStatus.REJECTED:
             raise BudgetExhausted(receipt.reject_reason)
         return receipt.response

@@ -127,15 +127,6 @@ def channel_members(orgs, endorsement_policy: int) -> List[str]:
     return members
 
 
-def check_batching(batch_size: int, batch_timeout: int) -> None:
-    """The batching rule: raise ``ConfigInvalid`` unless a batch holds an
-    integer >= 1 of transactions and times out after an integer >= 0 of ticks."""
-    if not conforms(batch_size, int) or batch_size < 1:
-        raise ConfigInvalid(f"batch size {batch_size!r} must be an integer >= 1")
-    if not conforms(batch_timeout, int) or batch_timeout < 0:
-        raise ConfigInvalid(f"batch timeout {batch_timeout!r} must be an integer >= 0")
-
-
 class ReceiptStatus(Enum):
     PENDING = "pending"
     COMMITTED = "committed"
@@ -229,10 +220,15 @@ class Channel:
 
 
 class SoloOrderer:
-    """Single ordering peer: one FIFO, batched by arrival tick."""
+    """Single ordering peer: one FIFO, batched by arrival tick. A batch holds
+    an integer >= 1 of transactions and times out after an integer >= 0 of
+    ticks; anything else raises ``ConfigInvalid``."""
 
     def __init__(self, max_batch_size: int = 10, batch_timeout: int = 2):
-        check_batching(max_batch_size, batch_timeout)
+        if not conforms(max_batch_size, int) or max_batch_size < 1:
+            raise ConfigInvalid(f"batch size {max_batch_size!r} must be an integer >= 1")
+        if not conforms(batch_timeout, int) or batch_timeout < 0:
+            raise ConfigInvalid(f"batch timeout {batch_timeout!r} must be an integer >= 0")
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
         self._pending: List[Tuple[int, Envelope]] = []

@@ -31,6 +31,9 @@ from dpledger import (
     verify_chain,
 )
 from dpledger.bench import (
+    COLORS,
+    CUSTOMERS,
+    PRODUCTS,
     EpsilonSchedule,
     WorkloadConfig,
     _execute,
@@ -324,9 +327,9 @@ def test_criterion_9_exactness_oracle_on_export():
         return float(count if aggregate is Aggregate.COUNT else total)
 
     gen = np.random.default_rng(99)
-    customers = list(cfg.customers) + ["Nobody"]
-    products = list(cfg.products) + ["widget"]
-    colors = list(cfg.colors) + ["mauve"]
+    customers = list(CUSTOMERS) + ["Nobody"]
+    products = list(PRODUCTS) + ["widget"]
+    colors = list(COLORS) + ["mauve"]
     mismatches = 0
     for _ in range(1000):
         customer = customers[int(gen.integers(len(customers)))] if gen.random() < 0.5 else None

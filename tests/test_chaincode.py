@@ -14,7 +14,7 @@ from dpledger import (
     evaluate_exact,
     validate_query,
 )
-from dpledger.bench import WorkloadConfig, generate_workload
+from dpledger.bench import CUSTOMERS, WorkloadConfig, generate_workload
 
 from conftest import make_query, make_write
 from test_laplace import FixedUniformRng
@@ -81,7 +81,7 @@ def test_per_customer_sums_partition_the_total():
     total = evaluate_exact(make_query(Aggregate.SUM), state)
     parts = sum(
         evaluate_exact(make_query(Aggregate.SUM, customer=c), state)
-        for c in cfg.customers
+        for c in CUSTOMERS
     )
     assert parts == total
 

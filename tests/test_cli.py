@@ -72,23 +72,45 @@ def test_linking_attack_rejects_a_mode(tmp_path, capsys, mode):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind,knobs", [
-    ("linking", {"n_trials": 0}),
-    ("averaging", {"n": 0}),
-    ("composition", {"repeats": 0}),
-    ("composition", {"categories": 0}),
-    ("composition", {"categories": -3, "repeats": 2}),
+@pytest.mark.parametrize("kind,knobs,bad", [
+    ("linking", {"n_trials": 0}, "n_trials"),
+    ("averaging", {"n": 0}, "n"),
+    ("composition", {"repeats": 0}, "repeats"),
+    ("composition", {"categories": 0}, "categories"),
+    ("composition", {"categories": -3, "repeats": 2}, "categories"),
+    # A count must be an integer: JSON true and 2.0 are not.
+    ("linking", {"n_trials": True}, "n_trials"),
+    ("composition", {"repeats": 2.5}, "repeats"),
+    ("averaging", {"n": 2.0}, "n"),
 ], ids=["linking-n_trials", "averaging-n", "composition-repeats",
-        "composition-categories", "composition-negative"])
-def test_attack_count_below_one_is_config_invalid(tmp_path, capsys, kind, knobs):
+        "composition-categories", "composition-negative", "linking-n_trials-bool",
+        "composition-repeats-float", "averaging-n-float"])
+def test_attack_count_below_one_is_config_invalid(tmp_path, capsys, kind, knobs, bad):
     config = tmp_path / "knobs.json"
     config.write_text(json.dumps(knobs))
     out = tmp_path / "attack"
     assert _run(["attack", "--kind", kind, "--config", str(config), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid"
-    bad = next(name for name, n in knobs.items() if n < 1)
     assert f"{bad}=" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "error-150", "--seed", "-1"],
+    ["init-ledger", "--scenario", "error-150", "--seed", "-1"],
+    ["sweep", "--scenario", "error-150", "--seed", "-1"],
+    ["attack", "--kind", "linking", "--seed", "-3"],
+    ["attack", "--kind", "composition", "--seed", "-3"],
+    ["attack", "--kind", "averaging", "--seed", "-3"],
+], ids=["run", "init-ledger", "sweep", "attack-linking", "attack-composition",
+        "attack-averaging"])
+def test_negative_seed_is_config_invalid(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _run(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert "seed" in err["message"]
     assert not out.exists()
 
 
@@ -201,18 +223,6 @@ def test_errors_emit_machine_readable_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IoFailure"
-
-
-def test_peer_listed_in_two_orgs_is_config_invalid(tmp_path, capsys):
-    config = tmp_path / "two-orgs.json"
-    config.write_text(json.dumps({"n_writes": 20, "n_queries": 4,
-                                  "orgs": [["org1", ["p0"]], ["org2", ["p0"]]],
-                                  "endorsement_policy": 2}))
-    assert _run(["run", str(config), "--out", str(tmp_path / "out")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigInvalid"
-    assert "p0" in err["message"]
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,6 +31,7 @@ from dpledger import (
     verify_chain,
 )
 from dpledger import transactions
+from dpledger.bench import EpsilonSchedule, WorkloadConfig, generate_workload
 from dpledger.codec import from_json, to_json
 from dpledger.errors import IoFailure, ValidationFailure
 from dpledger.ledger import compute_block_hash, fold_block
@@ -771,6 +772,30 @@ def test_commit_replay_and_verify_reject_a_repeated_tx_id(case):
 def test_bad_topology_rejected_at_construction(kwargs):
     with pytest.raises(ConfigInvalid):
         Network(**kwargs)
+
+
+def test_custom_topology_commits_a_generated_schedule():
+    # Three peers in two orgs, two endorsements per envelope.
+    net = _network(orgs=(("retailer", ("peer0.retailer",)),
+                         ("distributor", ("peer0.distributor", "peer1.distributor"))),
+                   endorsement_policy=2)
+    schedule = generate_workload(WorkloadConfig(
+        n_writes=40, n_queries=4, epsilon_t=5.0,
+        epsilon_schedule=EpsilonSchedule(kind="uniform", low=0.01, high=0.12), seed=13))
+    for _, tx in schedule.writes:
+        net.submit("loader-app", tx)
+    net.run_until_idle()
+    for plan in schedule.queries:
+        net.submit(plan.tx.requester_id, plan.tx, eps_f=plan.eps_f)
+    net.run_until_idle()
+    assert [r.status for r in net.receipts] == [ReceiptStatus.COMMITTED] * (40 + 4)
+    chain = net.channels["mychannel"].chain
+    assert all(len(env.endorsements) >= 2 for block in chain[1:] for env in block.envelopes)
+    assert len(net.peers) == 3
+    for peer in net.peers.values():
+        assert [b.block_hash for b in peer.chains["mychannel"]] == [b.block_hash for b in chain]
+    states = {p.states["mychannel"].serialize() for p in net.peers.values()}
+    assert len(states) == 1
 
 
 def test_phase_ticks_are_monotone():
