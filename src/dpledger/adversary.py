@@ -143,7 +143,6 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
                        answers_b: Mapping[CategoryKey, Sequence[float]],
                        repeats: int,
                        true_values: Mapping[CategoryKey, float],
-                       tolerance: float = DEFAULT_TOLERANCE,
                        epsilon_observed: float = 0.0) -> AttackReport:
     """Cross-member combination over the intersection of answered categories.
 
@@ -188,15 +187,15 @@ def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],
         kind="composition",
         estimate=estimates[key],
         true_value=float(true_values[key]),
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         queries_consumed=n_collected,
         epsilon_observed=epsilon_observed,
         details=details,
     )
 
 
-def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int, true_value: float,
-                             tolerance: float = DEFAULT_TOLERANCE) -> AttackReport:
+def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int,
+                             true_value: float) -> AttackReport:
     """Issue the same query n times and average whatever comes back.
 
     Against fresh noise the mean-estimate error shrinks like
@@ -231,7 +230,7 @@ def repeated_query_averaging(ask: Callable[[], PerturbedResponse], n: int, true_
         kind="averaging",
         estimate=statistics.fmean(values),
         true_value=float(true_value),
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         queries_consumed=len(values),
         epsilon_observed=sum(r.epsilon_used for r in distinct.values()),
         details=details,

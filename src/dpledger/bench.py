@@ -24,6 +24,7 @@ import numpy as np
 
 from . import codec
 from .adversary import (
+    DEFAULT_TOLERANCE,
     AttackReport,
     BackgroundKnowledge,
     composition_attack,
@@ -613,7 +614,7 @@ def _check_counts(**counts: int) -> None:
 
 
 def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
-                       n_trials: int = 10_000, tolerance: float = 5.0,
+                       n_trials: int = 10_000, tolerance: float = DEFAULT_TOLERANCE,
                        n_writes: int = 200, seed: int = 7) -> dict:
     """Difference attack against a small populated ledger.
 
@@ -624,8 +625,8 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     """
     check_epsilon(epsilon)
     _check_counts(n_trials=n_trials)
-    if not tolerance >= 0:
-        raise ConfigInvalid(f"attack tolerance must be >= 0: tolerance={tolerance!r}")
+    if not (codec.conforms(tolerance, float) and tolerance >= 0):
+        raise ConfigInvalid(f"attack tolerance must be finite and >= 0: tolerance={tolerance!r}")
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net

@@ -129,21 +129,20 @@ class Histogram:
         if self.counts.sum() <= 0:
             raise ValueError("histogram holds no samples")
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def build_histogram(samples: np.ndarray, edges: np.ndarray) -> Histogram:
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)
     return Histogram(counts=counts, edges=np.asarray(edges, dtype=float))
 
 
+MIN_BIN_COUNT = 50
+
+
 def empirical_dp_ratio(outputs_x: Histogram, outputs_y: Histogram,
-                       epsilon: float, *, min_count: int = 50) -> bool:
+                       epsilon: float) -> bool:
     """Check the privacy inequality on two empirical output distributions.
 
-    For every bin holding at least min_count samples combined, require
+    For every bin holding at least ``MIN_BIN_COUNT`` samples combined, require
     p_x <= exp(epsilon) * p_y + slack and symmetrically, where slack is
     a three-sigma binomial bound derived from the bin counts. Sparse
     bins carry no statistical signal and are skipped.
@@ -161,7 +160,7 @@ def empirical_dp_ratio(outputs_x: Histogram, outputs_y: Histogram,
     se_y = np.sqrt(py * (1.0 - py) / ty)
 
     bound = math.exp(epsilon)
-    mask = (nx + ny) >= min_count
+    mask = (nx + ny) >= MIN_BIN_COUNT
     ok_xy = px[mask] <= bound * py[mask] + 3.0 * (se_x[mask] + bound * se_y[mask])
     ok_yx = py[mask] <= bound * px[mask] + 3.0 * (se_y[mask] + bound * se_x[mask])
     return bool(np.all(ok_xy) and np.all(ok_yx))

@@ -323,12 +323,12 @@ def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldS
 
 def verify_chain(chain: Sequence[Block]) -> bool:
     """True iff ``replay_chain`` accepts ``chain`` and every block matches
-    its hash. Never raises."""
+    its hash; a ``DPLedgerError`` is False, and any other error propagates."""
     try:
         replay_chain(chain)
         return all(b.block_hash == compute_block_hash(b.height, b.prev_hash, b.envelopes)
                    for b in chain[1:])
-    except Exception:
+    except DPLedgerError:
         return False
 
 

@@ -1,11 +1,11 @@
-"""Simulated permissioned network: orgs, peers, one channel, Solo ordering.
+"""Simulated permissioned network: member peers, one channel, Solo ordering.
 
 Every transaction walks four phases: (1) proposal, (2) endorsement with
 privacy-preserving execution for queries, (3) Solo ordering into blocks,
 (4) validation and commit on every channel member. Every peer is a
 member of the one channel, ``CHANNEL_ID``. Time is a discrete
 tick counter and the whole simulation is a pure function of the
-topology, seeds, and submission schedule. The first three phases run at
+members, seeds, and submission schedule. The first three phases run at
 a submission's tick and the fourth at the tick that cuts its block, so a
 receipt holds two ticks and, if it was rejected, the phase it stopped
 in, with no record per phase.
@@ -84,11 +84,14 @@ from .transactions import (
     QueryTransaction,
     Transaction,
     WriteTransaction,
+    _encodable,
     validate_query,
     validate_write,
 )
 
-DEFAULT_ORGS = (("org1", ("peer0.org1",)), ("org2", ("peer0.org2",)))
+DEFAULT_MEMBERS = ("peer0.org1", "peer0.org2")
+BATCH_SIZE = 10
+BATCH_TIMEOUT = 2
 
 
 # The body types; an envelope holding anything else breaks the content rule.
@@ -112,19 +115,19 @@ def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     return end.signature == _signature(end.peer_id.encode("utf-8"), payload_digest)
 
 
-def channel_members(orgs, endorsement_policy: int) -> List[str]:
-    """The member ids of ``orgs``, (org id, peer ids) pairs, in order. Raises
-    ``ConfigInvalid`` for an org without peers, a peer id listed twice, or a
-    policy that is not an integer in [1, members]."""
-    if any(not peer_ids for _, peer_ids in orgs):
-        raise ConfigInvalid("every org needs at least one peer")
-    members = [peer_id for _, peer_ids in orgs for peer_id in peer_ids]
+def channel_members(members, endorsement_policy: int) -> List[str]:
+    """``members``, a list or tuple of peer ids, as a list. Raises ``ConfigInvalid``
+    for an id that is not a non-empty string UTF-8 can encode, an id listed twice,
+    or a policy that is not an integer in [1, members]."""
+    if not (isinstance(members, (list, tuple))
+            and all(conforms(m, str) and m and _encodable(m) for m in members)):
+        raise ConfigInvalid(f"members {members!r} must be a list or tuple of non-empty peer ids")
     if len(set(members)) != len(members):
-        raise ConfigInvalid(f"a peer id is listed more than once in {members}")
+        raise ConfigInvalid(f"a peer id is listed more than once in {members!r}")
     if not (conforms(endorsement_policy, int) and 1 <= endorsement_policy <= len(members)):
         raise ConfigInvalid(f"endorsement policy {endorsement_policy!r} outside "
-                            f"[1, {len(members)}] for the configured topology")
-    return members
+                            f"[1, {len(members)}] for the configured members")
+    return list(members)
 
 
 class ReceiptStatus(Enum):
@@ -220,17 +223,10 @@ class Channel:
 
 
 class SoloOrderer:
-    """Single ordering peer: one FIFO, batched by arrival tick. A batch holds
-    an integer >= 1 of transactions and times out after an integer >= 0 of
-    ticks; anything else raises ``ConfigInvalid``."""
+    """Single ordering peer: one FIFO, cut into batches of ``BATCH_SIZE``
+    and a remainder once its oldest has waited ``BATCH_TIMEOUT`` ticks."""
 
-    def __init__(self, max_batch_size: int = 10, batch_timeout: int = 2):
-        if not conforms(max_batch_size, int) or max_batch_size < 1:
-            raise ConfigInvalid(f"batch size {max_batch_size!r} must be an integer >= 1")
-        if not conforms(batch_timeout, int) or batch_timeout < 0:
-            raise ConfigInvalid(f"batch timeout {batch_timeout!r} must be an integer >= 0")
-        self.max_batch_size = max_batch_size
-        self.batch_timeout = batch_timeout
+    def __init__(self):
         self._pending: List[Tuple[int, Envelope]] = []
 
     def enqueue(self, env: Envelope, tick: int) -> None:
@@ -243,30 +239,37 @@ class SoloOrderer:
         """Batches ready at this tick: full batches plus a timed-out remainder."""
         out = []
         queue = self._pending
-        while len(queue) >= self.max_batch_size:
-            out.append([env for _, env in queue[: self.max_batch_size]])
-            del queue[: self.max_batch_size]
-        if queue and tick - queue[0][0] >= self.batch_timeout:
+        while len(queue) >= BATCH_SIZE:
+            out.append([env for _, env in queue[:BATCH_SIZE]])
+            del queue[:BATCH_SIZE]
+        if queue and tick - queue[0][0] >= BATCH_TIMEOUT:
             out.append([env for _, env in queue])
             queue.clear()
         return out
 
 
 class Network:
-    """Deterministic driver for the whole simulated network."""
+    """Deterministic driver for the whole simulated network. Each input is
+    checked once, here or in ``channel_members``; a bad one is ``ConfigInvalid``."""
 
-    def __init__(self, *, orgs=DEFAULT_ORGS, endorsement_policy: int = 1,
-                 batch_size: int = 10, batch_timeout: int = 2, epsilon_t: float = 1.0,
+    def __init__(self, *, members: Sequence[str] = DEFAULT_MEMBERS,
+                 endorsement_policy: int = 1, epsilon_t: float = 1.0,
                  reuse_enabled: bool = True, seed: int = 0):
+        peer_ids = channel_members(members, endorsement_policy)
+        if not (conforms(epsilon_t, float) and epsilon_t > 0):
+            raise ConfigInvalid(f"epsilon_t {epsilon_t!r} must be a positive finite number")
+        if not isinstance(reuse_enabled, bool):
+            raise ConfigInvalid(f"reuse_enabled {reuse_enabled!r} must be a bool")
+        if not (conforms(seed, int) and seed >= 0):
+            raise ConfigInvalid(f"seed {seed!r} must be an integer >= 0")
         self.clock = 0
-        self.orderer = SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
+        self.orderer = SoloOrderer()
         self.clients: Set[str] = set()
         self.receipts: List[TransactionReceipt] = []
         # The receipts of envelopes handed to the orderer and not yet committed or audited.
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
         self._submit_seq = 0
 
-        peer_ids = channel_members(orgs, endorsement_policy)
         peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(peer_ids))
         channel = Channel(peer_ids, endorsement_policy, epsilon_t,
                           ChaincodeEngine(reuse_enabled=reuse_enabled))
@@ -389,13 +392,10 @@ class Network:
             block = build_block(batch, channel.chain[-1])
             self.deliver_and_commit(channel, block)
 
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> None:
-        ticks = 0
+    def run_until_idle(self) -> None:
+        """Tick until the orderer holds nothing: within ``BATCH_TIMEOUT`` ticks."""
         while self.orderer.has_pending():
             self.tick()
-            ticks += 1
-            if ticks > max_ticks:
-                raise RuntimeError("orderer failed to drain")
 
     def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
         """Check the endorsements, then ``fold_block`` onto the chain head; append

@@ -114,14 +114,19 @@ def test_negative_seed_is_config_invalid(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_linking_attack_negative_tolerance_is_config_invalid(tmp_path, capsys):
+@pytest.mark.parametrize("tolerance,shown", [("-1", "-1"), ("true", "True"),
+                                             ("Infinity", "inf")],
+                         ids=["-1", "true", "Infinity"])
+def test_linking_attack_negative_tolerance_is_config_invalid(tmp_path, capsys,
+                                                             tolerance, shown):
+    # A tolerance is a finite number >= 0; a bool is not a number, as in codec.
     config = tmp_path / "knobs.json"
-    config.write_text(json.dumps({"tolerance": -1}))
+    config.write_text(f'{{"tolerance": {tolerance}}}')
     out = tmp_path / "attack"
     assert _run(["attack", "--kind", "linking", "--config", str(config), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid"
-    assert "tolerance=-1" in err["message"]
+    assert f"tolerance={shown}" in err["message"]
     assert not out.exists()
 
 

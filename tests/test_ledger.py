@@ -24,6 +24,7 @@ from dpledger import (
     replay_chain,
     verify_chain,
 )
+from dpledger import ledger
 from dpledger.bench import WorkloadConfig, generate_workload
 from dpledger.errors import IoFailure, ValidationFailure
 from dpledger.ledger import _CELL_IDS, _CELLS, GENESIS_PREV_HASH, apply_block, fold_block
@@ -211,6 +212,17 @@ def test_content_rule_refuses_an_envelope_without_a_body(body):
 
 def test_verify_never_raises_on_garbage():
     assert verify_chain([None, 3, "block"]) is False
+
+
+def test_verify_lets_a_library_fault_propagate(monkeypatch):
+    """Only a broken rule (a ``DPLedgerError``) makes verify return False;
+    any other error is a fault of the library and is raised."""
+    def faulty_fold(*args):
+        raise AttributeError("faulty fold")
+
+    monkeypatch.setattr(ledger, "fold_block", faulty_fold)
+    with pytest.raises(AttributeError, match="faulty fold"):
+        verify_chain(_chain_of(2))
 
 
 # ---------------------------------------------------------------------------

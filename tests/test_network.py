@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -461,31 +462,19 @@ def test_policy_one_needs_a_single_endorsement():
 # ordering
 
 def test_full_batches_cut_in_arrival_order():
-    net = _network(batch_size=5, batch_timeout=2)
-    for i in range(10):
+    net = _network()
+    for i in range(20):
         net.submit("loader-app", make_write(quantity=i + 1))
     net.run_until_idle()
     chain = net.channels["mychannel"].chain
     assert [b.height for b in chain] == [0, 1, 2]
-    assert [len(b.envelopes) for b in chain[1:]] == [5, 5]
+    assert [len(b.envelopes) for b in chain[1:]] == [10, 10]
     quantities = [env.tx.quantity for b in chain[1:] for env in b.envelopes]
-    assert quantities == list(range(1, 11))
-
-
-@pytest.mark.parametrize("batch_size,batch_timeout", [
-    (0, 2), (-3, 2), (10, -1), (2.5, 2), ("10", 2), (True, 2), (10, 2.5), (10, "2"),
-], ids=["size-0", "size-negative", "timeout-negative", "size-float", "size-string",
-        "size-bool", "timeout-float", "timeout-string"])
-def test_bad_batching_rejected_at_construction(batch_size, batch_timeout):
-    # Only constructs: a batch size of 0 would make cut_due loop forever.
-    with pytest.raises(ConfigInvalid):
-        SoloOrderer(max_batch_size=batch_size, batch_timeout=batch_timeout)
-    with pytest.raises(ConfigInvalid):
-        Network(batch_size=batch_size, batch_timeout=batch_timeout)
+    assert quantities == list(range(1, 21))
 
 
 def test_timeout_flushes_partial_batch():
-    net = _network(batch_size=5, batch_timeout=2)
+    net = _network()
     for i in range(3):
         net.submit("loader-app", make_write())
     net.run_until_idle()
@@ -766,18 +755,46 @@ def test_commit_replay_and_verify_reject_a_repeated_tx_id(case):
 @pytest.mark.parametrize("kwargs", [
     {"endorsement_policy": 5},
     {"endorsement_policy": 0},
-    {"orgs": (("org1", ("p0",)), ("org2", ("p0",)))},
-    {"orgs": (("org1", ("p0",)), ("org2", ()))},
-], ids=["policy-above-members", "policy-zero", "peer-in-two-orgs", "org-without-peers"])
+    {"endorsement_policy": True},
+    {"members": ("p0", "p0")},
+    {"members": ()},
+    {"members": ("p0", "")},
+    {"members": ("p0", 7)},
+    {"members": ("p0", "\ud800")},
+    {"members": "p0"},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": True},
+    {"epsilon_t": 0.0},
+    {"epsilon_t": -1.0},
+    {"epsilon_t": math.inf},
+    {"epsilon_t": math.nan},
+    {"epsilon_t": True},
+    {"epsilon_t": "1.0"},
+    {"reuse_enabled": "no"},
+    {"reuse_enabled": 1},
+], ids=["policy-above-members", "policy-zero", "policy-bool", "member-twice", "no-members",
+        "member-empty", "member-not-string", "member-not-utf8", "members-string",
+        "seed-negative", "seed-float", "seed-bool", "epsilon-zero", "epsilon-negative",
+        "epsilon-inf", "epsilon-nan", "epsilon-bool", "epsilon-string", "reuse-string",
+        "reuse-int"])
 def test_bad_topology_rejected_at_construction(kwargs):
     with pytest.raises(ConfigInvalid):
         Network(**kwargs)
 
 
+def test_network_takes_only_what_a_caller_varies():
+    # Every keyword is set by a shipped caller or carries the distinct-member
+    # invariant; batching is fixed, and draining needs no bound.
+    assert list(inspect.signature(Network).parameters) == [
+        "members", "endorsement_policy", "epsilon_t", "reuse_enabled", "seed"]
+    assert not inspect.signature(SoloOrderer).parameters
+    assert list(inspect.signature(Network.run_until_idle).parameters) == ["self"]
+
+
 def test_custom_topology_commits_a_generated_schedule():
-    # Three peers in two orgs, two endorsements per envelope.
-    net = _network(orgs=(("retailer", ("peer0.retailer",)),
-                         ("distributor", ("peer0.distributor", "peer1.distributor"))),
+    # Three members, two endorsements per envelope.
+    net = _network(members=("peer0.retailer", "peer0.distributor", "peer1.distributor"),
                    endorsement_policy=2)
     schedule = generate_workload(WorkloadConfig(
         n_writes=40, n_queries=4, epsilon_t=5.0,
