@@ -11,6 +11,7 @@ from .errors import (
     ConfigInvalid,
     DPLedgerError,
     EmptyBatch,
+    EmptyHistogram,
     IncompatibleBinning,
     InvalidQuantity,
     MissingField,

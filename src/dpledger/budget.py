@@ -27,11 +27,19 @@ from decimal import Context, Decimal, Inexact
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .errors import BudgetExhausted, ZeroQueries
+from .codec import conforms
+from .errors import BudgetExhausted, ConfigInvalid, NonPositiveEpsilon, ZeroQueries
 
 
 # Balance arithmetic: wide enough that no difference of float reprs rounds.
 _EXACT = Context(prec=700, traps=[Inexact])
+
+
+def _check_threshold(epsilon_t: float) -> None:
+    """Raise ``ConfigInvalid`` unless ``epsilon_t`` is a positive finite real
+    (a bool is not one, as in ``codec``)."""
+    if not (conforms(epsilon_t, float) and epsilon_t > 0):
+        raise ConfigInvalid(f"epsilon_t {epsilon_t!r} must be a positive finite number")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -71,8 +79,7 @@ class BudgetAccountant:
     """
 
     def __init__(self, epsilon_t: float):
-        if not (math.isfinite(epsilon_t) and epsilon_t > 0):
-            raise ValueError(f"epsilon_t must be positive, got {epsilon_t!r}")
+        _check_threshold(epsilon_t)
         self._epsilon_t = self._epsilon_rem = float(epsilon_t)
         self._threshold = self._rem = _decimal(epsilon_t)
         # The event log, one column per ``SpendRecord`` field.
@@ -112,9 +119,12 @@ class BudgetAccountant:
         self._reused.append(reused)
 
     def try_spend(self, epsilon_f: float, query_id: str, requester_id: str) -> None:
-        """Spend epsilon_f or raise BudgetExhausted leaving state untouched."""
-        if not (math.isfinite(epsilon_f) and epsilon_f > 0):
-            raise ValueError(f"epsilon_f must be positive and finite, got {epsilon_f!r}")
+        """Spend epsilon_f or raise BudgetExhausted leaving state untouched.
+        An ``epsilon_f`` that is not a positive finite real (a bool is not
+        one) is ``NonPositiveEpsilon``; a float is checked by one comparison."""
+        if (type(epsilon_f) is not float and not conforms(epsilon_f, float)
+                or not 0 < epsilon_f < math.inf):
+            raise NonPositiveEpsilon(f"epsilon_f must be positive and finite, got {epsilon_f!r}")
         need = _decimal(epsilon_f)
         if need > self._rem:
             raise BudgetExhausted(
@@ -148,8 +158,7 @@ def allocate_equal(epsilon_t: float, n_queries: int) -> float:
     """
     if n_queries < 1:
         raise ZeroQueries(f"n_queries must be >= 1, got {n_queries!r}")
-    if not (math.isfinite(epsilon_t) and epsilon_t > 0):
-        raise ValueError(f"epsilon_t must be positive, got {epsilon_t!r}")
+    _check_threshold(epsilon_t)
     share = epsilon_t / n_queries
     target = exact(epsilon_t)
     while exact(share) * n_queries > target:

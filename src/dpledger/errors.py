@@ -33,6 +33,10 @@ class IncompatibleBinning(DPLedgerError):
     """Histograms do not share bin edges, so they cannot be compared."""
 
 
+class EmptyHistogram(DPLedgerError):
+    """A histogram holds no samples, so it has no frequencies to compare."""
+
+
 class UnsupportedAggregate(DPLedgerError):
     """Only COUNT and SUM queries are supported."""
 

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import conforms
-from .errors import IncompatibleBinning, NonPositiveEpsilon, NonPositiveSensitivity
+from .errors import (
+    EmptyHistogram,
+    IncompatibleBinning,
+    NonPositiveEpsilon,
+    NonPositiveSensitivity,
+)
 from .transactions import QUANTITY_MAX, Aggregate
 
 # Epsilon floor enforced at the API edge; below this the scale overflows
@@ -127,7 +132,7 @@ class Histogram:
         if self.counts.shape[0] != self.edges.shape[0] - 1:
             raise IncompatibleBinning("counts length must be len(edges) - 1")
         if self.counts.sum() <= 0:
-            raise ValueError("histogram holds no samples")
+            raise EmptyHistogram("histogram holds no samples")
 
 
 def build_histogram(samples: np.ndarray, edges: np.ndarray) -> Histogram:

@@ -34,8 +34,11 @@ the height, the previous hash, and each envelope's payload digest plus
 its endorsements. An endorsement is only (peer id, signature), both raw
 in memory: the signature binds that peer to the digest of the envelope
 carrying it, so it verifies on no other payload. Each member id is
-encoded once, each member signs a proposal once and the endorsed
-envelope is built once. A block commits only if every envelope has
+encoded once, and ``Channel.sign`` keeps the (id, encoding) pairs in member
+order. Each member signs a proposal once and the endorsed envelope is built
+once: ``Envelope.endorsed`` encodes the payload and hashes it, the channel
+signs that digest, and the envelope is constructed with its endorsements
+and its kept digest, no field set twice. A block commits only if every envelope has
 endorsements from enough distinct channel members, the one rule checked
 here. The check of an envelope stops once the policy's count is met: at
 policy 1, an envelope whose first endorsement is valid costs one
@@ -192,8 +195,10 @@ class Channel:
     def __init__(self, members: Sequence[str], endorsement_policy: int,
                  epsilon_t: float, engine: ChaincodeEngine):
         self.members = list(members)
-        # Each member id, encoded once for signing and checking.
+        # Each member id, encoded once for checking and, as (id, encoding)
+        # pairs in member order, for signing.
         self.member_keys: Dict[str, bytes] = {m: m.encode("utf-8") for m in self.members}
+        self._signers: Tuple[Tuple[str, bytes], ...] = tuple(self.member_keys.items())
         self.endorsement_policy = endorsement_policy
         self.chain: List[Block] = [make_genesis(CHANNEL_ID)]
         self.engine = engine
@@ -201,9 +206,11 @@ class Channel:
         self.audit: List[Block] = []
 
     def sign(self, payload_digest: bytes) -> Tuple[Endorsement, ...]:
-        """Every member's endorsement of ``payload_digest``, in member order."""
-        return tuple([Endorsement(m, _signature(key, payload_digest))
-                      for m, key in self.member_keys.items()])
+        """Every member's endorsement of ``payload_digest``, in member order.
+        Each is built in C by ``tuple.__new__``, as ``Endorsement._make`` does."""
+        new = tuple.__new__
+        return tuple([new(Endorsement, (m, _signature(key, payload_digest)))
+                      for m, key in self._signers])
 
     def meets_policy(self, env: Envelope) -> bool:
         """True iff ``env`` carries valid endorsements from at least
@@ -250,14 +257,13 @@ class SoloOrderer:
 
 class Network:
     """Deterministic driver for the whole simulated network. Each input is
-    checked once, here or in ``channel_members``; a bad one is ``ConfigInvalid``."""
+    checked once, here, in ``channel_members`` or, for ``epsilon_t``, by the
+    budget accountant; a bad one is ``ConfigInvalid``."""
 
     def __init__(self, *, members: Sequence[str] = DEFAULT_MEMBERS,
                  endorsement_policy: int = 1, epsilon_t: float = 1.0,
                  reuse_enabled: bool = True, seed: int = 0):
         peer_ids = channel_members(members, endorsement_policy)
-        if not (conforms(epsilon_t, float) and epsilon_t > 0):
-            raise ConfigInvalid(f"epsilon_t {epsilon_t!r} must be a positive finite number")
         if not isinstance(reuse_enabled, bool):
             raise ConfigInvalid(f"reuse_enabled {reuse_enabled!r} must be a bool")
         if not (conforms(seed, int) and seed >= 0):

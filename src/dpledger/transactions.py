@@ -25,8 +25,12 @@ dict of its own, about 270 bytes per write. Each kept value lives on its
 own object only: ``dataclasses.replace``, ``codec.from_json`` and direct
 construction start without it.
 
-Payload digests and endorsement signatures stay raw 32-byte values in
-memory; only exports write them as hex. The JSON form of every record here
+An envelope's payload encoding is written once, in ``_payload_bytes``,
+which ``Envelope.endorsed`` and ``Envelope.payload_bytes`` both call: an
+endorsed envelope encodes and hashes its payload once, before it is
+constructed with its endorsements and its kept digest. Payload digests and
+endorsement signatures stay raw 32-byte values in memory; only exports
+write them as hex. The JSON form of every record here
 is read from its field annotations by ``codec``; the two transaction
 bodies carry the tag ``json_kind``.
 """
@@ -146,13 +150,12 @@ class WriteTransaction:
         return raw if raw else _kept_encoding(self, validate_write)
 
     def _encode(self) -> bytes:
-        return b"".join((
-            b"W",
-            _text(self.product_name),
-            _text(self.color),
-            _i64(self.quantity),
-            _text(self.customer_name),
-        ))
+        # Each text field as ``_text`` encodes it: its UTF-8 length, then its bytes.
+        product = self.product_name.encode("utf-8")
+        color = self.color.encode("utf-8")
+        customer = self.customer_name.encode("utf-8")
+        return b"".join((b"W", _u32(len(product)), product, _u32(len(color)), color,
+                         _i64(self.quantity), _u32(len(customer)), customer))
 
 
 def validate_write(tx: WriteTransaction) -> None:
@@ -341,6 +344,13 @@ class QueryEffect:
 Transaction = Union[WriteTransaction, QueryTransaction]
 
 
+def _payload_bytes(tx_id: str, tx: Transaction, effect: Optional[QueryEffect]) -> bytes:
+    """What an envelope's payload digest hashes: the length-prefixed tx id, the
+    body's encoding and, for a fresh query, its effect's."""
+    return b"".join((_text(tx_id), tx.canonical_bytes(),
+                     b"" if effect is None else effect.canonical_bytes()))
+
+
 @dataclass(frozen=True)
 class Envelope:
     """A transaction as committed to a block: id, body, effects, endorsements.
@@ -364,17 +374,17 @@ class Envelope:
                  sign: Callable[[bytes], Tuple[Endorsement, ...]]) -> "Envelope":
         """The envelope carrying ``sign(payload_digest)`` as its endorsements.
 
-        Built once: the endorsements are set before the envelope is returned,
-        so no unendorsed copy exists and the digest is computed once.
+        Built once: the payload is encoded and hashed, its digest signed, and
+        the envelope constructed with those endorsements and that digest kept,
+        so no unendorsed copy exists and no field is set twice.
         """
-        env = cls(tx_id, tx, effect)
-        object.__setattr__(env, "endorsements", sign(env.payload_digest))
+        digest = hashlib.sha256(_payload_bytes(tx_id, tx, effect)).digest()
+        env = cls(tx_id, tx, effect, sign(digest))
+        object.__setattr__(env, "_payload_digest", digest)
         return env
 
     def payload_bytes(self) -> bytes:
-        effect = self.effect
-        return b"".join((_text(self.tx_id), self.tx.canonical_bytes(),
-                         b"" if effect is None else effect.canonical_bytes()))
+        return _payload_bytes(self.tx_id, self.tx, self.effect)
 
     @property
     def payload_digest(self) -> bytes:

@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from dpledger import (
     BudgetAccountant,
     BudgetExhausted,
+    ConfigInvalid,
+    NonPositiveEpsilon,
     ZeroQueries,
     allocate_equal,
 )
@@ -138,11 +141,37 @@ def test_reuse_rows_do_not_move_balances():
 
 
 def test_invalid_constructor_and_spends():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         BudgetAccountant(0.0)
     acct = BudgetAccountant(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveEpsilon):
         acct.try_spend(0.0, "q", "r")
+
+
+BAD_AMOUNTS = [-1.0, math.nan, math.inf, -math.inf, True, "1"]
+BAD_AMOUNT_IDS = ["negative", "nan", "inf", "minus-inf", "bool", "string"]
+
+
+@pytest.mark.parametrize("epsilon_t", BAD_AMOUNTS, ids=BAD_AMOUNT_IDS)
+def test_invalid_threshold_is_a_config_error(epsilon_t):
+    with pytest.raises(ConfigInvalid):
+        BudgetAccountant(epsilon_t)
+    with pytest.raises(ConfigInvalid):
+        allocate_equal(epsilon_t, 10)
+
+
+@pytest.mark.parametrize("epsilon_f", BAD_AMOUNTS, ids=BAD_AMOUNT_IDS)
+def test_invalid_spend_is_a_non_positive_epsilon(epsilon_f):
+    acct = BudgetAccountant(1.0)
+    with pytest.raises(NonPositiveEpsilon):
+        acct.try_spend(epsilon_f, "q", "r")
+    assert acct.events == [] and acct.remaining_exact() == 1
+
+
+def test_integer_amounts_are_accepted():
+    acct = BudgetAccountant(2)
+    acct.try_spend(1, "q", "r")
+    assert acct.epsilon_rem == 1.0
 
 
 # ---------------------------------------------------------------------------

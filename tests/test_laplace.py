@@ -5,6 +5,7 @@ import pytest
 
 from dpledger import (
     Aggregate,
+    EmptyHistogram,
     IncompatibleBinning,
     LaplaceParams,
     NonPositiveEpsilon,
@@ -237,3 +238,9 @@ def test_dp_ratio_requires_shared_binning():
     hb = build_histogram(samples, np.linspace(-5, 5, 21))
     with pytest.raises(IncompatibleBinning):
         empirical_dp_ratio(ha, hb, 1.0)
+
+
+def test_histogram_without_samples_is_a_typed_error():
+    # Every sample falls outside the edges, so no bin counts one.
+    with pytest.raises(EmptyHistogram):
+        build_histogram(np.array([100.0]), np.array([0.0, 1.0, 2.0]))

@@ -1,16 +1,19 @@
 import dataclasses
 import gc
 import hashlib
+import importlib
 import inspect
 import itertools
 import json
 import math
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import dpledger
 from dpledger import (
     Aggregate,
     Block,
@@ -449,6 +452,63 @@ def test_endorsement_token_verifies_against_digest():
     end = sign_endorsement("peer0.org1", b"\xab" * 32)
     assert endorsement_valid(end, b"\xab" * 32)
     assert not endorsement_valid(end, b"\xcd" * 32)
+
+
+THREE_MEMBERS = ("peer0.retailer", "peer0.distributor", "peer1.distributor")
+
+
+def test_channel_signs_as_each_member_would_alone():
+    channel = _network(members=THREE_MEMBERS).channels["mychannel"]
+    for digest in (bytes(32), b"\xab" * 32, hashlib.sha256(b"payload").digest()):
+        ends = channel.sign(digest)
+        assert ends == tuple(sign_endorsement(m, digest) for m in THREE_MEMBERS)
+        assert [type(end) for end in ends] == [Endorsement] * 3
+        assert [end.peer_id for end in ends] == list(THREE_MEMBERS)
+
+
+@pytest.mark.parametrize("fresh_query", [False, True], ids=["write", "fresh-query"])
+def test_endorsed_envelope_equals_the_one_built_field_by_field(fresh_query):
+    channel = _network(members=THREE_MEMBERS).channels["mychannel"]
+    if fresh_query:
+        tx = make_query(Aggregate.COUNT, color="red")
+        resp = PerturbedResponse(value=4.5, epsilon_used=0.1, reused=False, query_id="t1")
+        effect = QueryEffect(QueryRecord(tx.key, 0.1, resp), eps_rem=9.9)
+    else:
+        tx, effect = make_write(quantity=7), None
+    endorsed = Envelope.endorsed("t1", tx, effect, channel.sign)
+    unsigned = Envelope("t1", tx, effect)
+    by_field = Envelope("t1", tx, effect, channel.sign(unsigned.payload_digest))
+    assert endorsed == by_field
+    assert endorsed.payload_digest == by_field.payload_digest == unsigned.payload_digest
+    assert endorsed.canonical_bytes() == by_field.canonical_bytes()
+
+
+@pytest.mark.parametrize("policy", [1, 2, 3])
+def test_policy_check_agrees_with_a_reference_count(policy):
+    """Every sequence of up to three endorsements drawn from valid, forged,
+    duplicated and non-member ones, and the empty one: ``meets_policy``
+    holds iff at least ``policy`` distinct members signed this digest."""
+    channel = _network(members=THREE_MEMBERS, endorsement_policy=policy).channels["mychannel"]
+    env = Envelope("w", make_write())
+    digest = env.payload_digest
+    pool = [sign_endorsement(m, digest) for m in THREE_MEMBERS] + [
+        sign_endorsement(THREE_MEMBERS[0], bytes(32)),      # signs another digest
+        Endorsement(THREE_MEMBERS[1], bytes(32)),           # forged signature
+        sign_endorsement("mallory", digest),                # not a member
+    ]
+
+    def reference(ends):
+        return len({e.peer_id for e in ends if e.peer_id in THREE_MEMBERS
+                    and endorsement_valid(e, digest)}) >= policy
+
+    verdicts = set()
+    for n in range(4):
+        for ends in itertools.product(pool, repeat=n):
+            signed = dataclasses.replace(env, endorsements=ends)
+            verdict = channel.meets_policy(signed)
+            assert verdict == reference(ends), ends
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_policy_one_needs_a_single_endorsement():
@@ -899,6 +959,41 @@ def test_work_per_fresh_query(monkeypatch):
     assert calls["normalize"] / len(queries) == 1
 
 
+def test_work_per_write(monkeypatch):
+    """On the default topology at policy 1, a committed write costs 5.1
+    SHA-256 calls: its tx id, its payload digest, one signature per member,
+    one signature checked at commit and a tenth of its block's hash. Each
+    write body runs ``validate_write``'s full check once: the check asks
+    each text field whether it is ASCII, and here the product name counts."""
+    asked = [0]
+
+    class Product(str):
+        def isascii(self):
+            asked[0] += 1
+            return super().isascii()
+
+    net = _network()
+    writes = [make_write(product=Product("bolt"), quantity=1 + i % 100) for i in range(200)]
+    calls = [0]
+    sha256 = hashlib.sha256
+
+    def counted(*args):
+        calls[0] += 1
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    for i, w in enumerate(writes, 1):
+        net.submit("loader-app", w)
+        if i % 10 == 0:
+            net.tick()
+    net.run_until_idle()
+    monkeypatch.undo()
+    committed = [r for r in net.receipts if r.status is ReceiptStatus.COMMITTED]
+    assert len(committed) == 200
+    assert calls[0] / len(committed) == pytest.approx(5.1)
+    assert asked[0] / len(writes) == 1
+
+
 def test_work_per_cached_query(monkeypatch):
     """A repeat served while no answer is pending hashes its key once, in the
     committed state, and no receipt stays indexed once the network is idle:
@@ -957,3 +1052,14 @@ def test_library_leaves_the_garbage_collector_alone():
     importers = [path.name for path in src.rglob("*.py")
                  if re.search(r"^\s*(import|from)\s+gc\b", path.read_text(), re.M)]
     assert importers == []
+
+
+def test_no_module_binds_sha256_itself():
+    """The SHA-256 work pins count calls through ``hashlib.sha256``; a module
+    that bound that function to a global at import would hide its calls."""
+    modules = [importlib.import_module(f"dpledger.{info.name}")
+               for info in pkgutil.iter_modules(dpledger.__path__)]
+    assert len(modules) >= 11
+    holders = [(m.__name__, name) for m in [dpledger, *modules]
+               for name, value in vars(m).items() if value is hashlib.sha256]
+    assert holders == []
