@@ -56,8 +56,7 @@ class BackgroundKnowledge:
         """
         if self._fold is None:
             self._fold = WorldState()
-            for tx in self.known_records:
-                self._fold.apply_write(tx)
+            self._fold.apply_writes(self.known_records)
         return self._fold.answer(key)
 
 

@@ -271,8 +271,7 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
         return WorkloadSchedule(writes=writes, queries=[])
 
     written = WorldState()
-    for _, tx in writes:
-        written.apply_write(tx)
+    written.apply_writes(tx for _, tx in writes)
     n_repeats = cfg.n_repeats
     n_fresh = cfg.n_queries - n_repeats
     selected = _candidate_keys(cfg, written, n_fresh)

@@ -154,8 +154,11 @@ def allocate_equal(epsilon_t: float, n_queries: int) -> float:
 
     The share is rounded toward zero (at most a few ulps) so that
     n_queries successive spends always fit inside the threshold under
-    exact accounting.
+    exact accounting. ``n_queries`` must be an integer (a bool is not
+    one, as in ``codec``), or ``ConfigInvalid`` is raised.
     """
+    if not conforms(n_queries, int):
+        raise ConfigInvalid(f"n_queries must be an integer, got {n_queries!r}")
     if n_queries < 1:
         raise ZeroQueries(f"n_queries must be >= 1, got {n_queries!r}")
     _check_threshold(epsilon_t)

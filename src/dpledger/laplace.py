@@ -21,6 +21,7 @@ import numpy as np
 
 from .codec import conforms
 from .errors import (
+    ConfigInvalid,
     EmptyHistogram,
     IncompatibleBinning,
     NonPositiveEpsilon,
@@ -33,22 +34,20 @@ from .transactions import QUANTITY_MAX, Aggregate
 EPSILON_MIN = 1e-6
 
 
-def _check_scale(scale: float) -> None:
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
-
-
 @dataclass(frozen=True)
 class LaplaceParams:
-    """Location and scale of a Laplace distribution."""
+    """Location and scale of a Laplace distribution. Raises ``ConfigInvalid``
+    unless ``mu`` is a finite real and ``scale`` a positive finite real (a
+    bool is neither, as in ``codec``)."""
 
     mu: float
     scale: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-        _check_scale(self.scale)
+        if not conforms(self.mu, float):
+            raise ConfigInvalid(f"mu must be a finite number, got {self.mu!r}")
+        if not (conforms(self.scale, float) and self.scale > 0):
+            raise ConfigInvalid(f"scale must be positive and finite, got {self.scale!r}")
 
 
 def sensitivity(aggregate: Aggregate) -> float:

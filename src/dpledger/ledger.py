@@ -6,11 +6,12 @@ it requires the channel's genesis block, then folds each block onto the
 one before (``fold_block``), as commit folds a block onto its chain head;
 ``verify_chain`` is replay's verdict plus each block's hash. ``fold_block``
 states each rule once: the link, ``_envelope_problem`` for each envelope's
-content, and no tx id twice on the chain. It sums each write's eight
-attribute cells into a per-block delta keyed by cell id, which every member
-adds into counters of its own (``apply_block``). The world state is an
-index of what queries read: the cell counters, the newest answer per
-category, the height and the committed tx ids. The history itself, every write and
+content, and no tx id twice on the chain. It lists each write's eight
+attribute cell ids and its quantity once per block, as two flat arrays, and
+every member adds that delta into ``int64`` counter arrays of its own with
+one ``np.add.at`` per array (``apply_block``). The world state is an index
+of what queries read: the cell counters, the newest answer per category,
+the height and the committed tx ids. The history itself, every write and
 every query effect with the ε left after it, is on the chain only.
 """
 
@@ -20,7 +21,10 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
+
+import numpy as np
 
 from .codec import from_json, to_json
 from .errors import DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
@@ -71,6 +75,26 @@ def _write_cells(customer: str, product: str, color: str) -> Tuple[int, ...]:
                                 (None, product, None), (None, product, color),
                                 (customer, None, None), (customer, None, color),
                                 (customer, product, None), (customer, product, color))))
+
+
+class CellDelta(NamedTuple):
+    """Writes to add into cell counters: ``ids`` lists the eight cell ids of
+    each write in turn, and ``quantities`` each write's quantity once per id.
+    An id repeats once per write in its cell, so a state adds the delta with
+    ``np.add.at``, which counts every repeat."""
+
+    ids: np.ndarray
+    quantities: np.ndarray
+
+
+def _cell_delta(ids: List[int], quantities: List[int]) -> CellDelta:
+    """The delta of writes whose cell ids (eight per write) and quantities
+    (one per write) were listed in write order."""
+    return CellDelta(np.array(ids, dtype=np.intp),
+                     np.repeat(np.array(quantities, dtype=np.int64), 8))
+
+
+_NO_CELLS = _cell_delta([], [])
 
 
 def _sha256(data: bytes) -> bytes:
@@ -158,13 +182,13 @@ def _envelope_problem(env: Envelope) -> str:
 class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
-    ``cells`` maps the id of each attribute cell the block's writes fall in
-    to their ``[count, quantity sum]``; it and ``tx_ids``, the block's tx ids,
-    are only read, and each member adds them into counters and a set of its own.
+    ``cells`` is the cell delta of the block's writes; it and ``tx_ids``, the
+    block's tx ids, are only read, and each member adds them into counters
+    and a set of its own.
     """
 
     height: int
-    cells: Dict[int, List[int]]
+    cells: CellDelta
     effects: Tuple[QueryEffect, ...]
     tx_ids: Set[str]
 
@@ -172,12 +196,13 @@ class BlockFold(NamedTuple):
 def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockFold:
     """Check that ``block`` follows ``prev`` (the next height, carrying its
     hash), and each envelope against the content rule and ``committed``, the
-    tx ids already on the chain; sum each write into the block's cell delta
+    tx ids already on the chain; list each write in the block's cell delta
     and collect the query effects. Raises ``ValidationFailure`` on a broken
     link, or naming the first envelope that breaks the content rule or repeats a tx id."""
     if block.height != prev.height + 1 or block.prev_hash != prev.block_hash:
         raise ValidationFailure(f"block {block.height} does not follow block {prev.height}")
-    cells: Dict[int, List[int]] = {}
+    ids: List[int] = []
+    quantities: List[int] = []
     effects = []
     tx_ids: Set[str] = set()
     for env in block.envelopes:
@@ -189,25 +214,22 @@ def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockF
         tx_ids.add(env.tx_id)
         tx = env.tx
         if isinstance(tx, WriteTransaction):
-            qty = tx.quantity
-            for i in _write_cells(tx.customer_name, tx.product_name, tx.color):
-                slot = cells.get(i)
-                if slot is None:
-                    cells[i] = [1, qty]
-                else:
-                    slot[0] += 1
-                    slot[1] += qty
+            ids += _write_cells(tx.customer_name, tx.product_name, tx.color)
+            quantities.append(tx.quantity)
         else:
             effects.append(env.effect)
+    cells = _cell_delta(ids, quantities) if ids else _NO_CELLS
     return BlockFold(block.height, cells, tuple(effects), tx_ids)
 
 
 class WorldState:
     """One member's index of a channel ledger: what its queries read.
 
-    ``_counts`` and ``_sums`` hold each attribute cell's count and quantity
-    sum at the cell's id; they grow when the state counts a write in a cell
-    numbered after their end, and a cell past their end reads as empty.
+    ``_counts`` and ``_sums`` are ``int64`` arrays that hold each attribute
+    cell's count and quantity sum at the cell's id (a sum wraps only past
+    9e16 units, 9e14 writes at ``QUANTITY_MAX``); they grow when the state
+    counts a write in a cell numbered after their end, and a cell past their
+    end reads as empty. Every reader returns Python numbers.
     ``_latest`` maps each category to its newest committed answer, and
     ``tx_ids`` is the set of committed tx ids that ``fold_block`` checks a
     block against. The writes and query effects themselves stay on the chain.
@@ -216,28 +238,39 @@ class WorldState:
     def __init__(self):
         self.height = 0
         self._latest: Dict[CategoryKey, QueryRecord] = {}
-        self._counts: List[int] = []
-        self._sums: List[int] = []
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._sums = np.zeros(0, dtype=np.int64)
         self.tx_ids: Set[str] = set()
 
     # -- writes
 
-    def _cover_cells(self) -> None:
-        """Extend the counters over every cell numbered so far."""
-        short = len(_CELLS) - len(self._counts)
-        if short > 0:
-            self._counts += [0] * short
-            self._sums += [0] * short
+    def _add_cells(self, delta: CellDelta) -> None:
+        """Add a cell delta into the counters, first extending them with
+        zeros over the cells numbered since they last grew."""
+        if not len(delta.ids):
+            return
+        n = len(_CELLS)
+        if n > len(self._counts):
+            # No view of the counters is ever handed out, so they resize in place.
+            self._counts.resize(n, refcheck=False)
+            self._sums.resize(n, refcheck=False)
+        np.add.at(self._counts, delta.ids, 1)
+        np.add.at(self._sums, delta.ids, delta.quantities)
+
+    def apply_writes(self, txs: Iterable[WriteTransaction]) -> None:
+        """Count validated writes in their attribute cells, as one delta;
+        if any write is invalid, none is counted."""
+        ids: List[int] = []
+        quantities: List[int] = []
+        for tx in txs:
+            validate_write(tx)
+            ids += _write_cells(tx.customer_name, tx.product_name, tx.color)
+            quantities.append(tx.quantity)
+        self._add_cells(_cell_delta(ids, quantities))
 
     def apply_write(self, tx: WriteTransaction) -> None:
         """Count one validated write in its attribute cells."""
-        validate_write(tx)
-        ids = _write_cells(tx.customer_name, tx.product_name, tx.color)
-        self._cover_cells()
-        counts, sums, qty = self._counts, self._sums, tx.quantity
-        for i in ids:
-            counts[i] += 1
-            sums[i] += qty
+        self.apply_writes((tx,))
 
     def aggregate_cell(self, customer: Optional[str], product: Optional[str],
                        color: Optional[str]) -> Tuple[int, int]:
@@ -245,7 +278,7 @@ class WorldState:
         i = _CELL_IDS.get((customer, product, color))
         if i is None or i >= len(self._counts):
             return (0, 0)
-        return (self._counts[i], self._sums[i])
+        return (self._counts.item(i), self._sums.item(i))
 
     def answer(self, key: CategoryKey) -> float:
         """The exact answer to ``key``'s query: its cell's count for COUNT,
@@ -253,12 +286,13 @@ class WorldState:
         i = _CELL_IDS.get((key.customer_name, key.product_name, key.color))
         if i is None or i >= len(self._counts):
             return 0.0
-        return float(self._counts[i] if key.aggregate is Aggregate.COUNT else self._sums[i])
+        return float((self._counts if key.aggregate is Aggregate.COUNT else self._sums).item(i))
 
     def cells(self) -> Iterator[Tuple[tuple, Tuple[int, int]]]:
         """Every non-empty attribute cell with its (count, quantity sum)."""
-        return ((_CELLS[i], (count, qty))
-                for i, (count, qty) in enumerate(zip(self._counts, self._sums)) if count)
+        ids = np.flatnonzero(self._counts)
+        return ((_CELLS[i], (count, qty)) for i, count, qty in
+                zip(ids.tolist(), self._counts[ids].tolist(), self._sums[ids].tolist()))
 
     # -- answers
 
@@ -298,11 +332,7 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
     state's own counters and its tx ids into the state's own set, and make
     each of its query effects its category's newest answer."""
     state.tx_ids.update(fold.tx_ids)
-    state._cover_cells()
-    counts, sums = state._counts, state._sums
-    for i, (count, qty) in fold.cells.items():
-        counts[i] += count
-        sums[i] += qty
+    state._add_cells(fold.cells)
     for effect in fold.effects:
         state.record_query(effect.record)
     state.height = fold.height

@@ -31,6 +31,13 @@ def test_equal_split_rejects_zero_queries():
         allocate_equal(1.0, 0)
 
 
+@pytest.mark.parametrize("n_queries", [True, 2.5, "3", None],
+                         ids=["bool", "fraction", "string", "none"])
+def test_equal_split_refuses_a_count_that_is_not_an_integer(n_queries):
+    with pytest.raises(ConfigInvalid):
+        allocate_equal(1.0, n_queries)
+
+
 def test_equal_split_sums_back_to_threshold():
     for eps_t, n in [(1.0, 100), (1.0, 150), (3.0, 77), (0.5, 1000)]:
         share = allocate_equal(eps_t, n)

@@ -5,6 +5,7 @@ import pytest
 
 from dpledger import (
     Aggregate,
+    ConfigInvalid,
     EmptyHistogram,
     IncompatibleBinning,
     LaplaceParams,
@@ -186,8 +187,18 @@ def test_perturb_is_bit_identical_to_a_laplace_sample(aggregate, epsilon):
                          ids=["scale-overflows", "scale-underflows"])
 def test_perturb_keeps_the_finite_scale_check(bound, epsilon):
     scale = laplace_scale(epsilon, bound)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         LaplaceParams(0.0, scale)
+
+
+@pytest.mark.parametrize("mu, scale", [
+    (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, -1.0), (0.0, True),
+    (math.nan, 1.0), (math.inf, 1.0), (True, 1.0), ("0", 1.0),
+], ids=["scale-inf", "scale-nan", "scale-zero", "scale-negative", "scale-bool",
+        "mu-nan", "mu-inf", "mu-bool", "mu-string"])
+def test_bad_params_are_a_config_error(mu, scale):
+    with pytest.raises(ConfigInvalid):
+        LaplaceParams(mu, scale)
 
 
 # ---------------------------------------------------------------------------

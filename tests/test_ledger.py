@@ -29,6 +29,7 @@ from dpledger.bench import WorkloadConfig, generate_workload
 from dpledger.errors import IoFailure, ValidationFailure
 from dpledger.ledger import _CELL_IDS, _CELLS, GENESIS_PREV_HASH, apply_block, fold_block
 from dpledger.network import sign_endorsement
+from dpledger.transactions import normalize
 
 from conftest import make_query, make_write
 
@@ -84,6 +85,45 @@ def test_empty_string_fields_rejected():
     state = WorldState()
     with pytest.raises(MissingField):
         state.apply_write(make_write(customer=""))
+
+
+def test_a_batch_with_an_invalid_write_counts_none():
+    state = WorldState()
+    with pytest.raises(InvalidQuantity):
+        state.apply_writes([make_write(quantity=5), make_write(quantity=0)])
+    assert list(state.cells()) == []
+
+
+_TRIPLE_CELLS = [(c, p, k) for c in (None, "bob") for p in (None, "bolt") for k in (None, "red")]
+
+
+def test_a_block_of_writes_in_one_triple_counts_every_write_in_each_cell():
+    """Ten writes in one block share all eight cells, so each cell id repeats
+    ten times in the block's delta; a member must count every repeat."""
+    writes = [make_write("Bob", "bolt", "red", q) for q in range(1, 11)]
+    genesis = make_genesis("mychannel")
+    block = build_block([Envelope(tx_id=f"w{i}", tx=tx) for i, tx in enumerate(writes)],
+                        genesis)
+    folded, bulk = WorldState(), WorldState()
+    apply_block(folded, fold_block(block, genesis, set()))
+    bulk.apply_writes(writes)
+    for state in (folded, bulk):
+        assert {cell: state.aggregate_cell(*cell) for cell in _TRIPLE_CELLS} == \
+            dict.fromkeys(_TRIPLE_CELLS, (10, 55))
+        assert dict(state.cells()) == dict.fromkeys(_TRIPLE_CELLS, (10, 55))
+
+
+def test_readers_return_python_numbers(small_state):
+    """Counters may be held in any form, but every reader hands out the
+    int and float types that ``json.dumps`` encodes."""
+    key = CategoryKey(Aggregate.SUM, "bob", None, None)
+    for cell in [("bob", "bolt", "red"), (None, None, None), ("nobody", None, None)]:
+        assert all(type(v) is int for v in small_state.aggregate_cell(*cell))
+    for cell, (count, qty) in small_state.cells():
+        assert type(count) is int and type(qty) is int
+    assert type(small_state.answer(key)) is float and small_state.answer(key) == 30.0
+    assert type(small_state.answer(CategoryKey(Aggregate.COUNT, "nobody", None, None))) is float
+    json.loads(small_state.serialize())
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +338,44 @@ def _mixed_writes():
                        ("red", "blue")[i % 2], 1 + i) for i in range(24)]
 
 
-def test_serialize_is_independent_of_write_order():
-    """A state that saw the writes in one order through block folds and one
-    that saw them reversed through ``apply_write`` encode the same index."""
-    writes = _mixed_writes()
+def _write_chain(writes):
     chain = [make_genesis("mychannel")]
     for start in range(0, len(writes), 5):
         chain.append(build_block([Envelope(tx_id=f"w{i}", tx=tx) for i, tx in
                                   enumerate(writes[start:start + 5], start)], chain[-1]))
+    return chain
+
+
+def test_cells_equal_a_loop_over_the_writes():
+    """The reference the counters must match: each write adds one and its
+    quantity to each of its eight cells, one cell at a time."""
+    writes = _mixed_writes()
+    want = {}
+    for tx in writes:
+        triple = (normalize(tx.customer_name), normalize(tx.product_name), normalize(tx.color))
+        for mask in range(8):
+            cell = tuple(v if mask >> i & 1 else None for i, v in enumerate(triple))
+            count, qty = want.get(cell, (0, 0))
+            want[cell] = (count + 1, qty + tx.quantity)
+    assert dict(replay_chain(_write_chain(writes)).cells()) == want
+
+
+def test_serialize_is_independent_of_write_order():
+    """A state that saw the writes in one order through block folds, one
+    that saw them reversed through ``apply_write`` and one that counted them
+    as one batch through ``apply_writes`` encode the same index."""
+    writes = _mixed_writes()
+    chain = _write_chain(writes)
     folded = replay_chain(chain)
 
-    applied = WorldState()
+    applied, batched = WorldState(), WorldState()
     for tx in reversed(writes):
         applied.apply_write(tx)
-    applied.tx_ids.update(f"w{i}" for i in reversed(range(len(writes))))
-    applied.height = chain[-1].height
-    assert applied.serialize() == folded.serialize()
+    batched.apply_writes(writes)
+    for state in (applied, batched):
+        state.tx_ids.update(f"w{i}" for i in reversed(range(len(writes))))
+        state.height = chain[-1].height
+        assert state.serialize() == folded.serialize()
 
 
 def _bump_cell(state):
