@@ -31,33 +31,26 @@ from .transactions import (
 DEFAULT_TOLERANCE = 5.0  # quantity units; 5% of QUANTITY_MAX, the SUM sensitivity
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackgroundKnowledge:
-    """Everything the adversary knows: the full ledger minus its target."""
+    """Everything the adversary knows: the full ledger minus its target,
+    folded into a world state when the record is built."""
 
-    known_records: List[WriteTransaction]
+    state: WorldState
     target: Tuple[str, str, str]  # (customer_name, product_name, color)
-    _fold: Optional[WorldState] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_ledger(cls, records: Sequence[WriteTransaction],
                     target_index: int) -> "BackgroundKnowledge":
         target_tx = records[target_index]
-        known = [tx for i, tx in enumerate(records) if i != target_index]
-        return cls(
-            known_records=known,
-            target=(target_tx.customer_name, target_tx.product_name, target_tx.color),
-        )
+        state = WorldState()
+        state.apply_writes(tx for i, tx in enumerate(records) if i != target_index)
+        return cls(state=state,
+                   target=(target_tx.customer_name, target_tx.product_name, target_tx.color))
 
     def matching_sum(self, key: CategoryKey) -> float:
-        """The exact answer to ``key``, a SUM, over the known records.
-
-        Read from a world state folded from the known records on first use.
-        """
-        if self._fold is None:
-            self._fold = WorldState()
-            self._fold.apply_writes(self.known_records)
-        return self._fold.answer(key)
+        """The exact answer to ``key``, a SUM, over the known records."""
+        return self.state.answer(key)
 
 
 @dataclass(frozen=True)

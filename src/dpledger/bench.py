@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +50,8 @@ from .transactions import (
 # Grid step for generated epsilon values; float sums of grid multiples
 # this small are exact up to budgets far beyond any scenario here.
 EPS_UNIT = 2.0 ** -20
+# numpy draws grid steps as int64s, so a drawn bound has fewer than 2**63 of them.
+EPS_DRAW_MAX = 2.0 ** 63 * EPS_UNIT
 
 
 def _units(value: float) -> int:
@@ -70,9 +72,19 @@ LOADER_CLIENT = "loader-app"
 REQUESTER = "distributor-a"
 
 
+def _check_types(record) -> None:
+    """Raise ``ConfigInvalid`` naming each field of ``record`` that its annotation
+    does not fit: a bool is not a number, a float is finite."""
+    bad = [name for name, annotation, _ in codec.fields(type(record))
+           if not codec.conforms(getattr(record, name), annotation)]
+    if bad:
+        raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """How per-query budgets are assigned across the query stream.
+    """How per-query budgets are assigned across the query stream; checked
+    when it is built.
 
     kinds:
       equal      - threshold split equally across the stream
@@ -89,10 +101,25 @@ class EpsilonSchedule:
     fresh_total: float = 0.0
     repeat_total: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_types(self)
+        if self.kind not in ("equal", "fixed", "uniform", "calibrated"):
+            raise ConfigInvalid(f"unknown epsilon schedule {self.kind!r}")
+        if self.kind == "fixed" and self.value < EPSILON_MIN:
+            raise ConfigInvalid(f"fixed epsilon schedule needs value >= {EPSILON_MIN}, "
+                                f"got {self.value!r}")
+        # The bounds as the draws see them: whole grid steps, which fit an int64.
+        if self.kind in ("uniform", "calibrated") and not (
+                max(abs(self.low), abs(self.high)) < EPS_DRAW_MAX
+                and EPSILON_MIN <= _units(self.low) * EPS_UNIT <= _units(self.high) * EPS_UNIT):
+            raise ConfigInvalid(
+                f"{self.kind} epsilon schedule needs {EPSILON_MIN} <= low <= high < 2**43 "
+                f"on the 2**-20 grid, got low={self.low!r}, high={self.high!r}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class WorkloadConfig:
-    """What a scenario varies; validated up front."""
+    """What a scenario varies; checked when it is built, by ``replace`` too."""
 
     name: str = "custom"
     n_writes: int = 500
@@ -100,18 +127,14 @@ class WorkloadConfig:
     n_repeats: int = 0
     sum_only: bool = True
     epsilon_t: float = 1.0
-    epsilon_schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon_schedule: EpsilonSchedule = EpsilonSchedule()
     write_rate: int = 25
     query_rate: int = 25
     rate_sweep: Optional[Tuple[int, ...]] = None
     seed: int = 7
 
-    def validate(self) -> None:
-        # Types first, by the annotations: a bool is not a number, a float is finite.
-        bad = [name for name, annotation, _ in codec.fields(WorkloadConfig)
-               if not codec.conforms(getattr(self, name), annotation)]
-        if bad:
-            raise ConfigInvalid(f"wrongly typed or non-finite config fields: {bad}")
+    def __post_init__(self) -> None:
+        _check_types(self)
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.n_writes < 1:
@@ -131,19 +154,6 @@ class WorkloadConfig:
             raise ConfigInvalid("rate_sweep entries must be positive")
         if self.epsilon_t <= 0:
             raise ConfigInvalid("epsilon_t must be positive")
-        sched = self.epsilon_schedule
-        if sched.kind not in ("equal", "fixed", "uniform", "calibrated"):
-            raise ConfigInvalid(f"unknown epsilon schedule {sched.kind!r}")
-        if sched.kind == "fixed" and sched.value < EPSILON_MIN:
-            raise ConfigInvalid(f"fixed epsilon schedule needs value >= {EPSILON_MIN}, "
-                                f"got {sched.value!r}")
-        if sched.kind in ("uniform", "calibrated"):
-            # The bounds as the draws see them: rounded to the grid.
-            low, high = _units(sched.low) * EPS_UNIT, _units(sched.high) * EPS_UNIT
-            if not EPSILON_MIN <= low <= high:
-                raise ConfigInvalid(
-                    f"{sched.kind} epsilon schedule needs {EPSILON_MIN} <= low <= high on "
-                    f"the 2**-20 grid, got low={sched.low!r}, high={sched.high!r}")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; tuples stay tuples,
@@ -157,9 +167,7 @@ class WorkloadConfig:
         if isinstance(d, dict) and "scenario" in d:
             d = {**scenario_config(d["scenario"]).to_dict(),
                  **{k: v for k, v in d.items() if k != "scenario"}}
-        cfg = codec.from_json(cls, d, ConfigInvalid, "config")
-        cfg.validate()
-        return cfg
+        return codec.from_json(cls, d, ConfigInvalid, "config")
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,6 @@ def generate_workload(cfg: WorkloadConfig) -> WorkloadSchedule:
     The query stream realizes the configured repeat count exactly, and
     every repeat lands after the first occurrence of its category.
     """
-    cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
 
     # Each write draws its product, colour, quantity and customer, in that order,
@@ -487,7 +494,7 @@ def performance_scan(cfg: WorkloadConfig, schedule: WorkloadSchedule,
 
 
 def _sweep_point(cfg: WorkloadConfig, eps_t: float) -> Tuple[float, WorkloadConfig]:
-    """The per-query ε and the validated config of the sweep point ``eps_t``."""
+    """The per-query ε and the config of the sweep point ``eps_t``."""
     if cfg.epsilon_schedule.kind == "fixed":
         per_query = eps_t
         sub = replace(
@@ -504,7 +511,6 @@ def _sweep_point(cfg: WorkloadConfig, eps_t: float) -> Tuple[float, WorkloadConf
             "sweeps need an 'equal' or 'fixed' epsilon schedule, "
             f"got {cfg.epsilon_schedule.kind!r}"
         )
-    sub.validate()
     return per_query, sub
 
 
@@ -560,45 +566,34 @@ def sweep(cfg: WorkloadConfig, epsilon_list: Sequence[float]) -> dict:
 # ---------------------------------------------------------------------------
 # named scenarios
 
+# The shipped scenario presets; the workload counts are kept distinct.
+SCENARIOS = {
+    # Each query is answered at the swept budget; the threshold leaves
+    # headroom for exactly the 150-query stream.
+    "error-150": WorkloadConfig(
+        name="error-150", n_writes=500, n_queries=150, epsilon_t=151.0,
+        epsilon_schedule=EpsilonSchedule(kind="fixed", value=1.0)),
+    "budget-155": WorkloadConfig(
+        name="budget-155", n_writes=500, n_queries=155, n_repeats=55, epsilon_t=10.0,
+        epsilon_schedule=EpsilonSchedule(kind="calibrated", low=0.01, high=0.12,
+                                         fresh_total=5.7, repeat_total=3.2)),
+    # Mixed COUNT/SUM stream so 755 distinct categories exist; every
+    # query is fresh and therefore flows through ordering and commit.
+    "throughput-755": WorkloadConfig(
+        name="throughput-755", n_writes=500, n_queries=755, epsilon_t=8.0,
+        epsilon_schedule=EpsilonSchedule(kind="equal"), sum_only=False,
+        rate_sweep=(10, 20, 30, 40, 50)),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+
 def scenario_config(name: str, seed: Optional[int] = None) -> WorkloadConfig:
-    """Shipped scenario presets; the workload counts are kept distinct."""
-    if name == "error-150":
-        # Each query is answered at the swept budget; the threshold leaves
-        # headroom for exactly the 150-query stream.
-        cfg = WorkloadConfig(
-            name=name, n_writes=500, n_queries=150,
-            epsilon_t=151.0,
-            epsilon_schedule=EpsilonSchedule(kind="fixed", value=1.0),
-            sum_only=True, seed=7,
-        )
-    elif name == "budget-155":
-        cfg = WorkloadConfig(
-            name=name, n_writes=500, n_queries=155, n_repeats=55,
-            epsilon_t=10.0,
-            epsilon_schedule=EpsilonSchedule(
-                kind="calibrated", low=0.01, high=0.12,
-                fresh_total=5.7, repeat_total=3.2,
-            ),
-            sum_only=True, seed=7,
-        )
-    elif name == "throughput-755":
-        # Mixed COUNT/SUM stream so 755 distinct categories exist; every
-        # query is fresh and therefore flows through ordering and commit.
-        cfg = WorkloadConfig(
-            name=name, n_writes=500, n_queries=755,
-            epsilon_t=8.0, epsilon_schedule=EpsilonSchedule(kind="equal"),
-            sum_only=False, rate_sweep=(10, 20, 30, 40, 50), seed=7,
-        )
-    else:
+    """The shipped preset ``name``, at ``seed`` if one is given."""
+    # A tuple test, so that a name read from JSON that cannot be hashed is refused too.
+    if name not in SCENARIO_NAMES:
         raise ConfigInvalid(f"unknown scenario {name!r}; "
                             "expected error-150, budget-155, or throughput-755")
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    cfg.validate()
-    return cfg
-
-
-SCENARIO_NAMES = ("error-150", "budget-155", "throughput-755")
+    return SCENARIOS[name] if seed is None else replace(SCENARIOS[name], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +621,8 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     _check_counts(n_trials=n_trials)
     if not (codec.conforms(tolerance, float) and tolerance >= 0):
         raise ConfigInvalid(f"attack tolerance must be finite and >= 0: tolerance={tolerance!r}")
+    if not isinstance(dp_enabled, bool):
+        raise ConfigInvalid(f"dp_enabled {dp_enabled!r} must be a bool")
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
                          epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net

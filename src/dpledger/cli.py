@@ -7,6 +7,7 @@ to stderr and return nonzero.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, replace
@@ -85,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon", type=float, default=1.0)
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--config", default=None,
-                     help="JSON file with extra knobs for the attack driver "
-                          "(categories, repeats, n, n_trials, tolerance, n_writes)")
+                     help="JSON object of extra knobs for the attack driver: n_writes, "
+                          "plus dp_enabled, n_trials and tolerance (linking), categories "
+                          "and repeats (composition), or n and epsilon_t (averaging)")
     sub.add_argument("--out", default="out")
 
     sub = commands.add_parser("export", help="re-emit CSVs from a saved report")
@@ -138,28 +140,27 @@ def _cmd_sweep(args) -> int:
 def _cmd_attack(args) -> int:
     if args.kind == "linking" and args.mode is not None:
         raise ConfigInvalid("--mode applies to the composition and averaging attacks only")
-    reuse = args.mode != "naive"
+    driver = {"linking": bench.run_linking_attack,
+              "composition": bench.run_composition_attack,
+              "averaging": bench.run_averaging_attack}[args.kind]
+    flags = {"epsilon": args.epsilon, "seed": args.seed}
+    if args.kind != "linking":
+        flags["reuse_enabled"] = args.mode != "naive"
     knobs = _read_json(args.config) if args.config is not None else {}
-    try:
-        if args.kind == "linking":
-            result = bench.run_linking_attack(epsilon=args.epsilon, seed=args.seed,
-                                              **knobs)
-            report = result["report"]
-            extra = {"success_rate": result["success_rate"],
-                     "expected_rate": result["expected_rate"],
-                     "n_trials": result["n_trials"]}
-        elif args.kind == "composition":
-            report = bench.run_composition_attack(reuse_enabled=reuse,
-                                                  epsilon=args.epsilon,
-                                                  seed=args.seed, **knobs)
-            extra = {}
-        else:
-            report = bench.run_averaging_attack(reuse_enabled=reuse,
-                                                epsilon=args.epsilon,
-                                                seed=args.seed, **knobs)
-            extra = {}
-    except TypeError as err:
-        raise ConfigInvalid(f"bad attack config: {err}") from err
+    # A config sets the driver's keywords that no flag sets; the driver checks their values.
+    allowed = sorted(inspect.signature(driver).parameters.keys()
+                     - {"epsilon", "seed", "reuse_enabled"})
+    if not isinstance(knobs, dict) or not knobs.keys() <= set(allowed):
+        raise ConfigInvalid(f"the {args.kind} attack config must be a JSON object of "
+                            f"knobs from {allowed}, got {knobs!r}")
+    result = driver(**flags, **knobs)
+    if args.kind == "linking":
+        report = result["report"]
+        extra = {"success_rate": result["success_rate"],
+                 "expected_rate": result["expected_rate"],
+                 "n_trials": result["n_trials"]}
+    else:
+        report, extra = result, {}
     path = bench._writer(args.out)(f"attack_{args.kind}.json",
                                    bench._json_text({**asdict(report), **extra}))
     print(f"{args.kind} attack: estimate={report.estimate:.3f} "

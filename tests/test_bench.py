@@ -2,7 +2,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from dpledger import bench, codec
 from dpledger import (
     Aggregate,
+    BackgroundKnowledge,
     ConfigInvalid,
     WorldState,
     ZeroActual,
@@ -49,19 +50,33 @@ def _tiny_cfg(**kwargs):
 
 def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(write_rate=0).validate()
+        WorkloadConfig(write_rate=0)
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(n_queries=10, n_repeats=10).validate()
+        WorkloadConfig(n_queries=10, n_repeats=10)
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(n_repeats=-1).validate()
-    WorkloadConfig(n_queries=10, n_repeats=9).validate()
+        WorkloadConfig(n_repeats=-1)
+    WorkloadConfig(n_queries=10, n_repeats=9)
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(epsilon_t=0.0).validate()
+        WorkloadConfig(epsilon_t=0.0)
     # Wrongly typed values built in Python, not read from JSON.
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(n_writes="5").validate()
+        WorkloadConfig(n_writes="5")
     with pytest.raises(ConfigInvalid):
-        WorkloadConfig(sum_only=1).validate()
+        WorkloadConfig(sum_only=1)
+
+
+def test_records_are_frozen_and_checked_when_built():
+    cfg = scenario_config("error-150")
+    bk = BackgroundKnowledge.from_ledger(
+        [tx for _, tx in generate_workload(replace(cfg, n_writes=5, n_queries=0)).writes], 0)
+    for record, name in ((cfg, "seed"), (cfg.epsilon_schedule, "kind"), (bk, "target")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    # ``replace`` builds a new config, and the new config is checked too.
+    with pytest.raises(ConfigInvalid, match="seed"):
+        replace(cfg, seed=-1)
+    with pytest.raises(ConfigInvalid, match="weighted"):
+        replace(cfg, epsilon_schedule=replace(cfg.epsilon_schedule, kind="weighted"))
 
 
 def test_config_round_trips_through_dict():
@@ -144,10 +159,18 @@ def test_config_must_be_a_json_object(doc):
                           "fresh_total": 1.0, "repeat_total": 1.0}},
     # Bounds at EPSILON_MIN that round below it on the 2**-20 grid.
     {"epsilon_schedule": {"kind": "uniform", "low": 1e-6, "high": 1e-6}},
+    # A preset name that is not a string, which the preset table cannot hash.
+    {"scenario": ["error-150"]},
 ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
 def test_config_rejects_badly_shaped_fields(change):
     with pytest.raises(ConfigInvalid):
         WorkloadConfig.from_dict({"n_writes": 10, **change})
+
+
+def test_schedule_draws_up_to_the_largest_int64_bound():
+    high = math.nextafter(2.0 ** 43, 0.0)  # 2**63 - 1024 grid steps
+    cfg = _tiny_cfg(epsilon_schedule=EpsilonSchedule(kind="uniform", low=0.01, high=high))
+    assert all(0.01 <= plan.eps_f <= high for plan in generate_workload(cfg).queries)
 
 
 def test_named_scenarios_resolve():
@@ -429,6 +452,16 @@ def test_sweep_errors_decrease_and_match_formula():
         assert diff <= 3 * row["expected_error_se"]
 
 
+def test_error_150_accuracy_matches_the_analytic_model():
+    """The paper's accuracy claim as error-150 reproduces it at ε = 1: the
+    measured mean relative error of the reuse pass lies within 3 standard
+    errors of mean(100 * scale / a), the expectation ``sweep`` computes."""
+    measured = _shipped_report("error-150")["reuse"]["mean_relative_error"]
+    row = sweep(scenario_config("error-150"), [1.0])["rows"][0]
+    assert row["per_query_epsilon"] == 1.0
+    assert abs(measured - row["expected_error"]) <= 3 * row["expected_error_se"]
+
+
 def test_sweep_expects_each_query_at_its_own_noise_scale():
     # A mixed stream: COUNT answers carry noise of scale 1/ε, SUM answers
     # QUANTITY_MAX/ε, and the expectation must weigh each at its own scale.
@@ -531,13 +564,42 @@ def test_export_report_golden_digests(tmp_path):
     assert digests == _GOLDEN_SHA256
 
 
-# Digests of each shipped scenario's report.json at seed 7, and of the files
-# ``export_sweep`` writes for error-150 at epsilons 1, 2 and 3: the schedules
-# are drawn once, in bulk, and must give the outputs of numpy's scalar draws.
+# Digests of every file ``export_report`` writes for each shipped scenario at
+# seed 7, and of the files ``export_sweep`` writes for error-150 at epsilons
+# 1, 2 and 3: the schedules are drawn once, in bulk, and must give the outputs
+# of numpy's scalar draws.
 _SHIPPED_REPORT_SHA256 = {
-    "error-150": "6119d04c1be7a135e6341cd5ea0d02349847973d68cf02791dda07e2d8c3ae28",
-    "budget-155": "2121165d0af15290f7127ea95263d638990887167f873ed2a17cfdce816759fa",
-    "throughput-755": "d590660c01dd85d8688ec1f2cd444e426b8825add71ab66714f8fff8250dc915",
+    "error-150": {
+        "report.json": "6119d04c1be7a135e6341cd5ea0d02349847973d68cf02791dda07e2d8c3ae28",
+        "summary.json": "369517162ff345a0aff198e6781434ebf062f4e8f1a62c1a07236eb76fde5ae6",
+        "budget_curve.csv": "a1bf9b6fbe41648697af28f68d3fbe0dc77fa77122c1a4b280110c2fd0f86961",
+        "relative_errors.csv": "3171e456a33aa68f22ed6ce89a40128e779579d518d191595e15f63185638106",
+        "budget_events_naive.csv": "e11616a213221a13937b4be5fe6cf3cf365aae5c3a9dbcb8af9f93ed636c95b5",
+        "budget_events_reuse.csv": "e11616a213221a13937b4be5fe6cf3cf365aae5c3a9dbcb8af9f93ed636c95b5",
+        "receipts_naive.csv": "4b32c6aef5ecf786933684b05044ea5c021ee5f8de25faa34b40f189158fec37",
+        "receipts_reuse.csv": "4b32c6aef5ecf786933684b05044ea5c021ee5f8de25faa34b40f189158fec37",
+    },
+    "budget-155": {
+        "report.json": "2121165d0af15290f7127ea95263d638990887167f873ed2a17cfdce816759fa",
+        "summary.json": "59e9f2560361ed3bb0433428c336e818aa4ce70b7f37624ae528c59db0ce837d",
+        "budget_curve.csv": "3e91f21665b601c5f07c7352229d8efef170b4a218f7f21f86b15d54cf5c4d30",
+        "relative_errors.csv": "69982566d2f85db8fd0e73b1458f93ebbe44342a7b8a98686cef34d318e2d365",
+        "budget_events_naive.csv": "d347723dbc091fae1993ab2fe1d4dce7d196b06e4e2d13a5cee282c7978c0247",
+        "budget_events_reuse.csv": "3251df47c0c3e28b5e948ea14e675529e00416d5bd93ea1d24107e96c17618cf",
+        "receipts_naive.csv": "d581b32abfd8cd58460b8b73055c9f4b0b1fcf73953330edf3ddd30b4fd19965",
+        "receipts_reuse.csv": "0d5bd66c5fbc91c5ffc0690a2a5e2a4dd09df596a17fcda14cc3437a457ad4ea",
+    },
+    "throughput-755": {
+        "report.json": "d590660c01dd85d8688ec1f2cd444e426b8825add71ab66714f8fff8250dc915",
+        "summary.json": "f34c00a06ec9222a46ed9933a08c58af56ad58c5bb4d31781175805c368d24bc",
+        "budget_curve.csv": "cb2701d44a44ee8ac2573b5874a530a86577d00fe95444f6dc123458bd519a9c",
+        "relative_errors.csv": "8555897eeba3990553036018224cf99a757e12975fab4cd281eb81d4242cb803",
+        "performance.csv": "7ab1660883fe7e2ca220f3640c82ed47e6cabecbf3878e153ed8b4d77787feff",
+        "budget_events_naive.csv": "b6ee6afe7e7065650beb411ebb6899167e5a148f788bc0166af8f5c12a6be778",
+        "budget_events_reuse.csv": "b6ee6afe7e7065650beb411ebb6899167e5a148f788bc0166af8f5c12a6be778",
+        "receipts_naive.csv": "8318f4ceb2178ddad86b0d06f095edbf154ed82f6f6963cd279e58706219de39",
+        "receipts_reuse.csv": "8318f4ceb2178ddad86b0d06f095edbf154ed82f6f6963cd279e58706219de39",
+    },
 }
 _ERROR_150_SWEEP_SHA256 = {
     "sweep.json": "46bfc41f71d9545085d6e70accef2f0d0d9b5ed9fa7b28c4a27c2812d96c9a97",
@@ -547,9 +609,9 @@ _ERROR_150_SWEEP_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_REPORT_SHA256))
 def test_shipped_report_digests(tmp_path, name):
-    export_report(_shipped_report(name), tmp_path)
-    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == _SHIPPED_REPORT_SHA256[name]
+    paths = export_report(_shipped_report(name), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == _SHIPPED_REPORT_SHA256[name]
 
 
 def test_error_150_sweep_digests(tmp_path):

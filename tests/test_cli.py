@@ -139,12 +139,64 @@ def test_attack_epsilon_is_checked_first(tmp_path, capsys, kind, epsilon):
     assert not out.exists()
 
 
+# The knobs an attack config may set: the driver's keywords but those of a flag.
+_ATTACK_CONFIG_KNOBS = {
+    "linking": ["dp_enabled", "n_trials", "n_writes", "tolerance"],
+    "composition": ["categories", "n_writes", "repeats"],
+    "averaging": ["epsilon_t", "n", "n_writes"],
+}
+
+
+@pytest.mark.parametrize("knobs", [
+    {"bogus": 1}, {"epsilon": 2}, {"seed": 3}, {"reuse_enabled": False}, [1], "n"],
+    ids=["unknown", "epsilon", "seed", "reuse_enabled", "array", "string"])
+@pytest.mark.parametrize("kind", ["linking", "composition", "averaging"])
+def test_attack_config_takes_only_the_drivers_other_knobs(tmp_path, capsys, kind, knobs):
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps(knobs))
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", kind, "--config", str(config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert str(_ATTACK_CONFIG_KNOBS[kind]) in err["message"]
+    assert not out.exists()
+
+
+def test_attack_lets_a_library_type_error_through(tmp_path, monkeypatch):
+    """A ``TypeError`` raised inside the library is a fault of the library,
+    not of the user's config, and is not reported as ``ConfigInvalid``."""
+    from dpledger import bench
+
+    def broken(*args, **kwargs):
+        raise TypeError("a fault inside the library")
+
+    monkeypatch.setattr(bench, "composition_attack", broken)
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps({"categories": 2, "repeats": 1, "n_writes": 40}))
+    with pytest.raises(TypeError, match="inside the library"):
+        _run(["attack", "--kind", "composition", "--config", str(config),
+              "--out", str(tmp_path / "attack")])
+
+
+@pytest.mark.parametrize("dp_enabled", ["no", 0, None], ids=["string", "zero", "null"])
+def test_linking_dp_enabled_must_be_a_bool(tmp_path, capsys, dp_enabled):
+    config = tmp_path / "knobs.json"
+    config.write_text(json.dumps({"dp_enabled": dp_enabled, "n_trials": 20, "n_writes": 40}))
+    out = tmp_path / "attack"
+    assert _run(["attack", "--kind", "linking", "--config", str(config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert "dp_enabled" in err["message"]
+    assert not out.exists()
+
+
 # Digests of each attack report at seed 7 with small driver knobs.
 _ATTACK_SHA256 = {
     ("linking", None): "c10142d21070f5c0165bb776a2f2a3713442ebd48f280eab04978bc405077045",
     ("composition", "reuse"): "b36cb7b95621045f586dfacbf3f6affc24099c88e59db77fd5b8d7d840f7fabe",
     ("composition", "naive"): "6cc0ee634129d39ddd1471df399b582e68b83230e786709511e3eec4decdd96a",
     ("averaging", "reuse"): "605cacba0d1837ff90ba87cc926b44a5add16ff3ba53e1a13b2eee491815fb1a",
+    ("averaging", "naive"): "d7e629afdf0a64bba7d2e70dec690f23a06b69b552baaa622946cac460c8738a",
 }
 _ATTACK_KNOBS = {
     "linking": {"n_trials": 500, "n_writes": 80},
@@ -255,6 +307,24 @@ def test_sweep_rejects_a_bad_epsilon_list(tmp_path, capsys, epsilons):
     out = tmp_path / "out"
     assert _run(["sweep", str(path), "--epsilon-list", epsilons, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "uniform", "low": 0.01, "high": 1e300},
+    {"kind": "uniform", "low": 0.01, "high": 2.0 ** 43},
+    {"kind": "calibrated", "low": 0.01, "high": 2.0 ** 43, "fresh_total": 1.0},
+], ids=["uniform-1e300", "uniform-2**43", "calibrated-2**43"])
+def test_schedule_bound_numpy_cannot_draw_is_config_invalid(tmp_path, capsys, schedule):
+    # 2**43 is 2**63 steps of the 2**-20 grid, one past numpy's int64 draws.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_writes": 20, "n_queries": 5, "epsilon_t": 10.0,
+                                "epsilon_schedule": schedule}))
+    out = tmp_path / "out"
+    assert _run(["run", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert f"high={schedule['high']!r}" in err["message"]
     assert not out.exists()
 
 
