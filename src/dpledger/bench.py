@@ -52,6 +52,8 @@ from .transactions import (
 EPS_UNIT = 2.0 ** -20
 # numpy draws grid steps as int64s, so a drawn bound has fewer than 2**63 of them.
 EPS_DRAW_MAX = 2.0 ** 63 * EPS_UNIT
+# A calibrated total in grid steps must be a finite float: below 2**1024 steps.
+EPS_TOTAL_MAX = 2.0 ** 1004
 
 
 def _units(value: float) -> int:
@@ -115,6 +117,14 @@ class EpsilonSchedule:
             raise ConfigInvalid(
                 f"{self.kind} epsilon schedule needs {EPSILON_MIN} <= low <= high < 2**43 "
                 f"on the 2**-20 grid, got low={self.low!r}, high={self.high!r}")
+        if self.kind == "calibrated":
+            bad = [f"{name}={total!r}" for name, total in (("fresh_total", self.fresh_total),
+                                                          ("repeat_total", self.repeat_total))
+                   if not abs(total) < EPS_TOTAL_MAX]
+            if bad:
+                raise ConfigInvalid(
+                    "calibrated epsilon schedule needs -2**1004 < total < 2**1004, fewer "
+                    f"than 2**1024 steps of the 2**-20 grid, got {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -493,6 +503,15 @@ def performance_scan(cfg: WorkloadConfig, schedule: WorkloadSchedule,
     return out
 
 
+def _threshold(epsilon_t: float, formula: str, given: str) -> float:
+    """``epsilon_t``, a threshold a driver derives from the input ``given`` by
+    ``formula``; ``ConfigInvalid`` naming that input if it is not finite."""
+    if not math.isfinite(epsilon_t):
+        raise ConfigInvalid(f"{given} is too large: the epsilon threshold {formula} "
+                            "it needs is not a finite number")
+    return epsilon_t
+
+
 def _sweep_point(cfg: WorkloadConfig, eps_t: float) -> Tuple[float, WorkloadConfig]:
     """The per-query ε and the config of the sweep point ``eps_t``."""
     if cfg.epsilon_schedule.kind == "fixed":
@@ -500,7 +519,8 @@ def _sweep_point(cfg: WorkloadConfig, eps_t: float) -> Tuple[float, WorkloadConf
         sub = replace(
             cfg,
             epsilon_schedule=replace(cfg.epsilon_schedule, value=per_query),
-            epsilon_t=per_query * (cfg.n_queries + 1),
+            epsilon_t=_threshold(per_query * (cfg.n_queries + 1),
+                                 f"{cfg.n_queries + 1} * epsilon", f"swept epsilon {eps_t!r}"),
             rate_sweep=None,
         )
     elif cfg.epsilon_schedule.kind == "equal":
@@ -623,8 +643,10 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
         raise ConfigInvalid(f"attack tolerance must be finite and >= 0: tolerance={tolerance!r}")
     if not isinstance(dp_enabled, bool):
         raise ConfigInvalid(f"dp_enabled {dp_enabled!r} must be a bool")
+    eps_t = _threshold(max(1.0, epsilon * (n_trials + 1)), "epsilon * (n_trials + 1)",
+                       f"epsilon={epsilon!r} with n_trials={n_trials!r}")
     cfg = WorkloadConfig(name="attack-linking", n_writes=n_writes, n_queries=0,
-                         epsilon_t=max(1.0, epsilon * (n_trials + 1)), seed=seed)
+                         epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
     # The committed writes, read from the chain in commit order.
     records = [env.tx for block in net.channels[CHANNEL_ID].chain
@@ -658,7 +680,10 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
     """Send one query set to both channel peers, repeatedly, and average."""
     check_epsilon(epsilon)
     _check_counts(categories=categories, repeats=repeats)
-    needed = 2 * repeats * categories * epsilon + 1
+    needed = _threshold(2 * repeats * categories * epsilon + 1,
+                        "2 * repeats * categories * epsilon + 1",
+                        f"epsilon={epsilon!r} with repeats={repeats!r} and "
+                        f"categories={categories!r}")
     cfg = WorkloadConfig(name="attack-composition", n_writes=n_writes, n_queries=0,
                          epsilon_t=needed, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
@@ -693,7 +718,8 @@ def run_averaging_attack(*, reuse_enabled: bool = True, n: int = 100,
     """Repeat one query n times and average the answers."""
     check_epsilon(epsilon)
     _check_counts(n=n)
-    eps_t = epsilon_t if epsilon_t is not None else n * epsilon + 1
+    eps_t = epsilon_t if epsilon_t is not None else _threshold(
+        n * epsilon + 1, "n * epsilon + 1", f"epsilon={epsilon!r} with n={n!r}")
     cfg = WorkloadConfig(name="attack-averaging", n_writes=n_writes, n_queries=0,
                          epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net

@@ -6,10 +6,13 @@ it requires the channel's genesis block, then folds each block onto the
 one before (``fold_block``), as commit folds a block onto its chain head;
 ``verify_chain`` is replay's verdict plus each block's hash. ``fold_block``
 states each rule once: the link, ``_envelope_problem`` for each envelope's
-content, and no tx id twice on the chain. It lists each write's eight
-attribute cell ids and its quantity once per block, as two flat arrays, and
-every member adds that delta into ``int64`` counter arrays of its own with
-one ``np.add.at`` per array (``apply_block``). The world state is an index
+content, and no tx id twice on the chain. It walks a block once: it lists
+each write's eight attribute cell ids and its quantity, as two flat arrays,
+and collects the block's answers as one dict, a later answer of a category
+replacing an earlier one. Every member then applies the fold with bulk
+operations only (``apply_block``): one ``np.add.at`` per counter array, one
+``set.update`` for the tx ids and one ``dict.update`` for the answers, which
+reuses the hashes the fold's dict stored. The world state is an index
 of what queries read: the cell counters, the newest answer per category,
 the height and the committed tx ids. The history itself, every write and
 every query effect with the ε left after it, is on the chain only.
@@ -33,7 +36,6 @@ from .transactions import (
     Aggregate,
     CategoryKey,
     Envelope,
-    QueryEffect,
     QueryRecord,
     QueryTransaction,
     WriteTransaction,
@@ -91,7 +93,7 @@ def _cell_delta(ids: List[int], quantities: List[int]) -> CellDelta:
     """The delta of writes whose cell ids (eight per write) and quantities
     (one per write) were listed in write order."""
     return CellDelta(np.array(ids, dtype=np.intp),
-                     np.repeat(np.array(quantities, dtype=np.int64), 8))
+                     np.array(quantities, dtype=np.int64).repeat(8))
 
 
 _NO_CELLS = _cell_delta([], [])
@@ -151,12 +153,16 @@ def _envelope_problem(env: Envelope) -> str:
     may: its body must be a valid write or query, a write must carry no
     query effect, and a query must carry a fresh effect that answers it: its
     ε one the engine could spend (``check_epsilon``), keyed by its category,
-    with its tx id as the query id and a response that states that ε."""
-    is_write = isinstance(env.tx, WriteTransaction)
-    if not (is_write or isinstance(env.tx, QueryTransaction)):
-        return f"{env.tx!r} is not a transaction body"
+    with its tx id as the query id and a response that states that ε. A
+    write its validator has passed needs only the effect check."""
+    tx = env.tx
+    if type(tx) is WriteTransaction and tx._canonical is not None:
+        return "write envelope carries a query effect" if env.effect is not None else ""
+    is_write = isinstance(tx, WriteTransaction)
+    if not (is_write or isinstance(tx, QueryTransaction)):
+        return f"{tx!r} is not a transaction body"
     try:
-        (validate_write if is_write else validate_query)(env.tx)
+        (validate_write if is_write else validate_query)(tx)
     except DPLedgerError as err:
         return str(err)
     if is_write:
@@ -172,7 +178,7 @@ def _envelope_problem(env: Envelope) -> str:
         return f"query effect's {err}"
     if rec.response.epsilon_used != rec.epsilon_spent:
         return "query effect's response epsilon differs from epsilon spent"
-    if rec.key is not env.tx.key and rec.key != env.tx.key:
+    if rec.key is not tx.key and rec.key != tx.key:
         return "query effect is keyed for another query"
     if rec.response.query_id != env.tx_id:
         return "query effect's query id differs from its tx id"
@@ -182,14 +188,16 @@ def _envelope_problem(env: Envelope) -> str:
 class BlockFold(NamedTuple):
     """A block's effect on a world state, computed once for every member.
 
-    ``cells`` is the cell delta of the block's writes; it and ``tx_ids``, the
-    block's tx ids, are only read, and each member adds them into counters
-    and a set of its own.
+    ``cells`` is the cell delta of the block's writes, ``answers`` maps each
+    category a fresh answer of the block is keyed by to its last such answer
+    in block order, and ``tx_ids`` is the set of the block's tx ids. All
+    three are only read: each member adds them, one bulk operation each,
+    into counters, an answer index and a set of its own.
     """
 
     height: int
     cells: CellDelta
-    effects: Tuple[QueryEffect, ...]
+    answers: Dict[CategoryKey, QueryRecord]
     tx_ids: Set[str]
 
 
@@ -197,29 +205,34 @@ def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockF
     """Check that ``block`` follows ``prev`` (the next height, carrying its
     hash), and each envelope against the content rule and ``committed``, the
     tx ids already on the chain; list each write in the block's cell delta
-    and collect the query effects. Raises ``ValidationFailure`` on a broken
-    link, or naming the first envelope that breaks the content rule or repeats a tx id."""
+    and collect each category's last answer. Once the content rule has
+    passed an envelope, one without a query effect is a write. Raises
+    ``ValidationFailure`` on a broken link, or naming the first envelope
+    that breaks the content rule or repeats a tx id."""
     if block.height != prev.height + 1 or block.prev_hash != prev.block_hash:
         raise ValidationFailure(f"block {block.height} does not follow block {prev.height}")
     ids: List[int] = []
     quantities: List[int] = []
-    effects = []
+    answers: Dict[CategoryKey, QueryRecord] = {}
     tx_ids: Set[str] = set()
     for env in block.envelopes:
+        tx_id = env.tx_id
         problem = _envelope_problem(env)
-        if not problem and (env.tx_id in committed or env.tx_id in tx_ids):
+        if not problem and (tx_id in committed or tx_id in tx_ids):
             problem = "repeated tx id"
         if problem:
-            raise ValidationFailure(f"{env.tx_id}: {problem}")
-        tx_ids.add(env.tx_id)
-        tx = env.tx
-        if isinstance(tx, WriteTransaction):
+            raise ValidationFailure(f"{tx_id}: {problem}")
+        tx_ids.add(tx_id)
+        effect = env.effect
+        if effect is None:
+            tx = env.tx
             ids += _write_cells(tx.customer_name, tx.product_name, tx.color)
             quantities.append(tx.quantity)
         else:
-            effects.append(env.effect)
+            rec = effect.record
+            answers[rec.key] = rec
     cells = _cell_delta(ids, quantities) if ids else _NO_CELLS
-    return BlockFold(block.height, cells, tuple(effects), tx_ids)
+    return BlockFold(block.height, cells, answers, tx_ids)
 
 
 class WorldState:
@@ -297,9 +310,9 @@ class WorldState:
     # -- answers
 
     def record_query(self, rec: QueryRecord) -> None:
-        """Make a checked query record its category's newest answer;
-        ``fold_block`` has already rejected a query id seen before, as a
-        repeated tx id."""
+        """Make a checked query record its category's newest answer. Commit
+        and replay do not call it: ``apply_block`` adds a block's answers in
+        one ``dict.update``."""
         self._latest[rec.key] = rec
 
     def lookup(self, key: CategoryKey) -> Optional[QueryRecord]:
@@ -328,13 +341,14 @@ class WorldState:
 
 
 def apply_block(state: WorldState, fold: BlockFold) -> None:
-    """Apply one block's fold to a world state: add its cell delta into the
-    state's own counters and its tx ids into the state's own set, and make
-    each of its query effects its category's newest answer."""
+    """Apply one block's fold to a world state, one bulk operation per part:
+    add its cell delta into the state's own counters, its tx ids into the
+    state's own set and its answers into the state's own index, where each
+    becomes its category's newest. ``dict.update`` reuses the hashes the
+    fold's dict stored, so no key is hashed again."""
     state.tx_ids.update(fold.tx_ids)
     state._add_cells(fold.cells)
-    for effect in fold.effects:
-        state.record_query(effect.record)
+    state._latest.update(fold.answers)
     state.height = fold.height
 
 

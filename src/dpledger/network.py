@@ -38,18 +38,23 @@ encoded once, and ``Channel.sign`` keeps the (id, encoding) pairs in member
 order. Each member signs a proposal once and the endorsed envelope is built
 once: ``Envelope.endorsed`` encodes the payload and hashes it, the channel
 signs that digest, and the envelope is constructed with its endorsements
-and its kept digest, no field set twice. A block commits only if every envelope has
-endorsements from enough distinct channel members, the one rule checked
-here. The check of an envelope stops once the policy's count is met: at
-policy 1, an envelope whose first endorsement is valid costs one
-signature. The block also keeps the rules of ``ledger``: ``fold_block``
-checks it against the chain head as replay does (the link, each
-envelope's content, no tx id twice) and sums its writes into one cell
-delta. Every member applies that one fold; an invalid block goes to
-audit, its receipts name the broken rule, and no member changes. Only
-in-flight receipts are indexed, from hand-over to the orderer until their
-block commits or goes to audit; a cached or rejected receipt is final at
-submit, and an audited replay of a committed envelope leaves its receipt alone.
+and its kept digest, no field set twice.
+
+A block is committed one call per stage. A block commits only if every
+envelope has endorsements from enough distinct channel members, the one
+rule checked here: ``Channel.policy_problems`` checks a block's envelopes
+in one call and names each that falls short. The check of an envelope
+stops once the policy's count is met: at policy 1, an envelope whose first
+endorsement is valid costs one signature and builds nothing. The block
+also keeps the rules of ``ledger``: ``fold_block`` checks it against the
+chain head as replay does (the link, each envelope's content, no tx id
+twice), sums its writes into one cell delta and collects its answers once.
+Every member applies that one fold with bulk operations only; an invalid
+block goes to audit, its receipts name the broken rule, and no member
+changes. Only in-flight receipts are indexed, from hand-over to the orderer
+until their block commits or goes to audit, and a committed block settles
+its receipts in one loop; a cached or rejected receipt is final at submit,
+and an audited replay of a committed envelope leaves its receipt alone.
 """
 
 from __future__ import annotations
@@ -212,21 +217,33 @@ class Channel:
         return tuple([new(Endorsement, (m, _signature(key, payload_digest)))
                       for m, key in self._signers])
 
-    def meets_policy(self, env: Envelope) -> bool:
-        """True iff ``env`` carries valid endorsements from at least
-        ``endorsement_policy`` distinct members. Checking stops at that
-        count: an endorsement that is invalid, from a non-member or from a
-        member already counted never counts, so the verdict is the same."""
-        keys, digest, need = self.member_keys, env.payload_digest, self.endorsement_policy
-        counted: Set[str] = set()
-        for peer_id, signature in env.endorsements:
-            key = keys.get(peer_id)
-            if (key is not None and peer_id not in counted
-                    and signature == _signature(key, digest)):
-                counted.add(peer_id)
-                if len(counted) == need:
-                    return True
-        return False
+    def policy_problems(self, envelopes: Sequence[Envelope]) -> List[str]:
+        """The endorsement policy, checked for a block's envelopes in one call:
+        "<tx id>: endorsement policy not met" for each transaction body whose
+        envelope lacks valid endorsements from ``endorsement_policy`` distinct
+        members, in block order. An envelope holding anything else has no
+        digest, and the content rule names it. An envelope's check stops at
+        the policy's count, and an endorsement that is invalid, from a
+        non-member or from a member already counted never counts, so the
+        verdict is the same. The members counted so far are a tuple: at
+        policy 1 nothing is built per envelope."""
+        keys, need = self.member_keys, self.endorsement_policy
+        problems = []
+        for env in envelopes:
+            if not isinstance(env.tx, _BODIES):
+                continue
+            digest = env.payload_digest
+            counted = ()
+            for peer_id, signature in env.endorsements:
+                key = keys.get(peer_id)
+                if (key is not None and peer_id not in counted
+                        and signature == _signature(key, digest)):
+                    if len(counted) + 1 == need:
+                        break
+                    counted += (peer_id,)
+            else:
+                problems.append(f"{env.tx_id}: endorsement policy not met")
+        return problems
 
 
 class SoloOrderer:
@@ -409,9 +426,7 @@ class Network:
         Each in-flight receipt of the block leaves the index with its final
         status; an envelope not in flight, such as a committed one replayed,
         changes no receipt."""
-        # A digest exists only for a transaction body; the content rule names any other.
-        problems = [f"{env.tx_id}: endorsement policy not met" for env in block.envelopes
-                    if isinstance(env.tx, _BODIES) and not channel.meets_policy(env)]
+        problems = channel.policy_problems(block.envelopes)
 
         fold = None
         if not problems:
@@ -440,10 +455,12 @@ class Network:
             peer = self.peers[peer_id]
             peer.chains[CHANNEL_ID].append(block)
             apply_block(peer.states[CHANNEL_ID], fold)
+        pop, height, tick, status = (self._receipts_by_id.pop, block.height, self.clock,
+                                     ReceiptStatus.COMMITTED)
         for env in block.envelopes:
-            receipt = self._receipts_by_id.pop(env.tx_id, None)
+            receipt = pop(env.tx_id, None)
             if receipt is not None:
-                receipt.status = ReceiptStatus.COMMITTED
-                receipt.commit_height = block.height
-                receipt.commit_tick = self.clock
+                receipt.status = status
+                receipt.commit_height = height
+                receipt.commit_tick = tick
         return True

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -171,6 +172,21 @@ def test_schedule_draws_up_to_the_largest_int64_bound():
     high = math.nextafter(2.0 ** 43, 0.0)  # 2**63 - 1024 grid steps
     cfg = _tiny_cfg(epsilon_schedule=EpsilonSchedule(kind="uniform", low=0.01, high=high))
     assert all(0.01 <= plan.eps_f <= high for plan in generate_workload(cfg).queries)
+
+
+@pytest.mark.parametrize("field", ["fresh_total", "repeat_total"])
+@pytest.mark.parametrize("total", [1e303, -1e303, 2.0 ** 1004])
+def test_calibrated_total_must_fit_the_grid_as_a_float(field, total):
+    """A calibrated total of 2**1024 grid steps or more is refused when the
+    schedule is built, naming the total; the largest total below is kept,
+    and the fit then refuses it as any total it cannot reach."""
+    with pytest.raises(ConfigInvalid, match=re.escape(f"{field}={total!r}")):
+        EpsilonSchedule(kind="calibrated", **{field: total})
+    totals = {"fresh_total": 0.5, field: math.nextafter(2.0 ** 1004, 0.0)}
+    sched = EpsilonSchedule(kind="calibrated", **totals)
+    cfg = _tiny_cfg(n_queries=10, n_repeats=2, epsilon_schedule=sched)
+    with pytest.raises(ConfigInvalid, match="cannot fit a total"):
+        generate_workload(cfg)
 
 
 def test_named_scenarios_resolve():

@@ -328,6 +328,44 @@ def test_schedule_bound_numpy_cannot_draw_is_config_invalid(tmp_path, capsys, sc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("totals,named", [
+    ({"fresh_total": 1e303}, "fresh_total=1e+303"),
+    ({"fresh_total": 1.0, "repeat_total": 1e303}, "repeat_total=1e+303"),
+    ({"fresh_total": -1e303}, "fresh_total=-1e+303"),
+], ids=["fresh", "repeat", "negative"])
+def test_calibrated_total_past_the_grid_is_config_invalid(tmp_path, capsys, totals, named):
+    # 1e303 is past 2**1024 steps of the 2**-20 grid, the largest count a float holds.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_writes": 20, "n_queries": 5, "n_repeats": 1,
+                                "epsilon_t": 10.0, "epsilon_schedule": {
+                                    "kind": "calibrated", "low": 0.01, "high": 0.12,
+                                    **totals}}))
+    out = tmp_path / "out"
+    assert _run(["run", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["sweep", "--scenario", "error-150", "--epsilon-list", "1e308"], "swept epsilon 1e+308"),
+    (["attack", "--kind", "composition", "--epsilon", "1e308"], "epsilon=1e+308"),
+    (["attack", "--kind", "averaging", "--epsilon", "1e308"], "epsilon=1e+308"),
+    (["attack", "--kind", "linking", "--epsilon", "1e308"], "epsilon=1e+308"),
+], ids=["sweep", "composition", "averaging", "linking"])
+def test_an_input_whose_threshold_overflows_is_named(tmp_path, capsys, argv, named):
+    """A finite ε whose derived threshold is not finite is refused naming
+    the ε given, not the threshold the driver derived from it."""
+    out = tmp_path / "out"
+    assert _run([*argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert err["message"].startswith(named)
+    assert "config fields" not in err["message"]
+    assert not out.exists()
+
+
 def test_run_prints_na_for_an_unanswered_pass(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_writes": 20, "n_queries": 3, "epsilon_schedule":

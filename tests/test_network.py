@@ -486,8 +486,9 @@ def test_endorsed_envelope_equals_the_one_built_field_by_field(fresh_query):
 @pytest.mark.parametrize("policy", [1, 2, 3])
 def test_policy_check_agrees_with_a_reference_count(policy):
     """Every sequence of up to three endorsements drawn from valid, forged,
-    duplicated and non-member ones, and the empty one: ``meets_policy``
-    holds iff at least ``policy`` distinct members signed this digest."""
+    duplicated and non-member ones, and the empty one: the policy check
+    passes a block of that one envelope iff at least ``policy`` distinct
+    members signed this digest."""
     channel = _network(members=THREE_MEMBERS, endorsement_policy=policy).channels["mychannel"]
     env = Envelope("w", make_write())
     digest = env.payload_digest
@@ -505,10 +506,56 @@ def test_policy_check_agrees_with_a_reference_count(policy):
     for n in range(4):
         for ends in itertools.product(pool, repeat=n):
             signed = dataclasses.replace(env, endorsements=ends)
-            verdict = channel.meets_policy(signed)
+            verdict = not channel.policy_problems([signed])
             assert verdict == reference(ends), ends
             verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+def _bad_endorsements(kind, policy, digest):
+    """Valid endorsements of ``digest`` by the first ``policy - 1`` members,
+    then one of ``kind``; only a duplicate at policy 1 meets the policy."""
+    ends = [sign_endorsement(m, digest) for m in THREE_MEMBERS[:policy - 1]]
+    last = THREE_MEMBERS[policy - 1]
+    ends.append({"forged": Endorsement(last, bytes(32)),
+                 "duplicate-member": sign_endorsement(THREE_MEMBERS[0], digest),
+                 "non-member": sign_endorsement("mallory", digest),
+                 "wrong-digest": sign_endorsement(last, bytes(32))}[kind])
+    return tuple(ends)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["forged", "duplicate-member", "non-member", "wrong-digest"])
+@pytest.mark.parametrize("policy", [1, 2, 3])
+def test_block_policy_check_names_what_a_reference_count_rejects(policy, kind, position):
+    """In a block of three writes, one endorsed badly: the block's policy
+    check names exactly the envelopes that fewer than ``policy`` distinct
+    members validly signed, in block order, and each audited receipt's
+    detail joins those names."""
+    net = _network(members=THREE_MEMBERS, endorsement_policy=policy)
+    channel = net.channels["mychannel"]
+    receipts = [net.submit("loader-app", make_write(quantity=q)) for q in (1, 2, 3)]
+    pending = net.orderer._pending
+    tick, env = pending[position]
+    pending[position] = (tick, dataclasses.replace(
+        env, endorsements=_bad_endorsements(kind, policy, env.payload_digest)))
+    envelopes = [env for _, env in pending]
+
+    def meets(env):
+        return len({e.peer_id for e in env.endorsements if e.peer_id in THREE_MEMBERS
+                    and endorsement_valid(e, env.payload_digest)}) >= policy
+
+    expected = [f"{env.tx_id}: endorsement policy not met"
+                for env in envelopes if not meets(env)]
+    assert len(expected) == (0 if (policy, kind) == (1, "duplicate-member") else 1)
+    assert channel.policy_problems(envelopes) == expected
+    net.run_until_idle()
+    if expected:
+        _assert_audited(net, channel, False, 0)
+        assert [(r.status, r.reject_phase, r.reject_reason, r.detail) for r in receipts] == [
+            (ReceiptStatus.REJECTED, "validation", "ValidationFailure", "; ".join(expected))] * 3
+    else:
+        assert [r.status for r in receipts] == [ReceiptStatus.COMMITTED] * 3
 
 
 def test_policy_one_needs_a_single_endorsement():
@@ -558,6 +605,27 @@ def test_identical_schedules_produce_identical_chains():
 
 # ---------------------------------------------------------------------------
 # validation and commit
+
+def test_a_later_fresh_answer_in_one_block_wins():
+    """Two fresh answers of one category in one block: commit, replay and
+    every member's serialized state all keep the later one."""
+    net = _network(reuse_enabled=False)
+    _load(net, 12)
+    query = make_query(Aggregate.SUM, color="red")
+    first, second = (net.submit("distributor-a", query, eps_f=0.5) for _ in range(2))
+    net.run_until_idle()
+    assert first.status is second.status is ReceiptStatus.COMMITTED
+    assert first.commit_height == second.commit_height
+    assert first.response.value != second.response.value
+    chain = net.channels["mychannel"].chain
+    replayed = replay_chain(chain)
+    states = [p.states["mychannel"] for p in net.peers.values()]
+    for state in [replayed, *states]:
+        assert state.lookup(query.key).response is second.response
+        assert state.serialize() == replayed.serialize()
+    assert second.tx_id.encode() in replayed.serialize()
+    assert first.tx_id.encode() not in replayed.serialize()
+
 
 def test_unendorsed_transaction_sends_block_to_audit():
     net = _network()
