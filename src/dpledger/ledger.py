@@ -153,11 +153,8 @@ def _envelope_problem(env: Envelope) -> str:
     may: its body must be a valid write or query, a write must carry no
     query effect, and a query must carry a fresh effect that answers it: its
     ε one the engine could spend (``check_epsilon``), keyed by its category,
-    with its tx id as the query id and a response that states that ε. A
-    write its validator has passed needs only the effect check."""
+    with its tx id as the query id and a response that states that ε."""
     tx = env.tx
-    if type(tx) is WriteTransaction and tx._canonical is not None:
-        return "write envelope carries a query effect" if env.effect is not None else ""
     is_write = isinstance(tx, WriteTransaction)
     if not (is_write or isinstance(tx, QueryTransaction)):
         return f"{tx!r} is not a transaction body"

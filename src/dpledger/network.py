@@ -455,12 +455,10 @@ class Network:
             peer = self.peers[peer_id]
             peer.chains[CHANNEL_ID].append(block)
             apply_block(peer.states[CHANNEL_ID], fold)
-        pop, height, tick, status = (self._receipts_by_id.pop, block.height, self.clock,
-                                     ReceiptStatus.COMMITTED)
         for env in block.envelopes:
-            receipt = pop(env.tx_id, None)
+            receipt = self._receipts_by_id.pop(env.tx_id, None)
             if receipt is not None:
-                receipt.status = status
-                receipt.commit_height = height
-                receipt.commit_tick = tick
+                receipt.status = ReceiptStatus.COMMITTED
+                receipt.commit_height = block.height
+                receipt.commit_tick = self.clock
         return True
