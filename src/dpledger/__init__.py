@@ -69,7 +69,6 @@ from .ledger import (
 )
 from .chaincode import ChaincodeEngine, evaluate_exact
 from .network import (
-    Channel,
     Network,
     Peer,
     ReceiptStatus,

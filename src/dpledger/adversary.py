@@ -48,10 +48,6 @@ class BackgroundKnowledge:
         return cls(state=state,
                    target=(target_tx.customer_name, target_tx.product_name, target_tx.color))
 
-    def matching_sum(self, key: CategoryKey) -> float:
-        """The exact answer to ``key``, a SUM, over the known records."""
-        return self.state.answer(key)
-
 
 @dataclass(frozen=True)
 class AttackReport:
@@ -101,7 +97,7 @@ def linking_attack(query: QueryTransaction, observed: float,
         )
     return AttackReport.build(
         kind="linking",
-        estimate=observed - bk.matching_sum(query.key),
+        estimate=observed - bk.state.answer(query.key),
         true_value=float(true_quantity),
         tolerance=tolerance,
         queries_consumed=1,
@@ -119,7 +115,7 @@ def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
     one answer; the returned rate should match the noise CDF at the
     tolerance, 1 - exp(-tolerance / scale).
     """
-    exact_total = bk.matching_sum(query.key) + float(true_quantity)
+    exact_total = bk.state.answer(query.key) + float(true_quantity)
     successes = 0
     sample: List[AttackReport] = []
     for i in range(n_trials):

@@ -341,10 +341,6 @@ class ExecResult:
     net: Network
     query_receipts: list
 
-    @property
-    def channel(self):
-        return self.net.channels[CHANNEL_ID]
-
 
 def _build_network(cfg: WorkloadConfig, reuse_enabled: bool) -> Network:
     net = Network(epsilon_t=cfg.epsilon_t, reuse_enabled=reuse_enabled, seed=cfg.seed)
@@ -376,8 +372,7 @@ def _execute(cfg: WorkloadConfig, schedule: WorkloadSchedule,
 
 def _committed_state(net: Network) -> WorldState:
     """The channel's committed world state, as its first member holds it."""
-    channel = net.channels[CHANNEL_ID]
-    return net.peers[channel.members[0]].states[CHANNEL_ID]
+    return net.peers[net.members[0]].state
 
 
 def _flow(receipts, clock: int) -> dict:
@@ -402,7 +397,7 @@ def _mode_metrics(res: ExecResult, errors: List[Optional[float]]) -> dict:
         "cached": sum(1 for r in receipts if r.status is ReceiptStatus.CACHED),
         "rejected": sum(1 for r in receipts if r.status is ReceiptStatus.REJECTED),
         "elapsed_ticks": res.net.clock,
-        "eps_sum": res.channel.accountant.accumulated(),
+        "eps_sum": res.net.accountant.accumulated(),
         "mean_relative_error": mean_err,
         "accuracy": None if mean_err is None else 100.0 - mean_err,
     }
@@ -469,7 +464,7 @@ def run_scenario(cfg: WorkloadConfig) -> dict:
         "performance": (performance_scan(cfg, schedule, cfg.rate_sweep)
                         if cfg.rate_sweep else []),
         "artifacts": {
-            **{f"budget_events_{mode}.csv": _budget_events_csv(res.channel.accountant.events)
+            **{f"budget_events_{mode}.csv": _budget_events_csv(res.net.accountant.events)
                for mode, res in passes.items()},
             **{f"receipts_{mode}.csv": _receipts_csv(res.net.receipts)
                for mode, res in passes.items()},
@@ -649,7 +644,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
                          epsilon_t=eps_t, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled=False).net
     # The committed writes, read from the chain in commit order.
-    records = [env.tx for block in net.channels[CHANNEL_ID].chain
+    records = [env.tx for block in net.chain
                for env in block.envelopes if isinstance(env.tx, WriteTransaction)]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -659,7 +654,7 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
     query = QueryTransaction(CategoryKey(Aggregate.SUM), REQUESTER)
 
     if not dp_enabled:
-        exact_total = bk.matching_sum(query.key) + true_qty
+        exact_total = bk.state.answer(query.key) + true_qty
         report = linking_attack(query, exact_total, bk, true_qty, tolerance)
         return {"report": report, "success_rate": 1.0 if report.success else 0.0,
                 "expected_rate": 1.0, "n_trials": 1}
@@ -688,7 +683,7 @@ def run_composition_attack(*, reuse_enabled: bool = True, categories: int = 200,
                          epsilon_t=needed, seed=seed)
     net = _execute(cfg, generate_workload(cfg), reuse_enabled).net
     state = _committed_state(net)
-    peers = net.channels[CHANNEL_ID].members[:2]
+    peers = net.members[:2]
 
     keys = _candidate_keys(cfg, state, categories)
     if len(keys) < categories:
@@ -859,7 +854,7 @@ def export_ledger(cfg: WorkloadConfig, out_dir) -> List[Path]:
     """Populate a ledger with the write round only and dump it to files."""
     sub = replace(cfg, n_queries=0, rate_sweep=None)
     res = _execute(sub, generate_workload(sub), reuse_enabled=True)
-    chain = next(iter(res.net.peers.values())).chains[CHANNEL_ID]
+    chain = next(iter(res.net.peers.values())).chain
     emit = _writer(out_dir)
     return [emit("ledger.jsonl", export_transactions(chain, CHANNEL_ID)),
             emit("blocks.jsonl", export_blocks(chain))]

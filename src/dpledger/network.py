@@ -2,15 +2,16 @@
 
 Every transaction walks four phases: (1) proposal, (2) endorsement with
 privacy-preserving execution for queries, (3) Solo ordering into blocks,
-(4) validation and commit on every channel member. Every peer is a
-member of the one channel, ``CHANNEL_ID``. Time is a discrete
+(4) validation and commit on every channel member. The network is its
+one channel, ``CHANNEL_ID``, and a peer is its replica of the chain and
+its world state. Time is a discrete
 tick counter and the whole simulation is a pure function of the
 members, seeds, and submission schedule. The first three phases run at
 a submission's tick and the fourth at the tick that cuts its block, so a
 receipt holds two ticks and, if it was rejected, the phase it stopped
 in, with no record per phase.
 
-The channel has one chaincode engine and one budget accountant. The
+The network has one chaincode engine and one budget accountant. The
 engine checks a query's ε before anything else, so a rejected ε is
 neither spent nor logged as a reuse. The engine answers a
 query from the executor peer's committed world state plus its overlay
@@ -25,7 +26,8 @@ its digest without re-executing, which keeps endorsement deterministic
 under fresh noise.
 
 ``submit`` validates a body before anything encodes it, so a malformed
-body or ε, or a non-body, gets a typed rejected receipt and never raises.
+body or ε, or a non-body, gets a typed rejected receipt and never raises;
+so does a client id that is unknown or not a string.
 The body keeps the verdict, so commit's content rule does not run the
 full check again. Each envelope's payload digest (SHA-256 over its tx id,
 body and query effect) is computed once and kept as raw bytes: endorsers
@@ -34,15 +36,15 @@ the height, the previous hash, and each envelope's payload digest plus
 its endorsements. An endorsement is only (peer id, signature), both raw
 in memory: the signature binds that peer to the digest of the envelope
 carrying it, so it verifies on no other payload. Each member id is
-encoded once, and ``Channel.sign`` keeps the (id, encoding) pairs in member
+encoded once, and ``Network.sign`` keeps the (id, encoding) pairs in member
 order. Each member signs a proposal once and the endorsed envelope is built
-once: ``Envelope.endorsed`` encodes the payload and hashes it, the channel
+once: ``Envelope.endorsed`` encodes the payload and hashes it, the network
 signs that digest, and the envelope is constructed with its endorsements
 and its kept digest, no field set twice.
 
 A block is committed one call per stage. A block commits only if every
 envelope has endorsements from enough distinct channel members, the one
-rule checked here: ``Channel.policy_problems`` checks a block's envelopes
+rule checked here: ``Network.policy_problems`` checks a block's envelopes
 in one call and names each that falls short. The check of an envelope
 stops once the policy's count is met: at policy 1, an envelope whose first
 endorsement is valid costs one signature and builds nothing. The block
@@ -180,35 +182,104 @@ class TransactionReceipt:
 
 
 class Peer:
-    """One blockchain peer: its chain replica and world state of the channel,
-    each keyed by ``CHANNEL_ID``."""
+    """One blockchain peer: its replica of the chain and its world state."""
 
     def __init__(self, peer_id: str, seed_seq: np.random.SeedSequence, genesis: Block):
         self.peer_id = peer_id
         self.rng = np.random.default_rng(seed_seq)
-        self.chains: Dict[str, List[Block]] = {CHANNEL_ID: [genesis]}
-        self.states: Dict[str, WorldState] = {CHANNEL_ID: WorldState()}
+        self.chain: List[Block] = [genesis]
+        self.state = WorldState()
+
+    @property
+    def chains(self) -> Dict[str, List[Block]]:
+        """``{CHANNEL_ID: self.chain}``, read only by perfbench; the benchmark
+        change of ROADMAP item 0 moves it to ``chain`` and deletes this view."""
+        return {CHANNEL_ID: self.chain}
+
+    @property
+    def states(self) -> Dict[str, WorldState]:
+        """``{CHANNEL_ID: self.state}``, read only by perfbench; the benchmark
+        change of ROADMAP item 0 moves it to ``state`` and deletes this view."""
+        return {CHANNEL_ID: self.state}
 
 
-class Channel:
-    """Shared ledger scope: members, policy, the orderer's chain, the
-    chaincode engine, the budget accountant, and the audit store.
+class SoloOrderer:
+    """Single ordering peer: one FIFO, cut into batches of ``BATCH_SIZE``
+    and a remainder once its oldest has waited ``BATCH_TIMEOUT`` ticks."""
 
-    Committed world state lives only in each member's ``Peer.states``.
-    """
+    def __init__(self):
+        self._pending: List[Tuple[int, Envelope]] = []
 
-    def __init__(self, members: Sequence[str], endorsement_policy: int,
-                 epsilon_t: float, engine: ChaincodeEngine):
-        self.members = list(members)
+    def enqueue(self, env: Envelope, tick: int) -> None:
+        self._pending.append((tick, env))
+
+    def has_pending(self) -> bool:
+        return bool(self._pending)
+
+    def cut_due(self, tick: int) -> List[List[Envelope]]:
+        """Batches ready at this tick: full batches plus a timed-out remainder."""
+        out = []
+        queue = self._pending
+        while len(queue) >= BATCH_SIZE:
+            out.append([env for _, env in queue[:BATCH_SIZE]])
+            del queue[:BATCH_SIZE]
+        if queue and tick - queue[0][0] >= BATCH_TIMEOUT:
+            out.append([env for _, env in queue])
+            queue.clear()
+        return out
+
+
+class Network:
+    """Deterministic driver for the whole simulated network, which is also
+    its one channel: the members, the policy, the orderer's chain, the
+    chaincode engine, the budget accountant and the audit store. Committed
+    world state lives only in each member's ``Peer.state``. Each input is
+    checked once, here, in ``channel_members`` or, for ``epsilon_t``, by the
+    budget accountant; a bad one is ``ConfigInvalid``."""
+
+    def __init__(self, *, members: Sequence[str] = DEFAULT_MEMBERS,
+                 endorsement_policy: int = 1, epsilon_t: float = 1.0,
+                 reuse_enabled: bool = True, seed: int = 0):
+        self.members = channel_members(members, endorsement_policy)
+        if not isinstance(reuse_enabled, bool):
+            raise ConfigInvalid(f"reuse_enabled {reuse_enabled!r} must be a bool")
+        if not (conforms(seed, int) and seed >= 0):
+            raise ConfigInvalid(f"seed {seed!r} must be an integer >= 0")
         # Each member id, encoded once for checking and, as (id, encoding)
         # pairs in member order, for signing.
         self.member_keys: Dict[str, bytes] = {m: m.encode("utf-8") for m in self.members}
         self._signers: Tuple[Tuple[str, bytes], ...] = tuple(self.member_keys.items())
         self.endorsement_policy = endorsement_policy
         self.chain: List[Block] = [make_genesis(CHANNEL_ID)]
-        self.engine = engine
+        self.engine = ChaincodeEngine(reuse_enabled=reuse_enabled)
         self.accountant = BudgetAccountant(epsilon_t)
         self.audit: List[Block] = []
+        self.clock = 0
+        self.orderer = SoloOrderer()
+        self.clients: Set[str] = set()
+        self.receipts: List[TransactionReceipt] = []
+        # The receipts of envelopes handed to the orderer and not yet committed or audited.
+        self._receipts_by_id: Dict[str, TransactionReceipt] = {}
+        self._submit_seq = 0
+
+        peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(self.members))
+        self.peers: Dict[str, Peer] = {
+            peer_id: Peer(peer_id, peer_seed, self.chain[0])
+            for peer_id, peer_seed in zip(self.members, peer_seeds)}
+
+    @property
+    def channels(self) -> Dict[str, "Network"]:
+        """``{CHANNEL_ID: self}``, read only by perfbench; the benchmark change
+        of ROADMAP item 0 moves it to the network's own fields and deletes
+        this view."""
+        return {CHANNEL_ID: self}
+
+    def register_client(self, client_id: str) -> None:
+        """Authorize ``client_id`` to submit; raises ``ConfigInvalid`` for an id
+        that is not a string."""
+        if not conforms(client_id, str):
+            raise ConfigInvalid(f"client id {client_id!r} must be a string")
+        self.clients.add(client_id)
 
     def sign(self, payload_digest: bytes) -> Tuple[Endorsement, ...]:
         """Every member's endorsement of ``payload_digest``, in member order.
@@ -245,98 +316,35 @@ class Channel:
                 problems.append(f"{env.tx_id}: endorsement policy not met")
         return problems
 
-
-class SoloOrderer:
-    """Single ordering peer: one FIFO, cut into batches of ``BATCH_SIZE``
-    and a remainder once its oldest has waited ``BATCH_TIMEOUT`` ticks."""
-
-    def __init__(self):
-        self._pending: List[Tuple[int, Envelope]] = []
-
-    def enqueue(self, env: Envelope, tick: int) -> None:
-        self._pending.append((tick, env))
-
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
-    def cut_due(self, tick: int) -> List[List[Envelope]]:
-        """Batches ready at this tick: full batches plus a timed-out remainder."""
-        out = []
-        queue = self._pending
-        while len(queue) >= BATCH_SIZE:
-            out.append([env for _, env in queue[:BATCH_SIZE]])
-            del queue[:BATCH_SIZE]
-        if queue and tick - queue[0][0] >= BATCH_TIMEOUT:
-            out.append([env for _, env in queue])
-            queue.clear()
-        return out
-
-
-class Network:
-    """Deterministic driver for the whole simulated network. Each input is
-    checked once, here, in ``channel_members`` or, for ``epsilon_t``, by the
-    budget accountant; a bad one is ``ConfigInvalid``."""
-
-    def __init__(self, *, members: Sequence[str] = DEFAULT_MEMBERS,
-                 endorsement_policy: int = 1, epsilon_t: float = 1.0,
-                 reuse_enabled: bool = True, seed: int = 0):
-        peer_ids = channel_members(members, endorsement_policy)
-        if not isinstance(reuse_enabled, bool):
-            raise ConfigInvalid(f"reuse_enabled {reuse_enabled!r} must be a bool")
-        if not (conforms(seed, int) and seed >= 0):
-            raise ConfigInvalid(f"seed {seed!r} must be an integer >= 0")
-        self.clock = 0
-        self.orderer = SoloOrderer()
-        self.clients: Set[str] = set()
-        self.receipts: List[TransactionReceipt] = []
-        # The receipts of envelopes handed to the orderer and not yet committed or audited.
-        self._receipts_by_id: Dict[str, TransactionReceipt] = {}
-        self._submit_seq = 0
-
-        peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(peer_ids))
-        channel = Channel(peer_ids, endorsement_policy, epsilon_t,
-                          ChaincodeEngine(reuse_enabled=reuse_enabled))
-        # Every peer is a member of the one channel; like each peer's chains
-        # and states, it is keyed by its id.
-        self.channels: Dict[str, Channel] = {CHANNEL_ID: channel}
-        self.peers: Dict[str, Peer] = {
-            peer_id: Peer(peer_id, peer_seed, channel.chain[0])
-            for peer_id, peer_seed in zip(peer_ids, peer_seeds)}
-
-    def register_client(self, client_id: str) -> None:
-        self.clients.add(client_id)
-
     # -- phase 2: endorsement
 
-    def _collect_endorsements(self, channel: Channel, tx_id: str, tx: Transaction,
+    def _collect_endorsements(self, tx_id: str, tx: Transaction,
                               effect: Optional[QueryEffect] = None) -> Envelope:
         """The envelope endorsed once by every channel member."""
-        return Envelope.endorsed(tx_id, tx, effect, channel.sign)
+        return Envelope.endorsed(tx_id, tx, effect, self.sign)
 
-    def _endorse_tx(self, channel: Channel, tx: Transaction, tx_id: str,
-                    eps_f: Optional[float],
+    def _endorse_tx(self, tx: Transaction, tx_id: str, eps_f: Optional[float],
                     target_peer: Optional[str]):
         """Run phase 2 on a body that ``submit`` has validated. Returns
         (envelope or None, the query's recorded answer or None); a query
         gets an envelope only when its answer is fresh, drawn for ``tx_id``."""
         if isinstance(tx, WriteTransaction):
-            return self._collect_endorsements(channel, tx_id, tx), None
+            return self._collect_endorsements(tx_id, tx), None
 
-        executor_id = target_peer if target_peer is not None else channel.members[0]
-        if executor_id not in channel.members:
+        executor_id = target_peer if target_peer is not None else self.members[0]
+        if executor_id not in self.members:
             raise NotMember(f"{executor_id} is not a member of {CHANNEL_ID}")
         executor = self.peers[executor_id]
         if eps_f is None:
             raise ConfigInvalid("eps_f is required for queries")
-        record = channel.engine.answer_query(tx, executor.states[CHANNEL_ID],
-                                             channel.accountant, eps_f, executor.rng,
-                                             query_id=tx_id)
+        record = self.engine.answer_query(tx, executor.state, self.accountant, eps_f,
+                                          executor.rng, query_id=tx_id)
         if record.response.query_id != tx_id:
             # Served from the recorded answer; nothing new goes to ordering.
             return None, record
         # The fresh answer just endorsed goes to ordering with the balance left.
-        effect = QueryEffect(record, channel.accountant.epsilon_rem)
-        return self._collect_endorsements(channel, tx_id, tx, effect), record
+        effect = QueryEffect(record, self.accountant.epsilon_rem)
+        return self._collect_endorsements(tx_id, tx, effect), record
 
     # -- submission (phases 1-3; phase 4 happens on tick)
 
@@ -352,7 +360,6 @@ class Network:
         that fails validation is never encoded, and its tx id hashes the
         channel id and the submission number alone.
         """
-        channel = self.channels[CHANNEL_ID]
         self._submit_seq += 1
         is_write = isinstance(tx, WriteTransaction)
         try:
@@ -368,8 +375,8 @@ class Network:
         receipt = TransactionReceipt(tx_id, "write" if is_write else "query", self.clock)
         self.receipts.append(receipt)
 
-        # Phase 1: proposal from a known, authorized participant.
-        if client_id not in self.clients:
+        # Phase 1: proposal from a known, authorized participant, whose id is a string.
+        if not (isinstance(client_id, str) and client_id in self.clients):
             return self._reject(receipt, "proposal", "client not authorized",
                                 NotAuthorized.__name__)
 
@@ -377,14 +384,14 @@ class Network:
         if invalid is not None:
             return self._reject(receipt, "endorsement", str(invalid), type(invalid).__name__)
         try:
-            envelope, record = self._endorse_tx(channel, tx, tx_id, eps_f, target_peer)
+            envelope, record = self._endorse_tx(tx, tx_id, eps_f, target_peer)
         except DPLedgerError as err:
             return self._reject(receipt, "endorsement", str(err), type(err).__name__)
         if record is not None:
             receipt.response = record.response
 
         if envelope is None:
-            pending = channel.engine.pending
+            pending = self.engine.pending
             if pending and pending.get(record.key) is record:
                 receipt.detail = f"served pending answer {record.response.query_id}"
             receipt.status = ReceiptStatus.CACHED
@@ -410,39 +417,37 @@ class Network:
     def tick(self) -> None:
         """Advance simulated time by one tick and commit any due blocks."""
         self.clock += 1
-        channel = self.channels[CHANNEL_ID]
         for batch in self.orderer.cut_due(self.clock):
-            block = build_block(batch, channel.chain[-1])
-            self.deliver_and_commit(channel, block)
+            self.deliver_and_commit(build_block(batch, self.chain[-1]))
 
     def run_until_idle(self) -> None:
         """Tick until the orderer holds nothing: within ``BATCH_TIMEOUT`` ticks."""
         while self.orderer.has_pending():
             self.tick()
 
-    def deliver_and_commit(self, channel: Channel, block: Block) -> bool:
+    def deliver_and_commit(self, block: Block) -> bool:
         """Check the endorsements, then ``fold_block`` onto the chain head; append
         the block on every member and return True, or audit it and return False.
         Each in-flight receipt of the block leaves the index with its final
         status; an envelope not in flight, such as a committed one replayed,
         changes no receipt."""
-        problems = channel.policy_problems(block.envelopes)
+        problems = self.policy_problems(block.envelopes)
 
         fold = None
         if not problems:
             # Every member has committed the same tx ids; the first one's set stands for all.
-            committed = self.peers[channel.members[0]].states[CHANNEL_ID].tx_ids
+            committed = self.peers[self.members[0]].state.tx_ids
             try:
-                fold = fold_block(block, channel.chain[-1], committed)
+                fold = fold_block(block, self.chain[-1], committed)
             except ValidationFailure as err:
                 problems.append(str(err))
         # Committed or audited, the block's answers stop being pending.
-        if channel.engine.pending:
+        if self.engine.pending:
             for env in block.envelopes:
                 if env.effect is not None:
-                    channel.engine.settle(env.effect.record)
+                    self.engine.settle(env.effect.record)
         if fold is None:
-            channel.audit.append(block)
+            self.audit.append(block)
             for env in block.envelopes:
                 receipt = self._receipts_by_id.pop(env.tx_id, None)
                 if receipt is not None:
@@ -450,11 +455,11 @@ class Network:
                                  "ValidationFailure")
             return False
 
-        channel.chain.append(block)
-        for peer_id in channel.members:
+        self.chain.append(block)
+        for peer_id in self.members:
             peer = self.peers[peer_id]
-            peer.chains[CHANNEL_ID].append(block)
-            apply_block(peer.states[CHANNEL_ID], fold)
+            peer.chain.append(block)
+            apply_block(peer.state, fold)
         for env in block.envelopes:
             receipt = self._receipts_by_id.pop(env.tx_id, None)
             if receipt is not None:

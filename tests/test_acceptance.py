@@ -266,7 +266,7 @@ def test_criterion_8_flow_integrity_650_transactions():
     committed = [r for r in res.net.receipts if r.commit_height is not None]
     assert len(committed) == 650
 
-    chains = [p.chains["mychannel"] for p in res.net.peers.values()]
+    chains = [p.chain for p in res.net.peers.values()]
     assert len(chains) == 2
     assert [b.block_hash for b in chains[0]] == [b.block_hash for b in chains[1]]
     assert all(verify_chain(c) for c in chains)
@@ -305,8 +305,8 @@ def test_criterion_9_exactness_oracle_on_export():
     schedule = generate_workload(cfg)
     res = _execute(cfg, schedule, reuse_enabled=True)
     peer = next(iter(res.net.peers.values()))
-    text = export_transactions(peer.chains["mychannel"], "mychannel")
-    state = peer.states["mychannel"]
+    text = export_transactions(peer.chain, "mychannel")
+    state = peer.state
 
     # independent brute-force oracle over the JSON-lines dump
     rows = [json.loads(line) for line in text.splitlines()[1:]]

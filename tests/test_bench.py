@@ -413,13 +413,13 @@ def test_budget_155_query_log_holds_every_query():
     from dpledger.bench import _execute
     cfg = scenario_config("budget-155")
     res = _execute(cfg, generate_workload(cfg), reuse_enabled=True)
-    events = res.channel.accountant.events
+    events = res.net.accountant.events
     assert len(events) == 155
     assert sum(1 for e in events if not e.reused) == 100
     # Only fresh answers reach the chain, which is the query log; repeats
     # are reuse events.
     for peer in res.net.peers.values():
-        log = [env.effect.record for block in peer.chains["mychannel"]
+        log = [env.effect.record for block in peer.chain
                for env in block.envelopes if env.effect is not None]
         assert len(log) == 100
         assert all(not r.response.reused and r.epsilon_spent > 0 for r in log)
@@ -663,7 +663,7 @@ def test_budget_155_chain_digests():
     schedule = generate_workload(cfg)
     digests = {}
     for mode in _BUDGET_155_CHAIN_SHA256:
-        chain = bench._execute(cfg, schedule, mode == "reuse").net.channels[CHANNEL_ID].chain
+        chain = bench._execute(cfg, schedule, mode == "reuse").net.chain
         digests[mode] = hashlib.sha256(
             export_transactions(chain, CHANNEL_ID).encode("utf-8")).hexdigest()
     assert digests == _BUDGET_155_CHAIN_SHA256

@@ -21,6 +21,7 @@ from dpledger import (
     ConfigInvalid,
     Envelope,
     Network,
+    Peer,
     PerturbedResponse,
     QueryEffect,
     QueryRecord,
@@ -38,8 +39,8 @@ from dpledger import transactions
 from dpledger.bench import EpsilonSchedule, WorkloadConfig, generate_workload
 from dpledger.codec import from_json, to_json
 from dpledger.errors import IoFailure, ValidationFailure
-from dpledger.ledger import compute_block_hash, fold_block
-from dpledger.network import endorsement_valid, sign_endorsement
+from dpledger.ledger import CHANNEL_ID, compute_block_hash, fold_block
+from dpledger.network import DEFAULT_MEMBERS, endorsement_valid, sign_endorsement
 from dpledger.transactions import Endorsement, WriteTransaction
 
 from conftest import make_query, make_write
@@ -68,11 +69,11 @@ def _signed(env, signers):
     return dataclasses.replace(env, endorsements=ends)
 
 
-def _assert_audited(net, channel, committed, height, n_audited=1):
+def _assert_audited(net, committed, height, n_audited=1):
     assert committed is False
-    assert channel.chain[-1].height == height
-    assert len(channel.audit) == n_audited
-    assert all(len(p.chains["mychannel"]) == height + 1 for p in net.peers.values())
+    assert net.chain[-1].height == height
+    assert len(net.audit) == n_audited
+    assert all(len(p.chain) == height + 1 for p in net.peers.values())
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def test_exported_ledger_rebuilds_every_block_hash():
     net.run_until_idle()
     statuses = [r.status for r in net.receipts]
     assert ReceiptStatus.CACHED in statuses and ReceiptStatus.REJECTED not in statuses
-    chain = net.channels["mychannel"].chain
+    chain = net.chain
     assert any(env.effect is not None for block in chain for env in block.envelopes)
 
     header, rows = import_transactions(export_transactions(chain, "mychannel"))
@@ -113,7 +114,7 @@ def test_valid_write_commits_on_both_peers():
     net.run_until_idle()
     assert receipt.status is ReceiptStatus.COMMITTED
     assert receipt.commit_height == 1
-    chains = [p.chains["mychannel"] for p in net.peers.values()]
+    chains = [p.chain for p in net.peers.values()]
     assert len(chains) == 2
     assert chains[0][-1].block_hash == chains[1][-1].block_hash
     assert all(verify_chain(c) for c in chains)
@@ -122,9 +123,9 @@ def test_valid_write_commits_on_both_peers():
 def test_peer_world_states_serialize_identically_after_commits():
     net = _network()
     _load(net, 25)
-    states = [p.states["mychannel"] for p in net.peers.values()]
+    states = [p.state for p in net.peers.values()]
     assert states[0].serialize() == states[1].serialize()
-    exports = [export_transactions(p.chains["mychannel"], "mychannel")
+    exports = [export_transactions(p.chain, "mychannel")
                for p in net.peers.values()]
     assert exports[0] == exports[1]
 
@@ -136,7 +137,7 @@ def test_invalid_write_rejected_at_endorsement():
     assert receipt.reject_reason == "InvalidQuantity"
     assert receipt.reject_phase == "endorsement"
     net.run_until_idle()
-    assert all(len(p.chains["mychannel"]) == 1 for p in net.peers.values())
+    assert all(len(p.chain) == 1 for p in net.peers.values())
 
 
 def test_unregistered_client_rejected_at_proposal():
@@ -146,6 +147,26 @@ def test_unregistered_client_rejected_at_proposal():
     assert receipt.reject_reason == "NotAuthorized"
     assert receipt.reject_phase == "proposal"
     assert receipt.detail == "client not authorized"
+
+
+@pytest.mark.parametrize("client", [["c"], {"a": 1}], ids=["list", "dict"])
+def test_unhashable_client_rejected_at_proposal(client):
+    """An id that cannot be a client gets a rejected receipt, not a raise,
+    and leaves no receipt pending."""
+    net = _network()
+    receipt = net.submit(client, make_write())
+    assert (receipt.status, receipt.reject_phase, receipt.reject_reason) == (
+        ReceiptStatus.REJECTED, "proposal", "NotAuthorized")
+    net.run_until_idle()
+    assert all(r.status is not ReceiptStatus.PENDING for r in net.receipts)
+
+
+@pytest.mark.parametrize("client", [["c"], 7, None, b"c"], ids=["list", "int", "none", "bytes"])
+def test_register_client_refuses_a_non_string_id(client):
+    net = Network()
+    with pytest.raises(ConfigInvalid):
+        net.register_client(client)
+    assert net.clients == set()
 
 
 def _median_key_query():
@@ -181,16 +202,15 @@ def test_malformed_submission_gets_a_typed_rejection(client, tx, eps_f, reason):
     nothing, for a body or ε that no encoding or spend can take."""
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
-    events, height = list(channel.accountant.events), channel.chain[-1].height
+    events, height = list(net.accountant.events), net.chain[-1].height
     receipt = net.submit(client, tx, eps_f=eps_f)
     assert receipt.status is ReceiptStatus.REJECTED
     assert (receipt.reject_phase, receipt.reject_reason) == ("endorsement", reason)
     assert receipt.detail and receipt.response is None
     assert not net.orderer.has_pending()
-    assert channel.accountant.events == events
+    assert net.accountant.events == events
     net.run_until_idle()
-    assert channel.chain[-1].height == height
+    assert net.chain[-1].height == height
 
 
 def test_audited_receipts_name_the_broken_link():
@@ -198,12 +218,11 @@ def test_audited_receipts_name_the_broken_link():
     its receipts says so."""
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
     receipt = net.submit("loader-app", make_write())
     (_, env), = net.orderer._pending
-    block = build_block([env], channel.chain[-2])
-    height = channel.chain[-1].height
-    _assert_audited(net, channel, net.deliver_and_commit(channel, block), height)
+    block = build_block([env], net.chain[-2])
+    height = net.chain[-1].height
+    _assert_audited(net, net.deliver_and_commit(block), height)
     assert (receipt.status, receipt.reject_phase) == (ReceiptStatus.REJECTED, "validation")
     assert receipt.detail == f"block {height} does not follow block {height}"
 
@@ -215,15 +234,14 @@ def test_replayed_envelope_leaves_its_committed_receipt():
     net = _network()
     receipts = [net.submit("loader-app", make_write(quantity=q)) for q in (1, 2)]
     net.run_until_idle()
-    channel = net.channels["mychannel"]
-    replayed = channel.chain[-1].envelopes[0]
+    replayed = net.chain[-1].envelopes[0]
     assert replayed.tx_id == receipts[0].tx_id
     net.orderer.enqueue(replayed, net.clock)
     net.run_until_idle()
-    assert [b.height for b in channel.audit] == [2]
+    assert [b.height for b in net.audit] == [2]
     assert [(r.status, r.commit_height, r.detail) for r in receipts] == [
         (ReceiptStatus.COMMITTED, 1, "")] * 2
-    assert all(p.chains["mychannel"][1].envelopes[0] is replayed for p in net.peers.values())
+    assert all(p.chain[1].envelopes[0] is replayed for p in net.peers.values())
 
 
 def test_tx_id_hashes_the_body_only_when_it_is_valid():
@@ -244,19 +262,18 @@ def test_tx_id_hashes_the_body_only_when_it_is_valid():
 def test_query_over_exhausted_budget_rejected_without_ledger_change():
     net = _network(epsilon_t=0.25)
     _load(net)
-    channel = net.channels["mychannel"]
     for i in range(2):
         net.submit("distributor-a", make_query(Aggregate.SUM, color=f"c{i}"), eps_f=0.1)
-    pending = dict(channel.engine.pending)
-    events = list(channel.accountant.events)
-    height = channel.chain[-1].height
+    pending = dict(net.engine.pending)
+    events = list(net.accountant.events)
+    height = net.chain[-1].height
     receipt = net.submit("distributor-a", make_query(Aggregate.SUM), eps_f=0.12)
     assert receipt.status is ReceiptStatus.REJECTED
     assert receipt.reject_reason == "BudgetExhausted"
-    assert channel.engine.pending == pending
-    assert channel.accountant.events == events
+    assert net.engine.pending == pending
+    assert net.accountant.events == events
     net.run_until_idle()
-    assert channel.chain[-1].height == height + 1  # only the two fresh answers
+    assert net.chain[-1].height == height + 1  # only the two fresh answers
 
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
@@ -267,12 +284,11 @@ def test_query_over_exhausted_budget_rejected_without_ledger_change():
 def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     net = _network(reuse_enabled=reuse_enabled)
     _load(net)
-    channel = net.channels["mychannel"]
     q = make_query(Aggregate.SUM, color="red")
     # A valid twin is already answered; with reuse on its category is a cache hit.
     net.submit("distributor-a", q, eps_f=0.2)
-    pending = dict(channel.engine.pending)
-    events = list(channel.accountant.events)
+    pending = dict(net.engine.pending)
+    events = list(net.accountant.events)
     queue = list(net.orderer._pending)
     receipt = net.submit("distributor-a", dataclasses.replace(q, **change), eps_f=0.2)
     assert receipt.status is ReceiptStatus.REJECTED
@@ -280,8 +296,8 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
     assert receipt.reject_phase == "endorsement"
     assert receipt.detail
     assert receipt.response is None
-    assert channel.engine.pending == pending
-    assert channel.accountant.events == events
+    assert net.engine.pending == pending
+    assert net.accountant.events == events
     assert net.orderer._pending == queue
 
 
@@ -289,16 +305,15 @@ def test_invalid_query_rejected_at_endorsement(reuse_enabled, change, reason):
 def test_query_without_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled):
     net = _network(reuse_enabled=reuse_enabled)
     _load(net)
-    channel = net.channels["mychannel"]
     q = make_query(Aggregate.SUM, color="red")
     # A valid twin is already answered; with reuse on its category is a cache hit.
     net.submit("distributor-a", q, eps_f=0.2)
-    events = list(channel.accountant.events)
+    events = list(net.accountant.events)
     receipt = net.submit("distributor-a", q)
     assert receipt.status is ReceiptStatus.REJECTED
     assert receipt.reject_reason == "ConfigInvalid"
     assert receipt.response is None
-    assert channel.accountant.events == events
+    assert net.accountant.events == events
 
 
 @pytest.mark.parametrize("reuse_enabled", [True, False], ids=["reuse", "naive"])
@@ -307,26 +322,25 @@ def test_query_without_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled)
 def test_bad_epsilon_rejected_before_any_spend_or_reuse(reuse_enabled, eps_f):
     net = _network(epsilon_t=5.0, reuse_enabled=reuse_enabled)
     _load(net)
-    channel = net.channels["mychannel"]
     q = make_query(Aggregate.SUM, color="red")
     # A valid twin is already answered; with reuse on its category is a cache hit.
     net.submit("distributor-a", q, eps_f=0.2)
-    total = channel.accountant.accumulated_exact()
-    events = list(channel.accountant.events)
-    pending = dict(channel.engine.pending)
+    total = net.accountant.accumulated_exact()
+    events = list(net.accountant.events)
+    pending = dict(net.engine.pending)
     receipt = net.submit("distributor-a", q, eps_f=eps_f)
     assert receipt.status is ReceiptStatus.REJECTED
     assert receipt.reject_reason == "NonPositiveEpsilon"
     assert receipt.reject_phase == "endorsement"
     assert receipt.response is None
-    assert channel.accountant.accumulated_exact() == total
-    assert channel.accountant.events == events
-    assert channel.engine.pending == pending
+    assert net.accountant.accumulated_exact() == total
+    assert net.accountant.events == events
+    assert net.engine.pending == pending
     net.run_until_idle()
     on_chain = sum((Fraction(repr(env.effect.record.epsilon_spent))
-                    for block in channel.chain for env in block.envelopes
+                    for block in net.chain for env in block.envelopes
                     if env.effect is not None), Fraction(0))
-    assert on_chain == channel.accountant.accumulated_exact() == Fraction("0.2")
+    assert on_chain == net.accountant.accumulated_exact() == Fraction("0.2")
 
 
 def test_repeated_query_served_from_cache_without_new_block():
@@ -335,13 +349,13 @@ def test_repeated_query_served_from_cache_without_new_block():
     q = make_query(Aggregate.SUM, color="red")
     first = net.submit("distributor-a", q, eps_f=0.2)
     net.run_until_idle()
-    height = net.channels["mychannel"].chain[-1].height
+    height = net.chain[-1].height
     second = net.submit("distributor-a", q, eps_f=0.2)
     net.run_until_idle()
     assert first.status is ReceiptStatus.COMMITTED
     assert second.status is ReceiptStatus.CACHED
     assert second.response is first.response
-    assert net.channels["mychannel"].chain[-1].height == height
+    assert net.chain[-1].height == height
 
 
 def test_cached_answers_identical_across_peers():
@@ -368,20 +382,19 @@ def test_repeat_of_a_pending_answer_is_marked_on_its_receipt():
     assert early.response.value == late.response.value == first.response.value
     assert early.detail == f"served pending answer {first.tx_id}"
     assert late.detail == ""
-    assert net.channels["mychannel"].engine.pending == {}
+    assert net.engine.pending == {}
 
 
 def test_audited_answer_is_never_served_again():
     net = _network()
     _load(net)
-    channel = net.channels["mychannel"]
     q = make_query(Aggregate.SUM, color="red")
     first = net.submit("distributor-a", q, eps_f=0.2)
     queue = net.orderer._pending
     queue[:] = [(t, dataclasses.replace(env, endorsements=())) for t, env in queue]
     net.run_until_idle()
     assert first.status is ReceiptStatus.REJECTED
-    assert len(channel.audit) == 1
+    assert len(net.audit) == 1
 
     second = net.submit("distributor-a", q, eps_f=0.2)
     assert second.status is not ReceiptStatus.CACHED
@@ -389,13 +402,13 @@ def test_audited_answer_is_never_served_again():
     net.run_until_idle()
     assert second.status is ReceiptStatus.COMMITTED
     # The audited answer was released, so its epsilon stays spent.
-    assert [e.query_id for e in channel.accountant.spend_log] == [first.tx_id, second.tx_id]
+    assert [e.query_id for e in net.accountant.spend_log] == [first.tx_id, second.tx_id]
     third = net.submit("distributor-a", q, eps_f=0.2)
     assert third.status is ReceiptStatus.CACHED
     assert third.response.value == second.response.value
     for peer in net.peers.values():
-        assert (peer.states["mychannel"].serialize()
-                == replay_chain(peer.chains["mychannel"]).serialize())
+        assert (peer.state.serialize()
+                == replay_chain(peer.chain).serialize())
 
 
 def test_receipts_of_an_audited_block_name_the_failing_envelope():
@@ -405,7 +418,7 @@ def test_receipts_of_an_audited_block_name_the_failing_envelope():
     queue = net.orderer._pending
     queue[1] = (queue[1][0], dataclasses.replace(queue[1][1], endorsements=()))
     net.run_until_idle()
-    assert len(net.channels["mychannel"].audit) == 1
+    assert len(net.audit) == 1
     for receipt in (good, bad):
         assert receipt.status is ReceiptStatus.REJECTED
         assert receipt.reject_phase == "validation"
@@ -420,17 +433,16 @@ def test_block_with_an_envelope_without_a_body_goes_to_audit(body):
     no payload digest to check endorsements against, to the content rule:
     its block goes to audit and the block's receipts name it."""
     net = _network()
-    channel = net.channels["mychannel"]
-    stray = Block(1, channel.chain[-1].block_hash, (Envelope(tx_id="z", tx=body),), bytes(32))
-    _assert_audited(net, channel, net.deliver_and_commit(channel, stray), 0)
+    stray = Block(1, net.chain[-1].block_hash, (Envelope(tx_id="z", tx=body),), bytes(32))
+    _assert_audited(net, net.deliver_and_commit(stray), 0)
 
     good = net.submit("loader-app", make_write())
     bad = net.submit("loader-app", make_write(quantity=7))
     (_, good_env), (_, bad_env) = net.orderer._pending
     net.orderer._pending.clear()
-    block = Block(1, channel.chain[-1].block_hash,
+    block = Block(1, net.chain[-1].block_hash,
                   (good_env, dataclasses.replace(bad_env, tx=body)), bytes(32))
-    _assert_audited(net, channel, net.deliver_and_commit(channel, block), 0, n_audited=2)
+    _assert_audited(net, net.deliver_and_commit(block), 0, n_audited=2)
     for receipt in (good, bad):
         assert (receipt.status, receipt.reject_phase) == (ReceiptStatus.REJECTED, "validation")
         assert receipt.detail == f"{bad.tx_id}: {body!r} is not a transaction body"
@@ -458,9 +470,9 @@ THREE_MEMBERS = ("peer0.retailer", "peer0.distributor", "peer1.distributor")
 
 
 def test_channel_signs_as_each_member_would_alone():
-    channel = _network(members=THREE_MEMBERS).channels["mychannel"]
+    net = _network(members=THREE_MEMBERS)
     for digest in (bytes(32), b"\xab" * 32, hashlib.sha256(b"payload").digest()):
-        ends = channel.sign(digest)
+        ends = net.sign(digest)
         assert ends == tuple(sign_endorsement(m, digest) for m in THREE_MEMBERS)
         assert [type(end) for end in ends] == [Endorsement] * 3
         assert [end.peer_id for end in ends] == list(THREE_MEMBERS)
@@ -468,16 +480,16 @@ def test_channel_signs_as_each_member_would_alone():
 
 @pytest.mark.parametrize("fresh_query", [False, True], ids=["write", "fresh-query"])
 def test_endorsed_envelope_equals_the_one_built_field_by_field(fresh_query):
-    channel = _network(members=THREE_MEMBERS).channels["mychannel"]
+    net = _network(members=THREE_MEMBERS)
     if fresh_query:
         tx = make_query(Aggregate.COUNT, color="red")
         resp = PerturbedResponse(value=4.5, epsilon_used=0.1, reused=False, query_id="t1")
         effect = QueryEffect(QueryRecord(tx.key, 0.1, resp), eps_rem=9.9)
     else:
         tx, effect = make_write(quantity=7), None
-    endorsed = Envelope.endorsed("t1", tx, effect, channel.sign)
+    endorsed = Envelope.endorsed("t1", tx, effect, net.sign)
     unsigned = Envelope("t1", tx, effect)
-    by_field = Envelope("t1", tx, effect, channel.sign(unsigned.payload_digest))
+    by_field = Envelope("t1", tx, effect, net.sign(unsigned.payload_digest))
     assert endorsed == by_field
     assert endorsed.payload_digest == by_field.payload_digest == unsigned.payload_digest
     assert endorsed.canonical_bytes() == by_field.canonical_bytes()
@@ -489,7 +501,7 @@ def test_policy_check_agrees_with_a_reference_count(policy):
     duplicated and non-member ones, and the empty one: the policy check
     passes a block of that one envelope iff at least ``policy`` distinct
     members signed this digest."""
-    channel = _network(members=THREE_MEMBERS, endorsement_policy=policy).channels["mychannel"]
+    net = _network(members=THREE_MEMBERS, endorsement_policy=policy)
     env = Envelope("w", make_write())
     digest = env.payload_digest
     pool = [sign_endorsement(m, digest) for m in THREE_MEMBERS] + [
@@ -506,7 +518,7 @@ def test_policy_check_agrees_with_a_reference_count(policy):
     for n in range(4):
         for ends in itertools.product(pool, repeat=n):
             signed = dataclasses.replace(env, endorsements=ends)
-            verdict = not channel.policy_problems([signed])
+            verdict = not net.policy_problems([signed])
             assert verdict == reference(ends), ends
             verdicts.add(verdict)
     assert verdicts == {False, True}
@@ -533,7 +545,6 @@ def test_block_policy_check_names_what_a_reference_count_rejects(policy, kind, p
     members validly signed, in block order, and each audited receipt's
     detail joins those names."""
     net = _network(members=THREE_MEMBERS, endorsement_policy=policy)
-    channel = net.channels["mychannel"]
     receipts = [net.submit("loader-app", make_write(quantity=q)) for q in (1, 2, 3)]
     pending = net.orderer._pending
     tick, env = pending[position]
@@ -548,10 +559,10 @@ def test_block_policy_check_names_what_a_reference_count_rejects(policy, kind, p
     expected = [f"{env.tx_id}: endorsement policy not met"
                 for env in envelopes if not meets(env)]
     assert len(expected) == (0 if (policy, kind) == (1, "duplicate-member") else 1)
-    assert channel.policy_problems(envelopes) == expected
+    assert net.policy_problems(envelopes) == expected
     net.run_until_idle()
     if expected:
-        _assert_audited(net, channel, False, 0)
+        _assert_audited(net, False, 0)
         assert [(r.status, r.reject_phase, r.reject_reason, r.detail) for r in receipts] == [
             (ReceiptStatus.REJECTED, "validation", "ValidationFailure", "; ".join(expected))] * 3
     else:
@@ -573,7 +584,7 @@ def test_full_batches_cut_in_arrival_order():
     for i in range(20):
         net.submit("loader-app", make_write(quantity=i + 1))
     net.run_until_idle()
-    chain = net.channels["mychannel"].chain
+    chain = net.chain
     assert [b.height for b in chain] == [0, 1, 2]
     assert [len(b.envelopes) for b in chain[1:]] == [10, 10]
     quantities = [env.tx.quantity for b in chain[1:] for env in b.envelopes]
@@ -585,7 +596,7 @@ def test_timeout_flushes_partial_batch():
     for i in range(3):
         net.submit("loader-app", make_write())
     net.run_until_idle()
-    chain = net.channels["mychannel"].chain
+    chain = net.chain
     assert len(chain) == 2
     assert len(chain[1].envelopes) == 3
 
@@ -598,7 +609,7 @@ def test_identical_schedules_produce_identical_chains():
             if i % 5 == 4:
                 net.tick()
         net.run_until_idle()
-        return [b.block_hash for b in net.channels["mychannel"].chain]
+        return [b.block_hash for b in net.chain]
 
     assert run() == run()
 
@@ -617,9 +628,9 @@ def test_a_later_fresh_answer_in_one_block_wins():
     assert first.status is second.status is ReceiptStatus.COMMITTED
     assert first.commit_height == second.commit_height
     assert first.response.value != second.response.value
-    chain = net.channels["mychannel"].chain
+    chain = net.chain
     replayed = replay_chain(chain)
-    states = [p.states["mychannel"] for p in net.peers.values()]
+    states = [p.state for p in net.peers.values()]
     for state in [replayed, *states]:
         assert state.lookup(query.key).response is second.response
         assert state.serialize() == replayed.serialize()
@@ -630,17 +641,16 @@ def test_a_later_fresh_answer_in_one_block_wins():
 def test_unendorsed_transaction_sends_block_to_audit():
     net = _network()
     _load(net, 5)
-    channel = net.channels["mychannel"]
-    height = channel.chain[-1].height
-    rogue = build_block([Envelope(tx_id="rogue", tx=make_write())], channel.chain[-1])
-    committed = net.deliver_and_commit(channel, rogue)
-    _assert_audited(net, channel, committed, height)
+    height = net.chain[-1].height
+    rogue = build_block([Envelope(tx_id="rogue", tx=make_write())], net.chain[-1])
+    committed = net.deliver_and_commit(rogue)
+    _assert_audited(net, committed, height)
 
     # Endorsed, then given another body: the endorsements no longer match.
-    endorsed = net._collect_endorsements(channel, "swap", make_write())
+    endorsed = net._collect_endorsements("swap", make_write())
     swapped = dataclasses.replace(endorsed, tx=make_write(quantity=99))
-    committed = net.deliver_and_commit(channel, build_block([swapped], channel.chain[-1]))
-    _assert_audited(net, channel, committed, height, n_audited=2)
+    committed = net.deliver_and_commit(build_block([swapped], net.chain[-1]))
+    _assert_audited(net, committed, height, n_audited=2)
 
 
 @pytest.mark.parametrize("signers,commits", [
@@ -650,15 +660,14 @@ def test_unendorsed_transaction_sends_block_to_audit():
 ], ids=["two-members", "non-member", "same-member-twice"])
 def test_policy_counts_only_distinct_channel_members(signers, commits):
     net = _network(endorsement_policy=2)
-    channel = net.channels["mychannel"]
     env = _signed(Envelope(tx_id="w", tx=make_write()), signers)
-    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    committed = net.deliver_and_commit(build_block([env], net.chain[-1]))
     if commits:
         assert committed is True
-        assert channel.chain[-1].height == 1
-        assert all(len(p.chains["mychannel"]) == 2 for p in net.peers.values())
+        assert net.chain[-1].height == 1
+        assert all(len(p.chain) == 2 for p in net.peers.values())
     else:
-        _assert_audited(net, channel, committed, 0)
+        _assert_audited(net, committed, 0)
 
 
 @pytest.mark.parametrize("policy,first,commits", [
@@ -670,38 +679,36 @@ def test_policy_check_stops_only_at_enough_valid_endorsements(policy, first, com
     """The check stops once the policy's count of distinct valid members is
     reached; an endorsement before that which does not count is skipped."""
     net = _network(endorsement_policy=policy)
-    channel = net.channels["mychannel"]
     env = _signed(Envelope(tx_id="w", tx=make_write()), ("mallory", "peer0.org2"))
     if first == "forged":
         env = dataclasses.replace(env, endorsements=(
             Endorsement("peer0.org1", bytes(32)), env.endorsements[1]))
-    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
+    committed = net.deliver_and_commit(build_block([env], net.chain[-1]))
     if commits:
         assert committed is True
-        assert all(len(p.chains["mychannel"]) == 2 for p in net.peers.values())
+        assert all(len(p.chain) == 2 for p in net.peers.values())
     else:
-        _assert_audited(net, channel, committed, 0)
+        _assert_audited(net, committed, 0)
 
 
 def test_endorsed_invalid_write_sends_block_to_audit():
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
-    height = channel.chain[-1].height
-    before = [(p.chains["mychannel"][:], p.states["mychannel"].serialize())
+    height = net.chain[-1].height
+    before = [(p.chain[:], p.state.serialize())
               for p in net.peers.values()]
-    good = _signed(Envelope(tx_id="w1", tx=make_write(quantity=5)), channel.members)
-    bad = _signed(Envelope(tx_id="w0", tx=make_write(quantity=0)), channel.members)
-    committed = net.deliver_and_commit(channel, build_block([good, bad], channel.chain[-1]))
-    _assert_audited(net, channel, committed, height)
-    assert [(p.chains["mychannel"], p.states["mychannel"].serialize())
+    good = _signed(Envelope(tx_id="w1", tx=make_write(quantity=5)), net.members)
+    bad = _signed(Envelope(tx_id="w0", tx=make_write(quantity=0)), net.members)
+    committed = net.deliver_and_commit(build_block([good, bad], net.chain[-1]))
+    _assert_audited(net, committed, height)
+    assert [(p.chain, p.state.serialize())
             for p in net.peers.values()] == before
 
 
 def test_members_share_no_mutable_cell():
     net = _network()
     _load(net, 12)
-    mine, other = (p.states["mychannel"] for p in net.peers.values())
+    mine, other = (p.state for p in net.peers.values())
     cells, serialized = dict(other.cells()), other.serialize()
     assert dict(mine.cells()) == cells
     mine.apply_write(make_write(quantity=5, color="red"))
@@ -715,8 +722,8 @@ def _assert_no_answer_committed(net):
     holds an answer."""
     for peer in net.peers.values():
         assert all(env.effect is None
-                   for block in peer.chains["mychannel"] for env in block.envelopes)
-        assert peer.states["mychannel"]._latest == {}
+                   for block in peer.chain for env in block.envelopes)
+        assert peer.state._latest == {}
 
 
 @pytest.mark.parametrize("eps_spent,eps_used,reused", [
@@ -727,15 +734,14 @@ def _assert_no_answer_committed(net):
 def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
-    height = channel.chain[-1].height
+    height = net.chain[-1].height
     key = CategoryKey(Aggregate.SUM, None, None, "red")
     resp = PerturbedResponse(value=5.0, epsilon_used=eps_used, reused=reused, query_id="q")
     effect = QueryEffect(QueryRecord(key, eps_spent, resp), eps_rem=9.9)
     env = _signed(Envelope(tx_id="q", tx=make_query(color="red"), effect=effect),
-                  channel.members)
-    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
-    _assert_audited(net, channel, committed, height)
+                  net.members)
+    committed = net.deliver_and_commit(build_block([env], net.chain[-1]))
+    _assert_audited(net, committed, height)
     _assert_no_answer_committed(net)
 
 
@@ -746,14 +752,13 @@ def test_invalid_query_effect_sends_block_to_audit(eps_spent, eps_used, reused):
 def test_effect_must_match_envelope_kind(tx, with_effect):
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
-    height = channel.chain[-1].height
+    height = net.chain[-1].height
     key = CategoryKey(Aggregate.SUM, None, None, "red")
     resp = PerturbedResponse(value=5.0, epsilon_used=0.1, reused=False, query_id="x")
     effect = QueryEffect(QueryRecord(key, 0.1, resp), eps_rem=9.9) if with_effect else None
-    env = net._collect_endorsements(channel, "x", tx, effect)
-    committed = net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
-    _assert_audited(net, channel, committed, height)
+    env = net._collect_endorsements("x", tx, effect)
+    committed = net.deliver_and_commit(build_block([env], net.chain[-1]))
+    _assert_audited(net, committed, height)
     _assert_no_answer_committed(net)
 
 
@@ -786,16 +791,15 @@ def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
     verify rejects; a block that commit appends, both accept."""
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
-    envs = [net._collect_endorsements(channel, f"x{i}", tx, effect)
+    envs = [net._collect_endorsements(f"x{i}", tx, effect)
             for i, (tx, effect) in enumerate(contents)]
-    block = build_block(envs, channel.chain[-1])
-    chain = channel.chain + [block]
-    assert net.deliver_and_commit(channel, block) is valid
+    block = build_block(envs, net.chain[-1])
+    chain = net.chain + [block]
+    assert net.deliver_and_commit(block) is valid
     assert verify_chain(chain) is valid
     if valid:
         for peer in net.peers.values():
-            assert replay_chain(chain).serialize() == peer.states["mychannel"].serialize()
+            assert replay_chain(chain).serialize() == peer.state.serialize()
     else:
         with pytest.raises(ValidationFailure, match="^x0: "):
             replay_chain(chain)
@@ -819,13 +823,12 @@ def test_kept_validation_does_not_carry_to_a_new_write(make_body):
     receipt = net.submit("loader-app", bad)
     assert (receipt.status, receipt.reject_reason) == (ReceiptStatus.REJECTED,
                                                        "InvalidQuantity")
-    channel = net.channels["mychannel"]
-    env = net._collect_endorsements(channel, "x0", bad)
-    block = build_block([env], channel.chain[-1])
+    env = net._collect_endorsements("x0", bad)
+    block = build_block([env], net.chain[-1])
     with pytest.raises(ValidationFailure, match="^x0: quantity 0"):
-        fold_block(block, channel.chain[-1], set())
-    chain = channel.chain + [block]
-    _assert_audited(net, channel, net.deliver_and_commit(channel, block), 1)
+        fold_block(block, net.chain[-1], set())
+    chain = net.chain + [block]
+    _assert_audited(net, net.deliver_and_commit(block), 1)
     with pytest.raises(ValidationFailure, match="^x0: "):
         replay_chain(chain)
     assert verify_chain(chain) is False
@@ -844,14 +847,13 @@ def test_kept_validation_does_not_carry_to_a_new_query():
     assert (receipt.status, receipt.reject_reason) == (ReceiptStatus.REJECTED,
                                                        "ValidationFailure")
     net.run_until_idle()
-    channel = net.channels["mychannel"]
-    height = channel.chain[-1].height
-    env = net._collect_endorsements(channel, "x0", bad, _effect(color=" Red"))
-    block = build_block([env], channel.chain[-1])
+    height = net.chain[-1].height
+    env = net._collect_endorsements("x0", bad, _effect(color=" Red"))
+    block = build_block([env], net.chain[-1])
     with pytest.raises(ValidationFailure, match="not normalized"):
-        fold_block(block, channel.chain[-1], set())
-    _assert_audited(net, channel, net.deliver_and_commit(channel, block), height)
-    assert verify_chain(channel.chain + [block]) is False
+        fold_block(block, net.chain[-1], set())
+    _assert_audited(net, net.deliver_and_commit(block), height)
+    assert verify_chain(net.chain + [block]) is False
 
 
 @pytest.mark.parametrize("case", ["replayed-write", "replayed-query",
@@ -862,19 +864,18 @@ def test_commit_replay_and_verify_reject_a_repeated_tx_id(case):
     once, and a query's fresh epsilon is on the chain once."""
     net = _network()
     _load(net, 3)
-    channel = net.channels["mychannel"]
     tx, effect = ((make_write(), None) if case == "replayed-write"
                   else (make_query(color="red"), _effect(qid="x")))
-    env = net._collect_endorsements(channel, "x", tx, effect)
+    env = net._collect_endorsements("x", tx, effect)
     if case == "one-query-id-twice-in-a-block":
-        block = build_block([env, env], channel.chain[-1])
+        block = build_block([env, env], net.chain[-1])
     else:
-        assert net.deliver_and_commit(channel, build_block([env], channel.chain[-1]))
-        block = build_block([env], channel.chain[-1])
-    states = [p.states["mychannel"].serialize() for p in net.peers.values()]
-    chain = channel.chain + [block]
-    _assert_audited(net, channel, net.deliver_and_commit(channel, block), block.height - 1)
-    assert [p.states["mychannel"].serialize() for p in net.peers.values()] == states
+        assert net.deliver_and_commit(build_block([env], net.chain[-1]))
+        block = build_block([env], net.chain[-1])
+    states = [p.state.serialize() for p in net.peers.values()]
+    chain = net.chain + [block]
+    _assert_audited(net, net.deliver_and_commit(block), block.height - 1)
+    assert [p.state.serialize() for p in net.peers.values()] == states
     assert verify_chain(chain) is False
     with pytest.raises(ValidationFailure, match="^x: repeated tx id$"):
         replay_chain(chain)
@@ -920,6 +921,33 @@ def test_network_takes_only_what_a_caller_varies():
     assert list(inspect.signature(Network.run_until_idle).parameters) == ["self"]
 
 
+@pytest.mark.parametrize("members", [DEFAULT_MEMBERS, THREE_MEMBERS], ids=["default", "three"])
+def test_channel_views_read_the_flat_scope(members):
+    """The network is its one channel, and a peer's chain and state are its
+    own fields; the keyed views return those very objects."""
+    net = _network(members=members)
+    _load(net, 3)
+    assert list(net.channels) == [CHANNEL_ID] and net.channels[CHANNEL_ID] is net
+    for peer in net.peers.values():
+        assert list(peer.chains) == list(peer.states) == [CHANNEL_ID]
+        assert peer.chains[CHANNEL_ID] is peer.chain
+        assert peer.states[CHANNEL_ID] is peer.state
+    assert all(p.chain == net.chain for p in net.peers.values())
+    # Views, not stored fields: a stored {CHANNEL_ID: net} would make every
+    # network a reference cycle.
+    for cls, name in ((Network, "channels"), (Peer, "chains"), (Peer, "states")):
+        assert isinstance(vars(cls)[name], property) and vars(cls)[name].fset is None
+
+
+def test_library_keeps_one_flat_channel_scope():
+    """No module defines a channel object or looks the channel up by id."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dpledger"
+    hits = [(path.name, match) for path in sorted(src.rglob("*.py"))
+            for match in re.findall(r"^class Channel\b|\[CHANNEL_ID\]",
+                                    path.read_text(), re.M)]
+    assert hits == []
+
+
 def test_custom_topology_commits_a_generated_schedule():
     # Three members, two endorsements per envelope.
     net = _network(members=("peer0.retailer", "peer0.distributor", "peer1.distributor"),
@@ -934,12 +962,12 @@ def test_custom_topology_commits_a_generated_schedule():
         net.submit(plan.tx.requester_id, plan.tx, eps_f=plan.eps_f)
     net.run_until_idle()
     assert [r.status for r in net.receipts] == [ReceiptStatus.COMMITTED] * (40 + 4)
-    chain = net.channels["mychannel"].chain
+    chain = net.chain
     assert all(len(env.endorsements) >= 2 for block in chain[1:] for env in block.envelopes)
     assert len(net.peers) == 3
     for peer in net.peers.values():
-        assert [b.block_hash for b in peer.chains["mychannel"]] == [b.block_hash for b in chain]
-    states = {p.states["mychannel"].serialize() for p in net.peers.values()}
+        assert [b.block_hash for b in peer.chain] == [b.block_hash for b in chain]
+    states = {p.state.serialize() for p in net.peers.values()}
     assert len(states) == 1
 
 
@@ -1078,7 +1106,7 @@ def test_work_per_cached_query(monkeypatch):
         assert len(net.receipts) == 250
         assert net._receipts_by_id == {}
 
-    assert net.channels["mychannel"].engine.pending == {}
+    assert net.engine.pending == {}
     calls = [0]
     key_hash = CategoryKey.__hash__
 
@@ -1099,7 +1127,7 @@ def test_serialized_state_does_not_grow_with_the_history():
     1,000 committed writes, and over 200 fresh queries on 5 categories, it
     grows by at most 80 bytes per committed transaction."""
     net = _network(epsilon_t=100.0, reuse_enabled=False)
-    state = net.peers[net.channels["mychannel"].members[0]].states["mychannel"]
+    state = net.peers[net.members[0]].state
     sizes = [len(state.serialize())]
     for stream in ([("loader-app", make_write(quantity=1 + i % 100), None)
                     for i in range(1000)],
