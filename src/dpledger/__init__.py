@@ -58,12 +58,14 @@ from .budget import (
 )
 from .ledger import (
     Block,
+    ChannelConfig,
     WorldState,
     build_block,
     export_blocks,
     export_transactions,
     import_transactions,
     make_genesis,
+    policy_problems,
     replay_chain,
     verify_chain,
 )

@@ -108,8 +108,9 @@ def linking_attack(query: QueryTransaction, observed: float,
 def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
                    true_quantity: float, epsilon: float,
                    rng: np.random.Generator, n_trials: int,
-                   tolerance: float = DEFAULT_TOLERANCE) -> Tuple[float, List[AttackReport]]:
-    """Monte-Carlo calibration: success rate of single-response linking.
+                   tolerance: float = DEFAULT_TOLERANCE) -> Tuple[float, AttackReport]:
+    """Monte-Carlo calibration: success rate of single-response linking,
+    and the first trial's report.
 
     Each trial perturbs the exact SUM afresh and runs the attack on that
     one answer; the returned rate should match the noise CDF at the
@@ -117,14 +118,14 @@ def linking_trials(query: QueryTransaction, bk: BackgroundKnowledge,
     """
     exact_total = bk.state.answer(query.key) + float(true_quantity)
     successes = 0
-    sample: List[AttackReport] = []
-    for i in range(n_trials):
+    first = None
+    for _ in range(n_trials):
         observed = perturb(exact_total, epsilon, Aggregate.SUM, rng)
         report = linking_attack(query, observed, bk, true_quantity, tolerance)
         successes += report.success
-        if i < 10:
-            sample.append(report)
-    return successes / n_trials, sample
+        if first is None:
+            first = report
+    return successes / n_trials, first
 
 
 def composition_attack(answers_a: Mapping[CategoryKey, Sequence[float]],

@@ -35,7 +35,7 @@ from .adversary import (
 from .budget import allocate_equal
 from .errors import BudgetExhausted, ConfigInvalid, IoFailure, ZeroActual
 from .laplace import EPSILON_MIN, check_epsilon, laplace_scale, sensitivity
-from .ledger import CHANNEL_ID, WorldState, export_blocks, export_transactions, write_text
+from .ledger import WorldState, export_blocks, export_transactions, write_text
 from .network import Network, ReceiptStatus
 from .transactions import (
     QUANTITY_MAX,
@@ -660,9 +660,9 @@ def run_linking_attack(*, dp_enabled: bool = True, epsilon: float = 1.0,
                 "expected_rate": 1.0, "n_trials": 1}
 
     lam = laplace_scale(epsilon, sensitivity(Aggregate.SUM))
-    rate, sample = linking_trials(query, bk, true_qty, epsilon, rng, n_trials, tolerance)
+    rate, first = linking_trials(query, bk, true_qty, epsilon, rng, n_trials, tolerance)
     return {
-        "report": sample[0],
+        "report": first,
         "success_rate": rate,
         "expected_rate": 1.0 - math.exp(-tolerance / lam),
         "n_trials": n_trials,
@@ -856,5 +856,5 @@ def export_ledger(cfg: WorkloadConfig, out_dir) -> List[Path]:
     res = _execute(sub, generate_workload(sub), reuse_enabled=True)
     chain = next(iter(res.net.peers.values())).chain
     emit = _writer(out_dir)
-    return [emit("ledger.jsonl", export_transactions(chain, CHANNEL_ID)),
+    return [emit("ledger.jsonl", export_transactions(chain)),
             emit("blocks.jsonl", export_blocks(chain))]

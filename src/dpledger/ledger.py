@@ -1,21 +1,25 @@
 """Append-only hash-chained block store and the world state it folds into.
 
 Commits are serialized per channel (single writer); committed values are
-immutable and safe to share. ``replay_chain`` is the one walk of a chain:
-it requires the channel's genesis block, then folds each block onto the
-one before (``fold_block``), as commit folds a block onto its chain head;
-``verify_chain`` is replay's verdict plus each block's hash. ``fold_block``
-states each rule once: the link, ``_envelope_problem`` for each envelope's
-content, and no tx id twice on the chain. It walks a block once: it lists
-each write's eight attribute cell ids and its quantity, as two flat arrays,
-and collects the block's answers as one dict, a later answer of a category
-replacing an earlier one. Every member then applies the fold with bulk
-operations only (``apply_block``): one ``np.add.at`` per counter array, one
-``set.update`` for the tx ids and one ``dict.update`` for the answers, which
-reuses the hashes the fold's dict stored. The world state is an index
-of what queries read: the cell counters, the newest answer per category,
-the height and the committed tx ids. The history itself, every write and
-every query effect with the ε left after it, is on the chain only.
+immutable and safe to share. A channel's settings are one ``ChannelConfig``
+that its genesis block carries and hashes, so a chain is judged from the
+chain alone. ``replay_chain`` is the one walk of a chain: it requires a
+genesis block that matches its config, then folds each block onto the one
+before (``fold_block``), as commit folds a block onto its chain head;
+``verify_chain`` is replay's verdict plus each block's endorsements, checked
+against the genesis config by ``policy_problems`` as commit checks them,
+and each block's hash. ``fold_block`` states each rule once: the link,
+``_envelope_problem`` for each envelope's content, and no tx id twice on
+the chain. It walks a block once: it lists each write's eight attribute cell
+ids and its quantity, as two flat arrays, and collects the block's answers
+as one dict, a later answer of a category replacing an earlier one. Every
+member then applies the fold with bulk operations only (``apply_block``):
+one ``np.add.at`` per counter array, one ``set.update`` for the tx ids and
+one ``dict.update`` for the answers, which reuses the hashes the fold's dict
+stored. The world state is an index of what queries read: the cell counters,
+the newest answer per category, the height and the committed tx ids. The
+history itself, every write and every query effect with the ε left after
+it, is on the chain only.
 """
 
 from __future__ import annotations
@@ -29,26 +33,49 @@ from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple, Opt
 
 import numpy as np
 
-from .codec import from_json, to_json
-from .errors import DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
+from .budget import _check_threshold
+from .codec import conforms, from_json, to_json
+from .errors import ConfigInvalid, DPLedgerError, EmptyBatch, IoFailure, ValidationFailure
 from .laplace import check_epsilon
-from .transactions import (
-    Aggregate,
-    CategoryKey,
-    Envelope,
-    QueryRecord,
-    QueryTransaction,
-    WriteTransaction,
-    _i64,
-    _u32,
-    normalize,
-    validate_query,
-    validate_write,
-)
+from .transactions import (Aggregate, CategoryKey, Envelope, QueryRecord, QueryTransaction,
+                           WriteTransaction, _encodable, _i64, _u32, normalize, validate,
+                           validate_write)
 
-# The id of the one channel the simulator runs; its genesis hash binds to it.
+# The id of the one channel the simulator runs.
 CHANNEL_ID = "mychannel"
 GENESIS_PREV_HASH = bytes(32)
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """A channel's settings, as its genesis block states them: its id, its
+    members' peer ids, how many distinct members must endorse an envelope,
+    and ε_t, the most fresh ε its chain may spend. Checked when built; a bad
+    one is ``ConfigInvalid``. ``member_keys`` maps each member to its UTF-8
+    encoding, in member order, encoded once."""
+
+    channel_id: str
+    members: Tuple[str, ...]
+    endorsement_policy: int
+    epsilon_t: float
+
+    def __post_init__(self):
+        channel_id, members, policy = self.channel_id, self.members, self.endorsement_policy
+        if not (conforms(channel_id, str) and channel_id and _encodable(channel_id)):
+            raise ConfigInvalid(f"channel id {channel_id!r} must be a non-empty string")
+        if not (isinstance(members, (list, tuple))
+                and all(conforms(m, str) and m and _encodable(m) for m in members)):
+            raise ConfigInvalid(f"members {members!r} must be a list or tuple of "
+                                "non-empty peer ids")
+        if len(set(members)) != len(members):
+            raise ConfigInvalid(f"a peer id is listed more than once in {members!r}")
+        if not (conforms(policy, int) and 1 <= policy <= len(members)):
+            raise ConfigInvalid(f"endorsement policy {policy!r} outside "
+                                f"[1, {len(members)}] for the configured members")
+        _check_threshold(self.epsilon_t)
+        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "epsilon_t", float(self.epsilon_t))
+        object.__setattr__(self, "member_keys", {m: m.encode("utf-8") for m in members})
 
 
 # Every attribute cell, a (customer, product, colour) triple of normalized
@@ -105,12 +132,14 @@ def _sha256(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class Block:
-    """A batch of transactions chained to its predecessor by hash."""
+    """A batch of transactions chained to its predecessor by hash. Only the
+    genesis block carries a ``config``, which its hash binds."""
 
     height: int
     prev_hash: bytes
     envelopes: Tuple[Envelope, ...]
     block_hash: bytes
+    config: Optional[ChannelConfig] = None
 
 
 def compute_block_hash(height: int, prev_hash: bytes,
@@ -124,14 +153,24 @@ def compute_block_hash(height: int, prev_hash: bytes,
     return _sha256(b"".join(parts))
 
 
-def make_genesis(channel_id: str) -> Block:
-    """Empty height-0 block; its hash binds the chain to the channel id."""
-    return Block(
-        height=0,
-        prev_hash=GENESIS_PREV_HASH,
-        envelopes=(),
-        block_hash=_sha256(b"G" + channel_id.encode("utf-8")),
-    )
+def _json_line(doc) -> str:
+    """``doc`` as one line of canonical JSON: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def make_genesis(config: ChannelConfig) -> Block:
+    """Empty height-0 block carrying ``config``; its hash binds the config's
+    JSON line, which is also the header of the chain's export."""
+    digest = _sha256(b"G" + _json_line(to_json(config)).encode("utf-8"))
+    return Block(0, GENESIS_PREV_HASH, (), digest, config)
+
+
+def genesis_config(chain: Sequence[Block]) -> Optional[ChannelConfig]:
+    """The config of ``chain``'s genesis block, or None unless the chain
+    starts with the genesis block of the config it carries."""
+    config = getattr(chain[0], "config", None) if chain else None
+    valid = isinstance(config, ChannelConfig) and chain[0] == make_genesis(config)
+    return config if valid else None
 
 
 def build_block(pending: Sequence[Envelope], prev: Block) -> Block:
@@ -150,19 +189,17 @@ def build_block(pending: Sequence[Envelope], prev: Block) -> Block:
 
 def _envelope_problem(env: Envelope) -> str:
     """Why ``env`` may not be on the chain for its content, or "" when it
-    may: its body must be a valid write or query, a write must carry no
-    query effect, and a query must carry a fresh effect that answers it: its
-    ε one the engine could spend (``check_epsilon``), keyed by its category,
-    with its tx id as the query id and a response that states that ε."""
+    may: its body must be a valid write or query (``validate``), a write
+    must carry no query effect, and a query must carry a fresh effect that
+    answers it: its ε one the engine could spend (``check_epsilon``), keyed
+    by its category, with its tx id as the query id and a response that
+    states that ε."""
     tx = env.tx
-    is_write = isinstance(tx, WriteTransaction)
-    if not (is_write or isinstance(tx, QueryTransaction)):
-        return f"{tx!r} is not a transaction body"
     try:
-        (validate_write if is_write else validate_query)(tx)
+        validate(tx)
     except DPLedgerError as err:
         return str(err)
-    if is_write:
+    if isinstance(tx, WriteTransaction):
         return "write envelope carries a query effect" if env.effect is not None else ""
     if env.effect is None:
         return "query envelope carries no query effect"
@@ -180,6 +217,44 @@ def _envelope_problem(env: Envelope) -> str:
     if rec.response.query_id != env.tx_id:
         return "query effect's query id differs from its tx id"
     return ""
+
+
+def _signature(peer_key: bytes, payload_digest: bytes) -> bytes:
+    """The signature of the peer whose UTF-8 encoded id is ``peer_key``."""
+    return hashlib.sha256(peer_key + payload_digest).digest()
+
+
+# The body types; an envelope holding anything else breaks the content rule.
+_BODIES = (WriteTransaction, QueryTransaction)
+
+
+def policy_problems(envelopes: Sequence[Envelope], config: ChannelConfig) -> List[str]:
+    """The endorsement policy of ``config``, checked for a block's envelopes
+    in one call: "<tx id>: endorsement policy not met" for each transaction
+    body whose envelope lacks valid endorsements from ``endorsement_policy``
+    distinct members, in block order. An envelope holding anything else has
+    no digest, and the content rule names it. An envelope's check stops at
+    the policy's count, and an endorsement that is invalid, from a
+    non-member or from a member already counted never counts, so the verdict
+    is the same. The members counted so far are a tuple: at policy 1 nothing
+    is built per envelope."""
+    keys, need = config.member_keys, config.endorsement_policy
+    problems = []
+    for env in envelopes:
+        if not isinstance(env.tx, _BODIES):
+            continue
+        digest = env.payload_digest
+        counted = ()
+        for peer_id, signature in env.endorsements:
+            key = keys.get(peer_id)
+            if (key is not None and peer_id not in counted
+                    and signature == _signature(key, digest)):
+                if len(counted) + 1 == need:
+                    break
+                counted += (peer_id,)
+        else:
+            problems.append(f"{env.tx_id}: endorsement policy not met")
+    return problems
 
 
 class BlockFold(NamedTuple):
@@ -200,14 +275,17 @@ class BlockFold(NamedTuple):
 
 def fold_block(block: Block, prev: Block, committed: AbstractSet[str]) -> BlockFold:
     """Check that ``block`` follows ``prev`` (the next height, carrying its
-    hash), and each envelope against the content rule and ``committed``, the
-    tx ids already on the chain; list each write in the block's cell delta
-    and collect each category's last answer. Once the content rule has
-    passed an envelope, one without a query effect is a write. Raises
-    ``ValidationFailure`` on a broken link, or naming the first envelope
-    that breaks the content rule or repeats a tx id."""
+    hash) and carries no config, which only the genesis block's hash binds,
+    and each envelope against the content rule and ``committed``, the tx ids
+    already on the chain; list each write in the block's cell delta and
+    collect each category's last answer. Once the content rule has passed an
+    envelope, one without a query effect is a write. Raises
+    ``ValidationFailure`` on a broken link or a config, or naming the first
+    envelope that breaks the content rule or repeats a tx id."""
     if block.height != prev.height + 1 or block.prev_hash != prev.block_hash:
         raise ValidationFailure(f"block {block.height} does not follow block {prev.height}")
+    if block.config is not None:
+        raise ValidationFailure(f"block {block.height} carries a channel config")
     ids: List[int] = []
     quantities: List[int] = []
     answers: Dict[CategoryKey, QueryRecord] = {}
@@ -327,14 +405,14 @@ class WorldState:
         cells = sorted(self.cells(),
                        key=lambda item: [(v is not None, v or "") for v in item[0]])
         latest = sorted(self._latest.items(), key=lambda item: item[0].canonical_bytes())
-        tx_ids = json.dumps(sorted(self.tx_ids), separators=(",", ":")).encode("utf-8")
+        tx_ids = _json_line(sorted(self.tx_ids)).encode("utf-8")
         doc = {
             "height": self.height,
             "cells": [[*cell, *slot] for cell, slot in cells],
             "latest": [to_json(rec) for _, rec in latest],
             "tx_ids_sha256": _sha256(tx_ids).hex(),
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return _json_line(doc).encode("utf-8")
 
 
 def apply_block(state: WorldState, fold: BlockFold) -> None:
@@ -350,10 +428,13 @@ def apply_block(state: WorldState, fold: BlockFold) -> None:
 
 
 def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldState:
-    """World state rebuilt by folding each block onto the one before it.
-    Raises ``ValidationFailure`` as commit would audit, and on a chain that
-    does not start with ``channel_id``'s genesis block."""
-    if not chain or chain[0] != make_genesis(channel_id):
+    """World state rebuilt by folding each block onto the one before it; no
+    endorsement is checked. Raises ``ValidationFailure`` as commit's
+    ``fold_block`` would audit, and on a chain that does not start with the
+    genesis block of the config it carries, or of another channel than
+    ``channel_id``."""
+    config = genesis_config(chain)
+    if config is None or config.channel_id != channel_id:
         raise ValidationFailure("chain does not start with the genesis block of "
                                 f"{channel_id!r}")
     state = WorldState()
@@ -363,11 +444,15 @@ def replay_chain(chain: Sequence[Block], channel_id: str = CHANNEL_ID) -> WorldS
 
 
 def verify_chain(chain: Sequence[Block]) -> bool:
-    """True iff ``replay_chain`` accepts ``chain`` and every block matches
-    its hash; a ``DPLedgerError`` is False, and any other error propagates."""
+    """True iff ``replay_chain`` accepts ``chain``, every block meets the
+    endorsement policy of the genesis block's config (``policy_problems``,
+    as commit checks it) and every block matches its hash; a
+    ``DPLedgerError`` is False, and any other error propagates."""
     try:
         replay_chain(chain)
-        return all(b.block_hash == compute_block_hash(b.height, b.prev_hash, b.envelopes)
+        config = chain[0].config
+        return all(not policy_problems(b.envelopes, config)
+                   and b.block_hash == compute_block_hash(b.height, b.prev_hash, b.envelopes)
                    for b in chain[1:])
     except DPLedgerError:
         return False
@@ -376,25 +461,25 @@ def verify_chain(chain: Sequence[Block]) -> bool:
 # ---------------------------------------------------------------------------
 # JSON-lines export / import
 
-def export_transactions(chain: Sequence[Block], channel_id: str) -> str:
-    """One JSON object per committed transaction, after a channel header line.
-    Raises ``IoFailure`` unless ``chain`` starts with ``channel_id``'s genesis
-    block, so that ``import_transactions`` reads back every export."""
-    if not chain or chain[0] != make_genesis(channel_id):
-        raise IoFailure(f"chain does not start with the genesis block of {channel_id!r}")
-    header = {"channel_id": channel_id, "genesis_hash": chain[0].block_hash.hex()}
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+def export_transactions(chain: Sequence[Block]) -> str:
+    """One JSON object per committed transaction, after a header line that is
+    the genesis block's channel config. Raises ``IoFailure`` unless ``chain``
+    starts with the genesis block of the config it carries, so that
+    ``import_transactions`` reads back every export."""
+    config = genesis_config(chain)
+    if config is None:
+        raise IoFailure("chain does not start with the genesis block of its channel config")
+    lines = [_json_line(to_json(config))]
     for block in chain:
         for env in block.envelopes:
-            row = {"height": block.height, **to_json(env)}
-            lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+            lines.append(_json_line({"height": block.height, **to_json(env)}))
     return "\n".join(lines) + "\n"
 
 
-def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
-    """Parse a transaction export back into (header, [(height, envelope)]).
-    Raises ``IoFailure`` naming the line on a line that is not a JSON object,
-    a header whose genesis hash is not that of its string channel id, a row
+def import_transactions(text: str) -> Tuple[ChannelConfig, List[Tuple[int, Envelope]]]:
+    """Parse a transaction export back into (channel config, [(height,
+    envelope)]). Raises ``IoFailure`` naming the line on a line that is not a
+    JSON object, a header that is not a valid ``ChannelConfig``, a row
     without an integer height, heights that start below 1 or decrease, or an
     envelope that does not read back."""
     rows = []
@@ -411,11 +496,10 @@ def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
     if not rows:
         raise IoFailure("transaction export is empty")
     number, header = rows[0]
-    channel_id, genesis_hash = header.get("channel_id"), header.get("genesis_hash")
-    if not (isinstance(channel_id, str) and isinstance(genesis_hash, str)
-            and genesis_hash == make_genesis(channel_id).block_hash.hex()):
-        raise IoFailure(f"line {number}: header {header!r} needs a string channel_id "
-                        "and that channel's genesis_hash")
+    try:
+        config = from_json(ChannelConfig, header, IoFailure, f"line {number}")
+    except ConfigInvalid as err:
+        raise IoFailure(f"line {number}: {err}") from err
     out = []
     floor = 1
     for number, row in rows[1:]:
@@ -424,19 +508,14 @@ def import_transactions(text: str) -> Tuple[dict, List[Tuple[int, Envelope]]]:
             raise IoFailure(f"line {number}: height {height} is below {floor}")
         floor = height
         out.append((height, from_json(Envelope, row, IoFailure, f"line {number}")))
-    return header, out
+    return config, out
 
 
 def export_blocks(chain: Sequence[Block]) -> str:
     """Block metadata dump, one JSON object per block."""
-    lines = []
-    for block in chain:
-        lines.append(json.dumps({
-            "height": block.height,
-            "prev_hash": block.prev_hash.hex(),
-            "block_hash": block.block_hash.hex(),
-            "tx_count": len(block.envelopes),
-        }, sort_keys=True, separators=(",", ":")))
+    lines = [_json_line({"height": block.height, "prev_hash": block.prev_hash.hex(),
+                         "block_hash": block.block_hash.hex(),
+                         "tx_count": len(block.envelopes)}) for block in chain]
     return "\n".join(lines) + "\n"
 
 

@@ -2,61 +2,49 @@
 
 Every transaction walks four phases: (1) proposal, (2) endorsement with
 privacy-preserving execution for queries, (3) Solo ordering into blocks,
-(4) validation and commit on every channel member. The network is its
-one channel, ``CHANNEL_ID``, and a peer is its replica of the chain and
-its world state. Time is a discrete
-tick counter and the whole simulation is a pure function of the
-members, seeds, and submission schedule. The first three phases run at
-a submission's tick and the fourth at the tick that cuts its block, so a
-receipt holds two ticks and, if it was rejected, the phase it stopped
+(4) validation and commit on every channel member. The network is its one
+channel, ``CHANNEL_ID``, whose ``ChannelConfig`` (members, policy and ε_t)
+its genesis block carries; a peer is its replica of the chain and its world
+state. Time is a discrete tick counter, and the whole simulation is a pure
+function of the members, seeds and submission schedule. The first three
+phases run at a submission's tick and the fourth at the tick that cuts its
+block, so a receipt holds two ticks and, if rejected, the phase it stopped
 in, with no record per phase.
 
-The network has one chaincode engine and one budget accountant. The
-engine checks a query's ε before anything else, so a rejected ε is
-neither spent nor logged as a reuse. The engine answers a
-query from the executor peer's committed world state plus its overlay
-of fresh answers endorsed but not yet committed, so every member serves
-the identical answer. A repeat's receipt holds the recorded answer's own
-response, whose query id names the query that drew its noise; the
-receipt's CACHED status alone says that no ε was spent. A block that
-commits or goes to audit takes its answers out of the overlay; an audited
-answer is never served again, and its epsilon stays spent. The peer that
-executes a query produces the effect envelope; other members countersign
-its digest without re-executing, which keeps endorsement deterministic
-under fresh noise.
+The one chaincode engine checks a query's ε before anything else, so a
+rejected ε is neither spent nor logged as a reuse, and answers from the
+executor peer's committed world state plus its overlay of fresh answers
+endorsed but not yet committed, so every member serves the same answer. A
+repeat's receipt holds the recorded answer's own response, whose query id
+names the query that drew its noise; its CACHED status alone says that no
+ε was spent. A block that commits or goes to audit takes its answers out of
+the overlay; an audited answer is never served again, and its ε stays
+spent. The executor produces a query's effect envelope, and the other
+members countersign its digest without re-executing, which keeps
+endorsement deterministic under fresh noise.
 
-``submit`` validates a body before anything encodes it, so a malformed
-body or ε, or a non-body, gets a typed rejected receipt and never raises;
-so does a client id that is unknown or not a string.
-The body keeps the verdict, so commit's content rule does not run the
-full check again. Each envelope's payload digest (SHA-256 over its tx id,
-body and query effect) is computed once and kept as raw bytes: endorsers
-sign it, committers check signatures against it, and the block hash binds
-the height, the previous hash, and each envelope's payload digest plus
-its endorsements. An endorsement is only (peer id, signature), both raw
-in memory: the signature binds that peer to the digest of the envelope
-carrying it, so it verifies on no other payload. Each member id is
-encoded once, and ``Network.sign`` keeps the (id, encoding) pairs in member
-order. Each member signs a proposal once and the endorsed envelope is built
-once: ``Envelope.endorsed`` encodes the payload and hashes it, the network
-signs that digest, and the envelope is constructed with its endorsements
-and its kept digest, no field set twice.
+``submit`` validates a body (``transactions.validate``) before anything
+encodes it, so a malformed body or ε, a non-body, or a client id that is
+unknown or not a string gets a typed rejected receipt and never raises. The
+body keeps the verdict, so commit's content rule does not run the full
+check again. Each envelope is built once, by ``Envelope.endorsed``: its
+payload digest (SHA-256 over its tx id, body and query effect) is computed
+once, every member signs it with the encoding of its id that the config
+keeps, and the envelope keeps the raw digest, which committers check
+signatures against and the block hash binds. An endorsement is only (peer
+id, signature), and the signature verifies on no other payload.
 
-A block is committed one call per stage. A block commits only if every
-envelope has endorsements from enough distinct channel members, the one
-rule checked here: ``Network.policy_problems`` checks a block's envelopes
-in one call and names each that falls short. The check of an envelope
-stops once the policy's count is met: at policy 1, an envelope whose first
-endorsement is valid costs one signature and builds nothing. The block
-also keeps the rules of ``ledger``: ``fold_block`` checks it against the
-chain head as replay does (the link, each envelope's content, no tx id
-twice), sums its writes into one cell delta and collects its answers once.
-Every member applies that one fold with bulk operations only; an invalid
-block goes to audit, its receipts name the broken rule, and no member
-changes. Only in-flight receipts are indexed, from hand-over to the orderer
-until their block commits or goes to audit, and a committed block settles
-its receipts in one loop; a cached or rejected receipt is final at submit,
-and an audited replay of a committed envelope leaves its receipt alone.
+A block is committed one call per stage, each a rule of ``ledger``:
+``policy_problems`` checks every envelope's endorsements against the
+network's config, as ``verify_chain`` checks them against the genesis
+block's, and stops at the policy's count (at policy 1, one signature per
+envelope, and nothing built); ``fold_block`` checks the block against the
+chain head as replay does and folds it once; every member applies that fold
+with bulk operations only. An invalid block goes to audit, its receipts name
+the broken rule, and no member changes. Only in-flight receipts are indexed,
+from hand-over to the orderer until their block commits or goes to audit; a
+cached or rejected receipt is final at submit, and an audited replay of a
+committed envelope leaves its receipt alone.
 """
 
 from __future__ import annotations
@@ -71,49 +59,18 @@ import numpy as np
 from .budget import BudgetAccountant
 from .chaincode import ChaincodeEngine
 from .codec import conforms
-from .errors import (
-    ConfigInvalid,
-    DPLedgerError,
-    NotAuthorized,
-    NotMember,
-    ValidationFailure,
-)
-from .ledger import (
-    CHANNEL_ID,
-    Block,
-    WorldState,
-    apply_block,
-    build_block,
-    fold_block,
-    make_genesis,
-)
-from .transactions import (
-    Endorsement,
-    Envelope,
-    QueryEffect,
-    QueryTransaction,
-    Transaction,
-    WriteTransaction,
-    _encodable,
-    validate_query,
-    validate_write,
-)
+from .errors import ConfigInvalid, DPLedgerError, NotAuthorized, NotMember, ValidationFailure
+from .ledger import (CHANNEL_ID, Block, ChannelConfig, WorldState, _signature, apply_block,
+                     build_block, fold_block, make_genesis, policy_problems)
+from .transactions import (Endorsement, Envelope, QueryEffect, Transaction, WriteTransaction,
+                           validate)
 
 DEFAULT_MEMBERS = ("peer0.org1", "peer0.org2")
 BATCH_SIZE = 10
 BATCH_TIMEOUT = 2
 
-
-# The body types; an envelope holding anything else breaks the content rule.
-_BODIES = (WriteTransaction, QueryTransaction)
-
 # The tx id's preimage starts with the channel id.
 _TX_ID_PREFIX = CHANNEL_ID.encode("utf-8")
-
-
-def _signature(peer_key: bytes, payload_digest: bytes) -> bytes:
-    """The signature of the peer whose UTF-8 encoded id is ``peer_key``."""
-    return hashlib.sha256(peer_key + payload_digest).digest()
 
 
 def sign_endorsement(peer_id: str, payload_digest: bytes) -> Endorsement:
@@ -123,21 +80,6 @@ def sign_endorsement(peer_id: str, payload_digest: bytes) -> Endorsement:
 def endorsement_valid(end: Endorsement, payload_digest: bytes) -> bool:
     """True iff ``end`` signs ``payload_digest``, the carrying envelope's."""
     return end.signature == _signature(end.peer_id.encode("utf-8"), payload_digest)
-
-
-def channel_members(members, endorsement_policy: int) -> List[str]:
-    """``members``, a list or tuple of peer ids, as a list. Raises ``ConfigInvalid``
-    for an id that is not a non-empty string UTF-8 can encode, an id listed twice,
-    or a policy that is not an integer in [1, members]."""
-    if not (isinstance(members, (list, tuple))
-            and all(conforms(m, str) and m and _encodable(m) for m in members)):
-        raise ConfigInvalid(f"members {members!r} must be a list or tuple of non-empty peer ids")
-    if len(set(members)) != len(members):
-        raise ConfigInvalid(f"a peer id is listed more than once in {members!r}")
-    if not (conforms(endorsement_policy, int) and 1 <= endorsement_policy <= len(members)):
-        raise ConfigInvalid(f"endorsement policy {endorsement_policy!r} outside "
-                            f"[1, {len(members)}] for the configured members")
-    return list(members)
 
 
 class ReceiptStatus(Enum):
@@ -190,16 +132,14 @@ class Peer:
         self.chain: List[Block] = [genesis]
         self.state = WorldState()
 
+    # ``{CHANNEL_ID: ...}`` views of the flat fields, read only by perfbench;
+    # the benchmark change of ROADMAP item 0 reads the fields and deletes them.
     @property
     def chains(self) -> Dict[str, List[Block]]:
-        """``{CHANNEL_ID: self.chain}``, read only by perfbench; the benchmark
-        change of ROADMAP item 0 moves it to ``chain`` and deletes this view."""
         return {CHANNEL_ID: self.chain}
 
     @property
     def states(self) -> Dict[str, WorldState]:
-        """``{CHANNEL_ID: self.state}``, read only by perfbench; the benchmark
-        change of ROADMAP item 0 moves it to ``state`` and deletes this view."""
         return {CHANNEL_ID: self.state}
 
 
@@ -232,27 +172,24 @@ class SoloOrderer:
 class Network:
     """Deterministic driver for the whole simulated network, which is also
     its one channel: the members, the policy, the orderer's chain, the
-    chaincode engine, the budget accountant and the audit store. Committed
-    world state lives only in each member's ``Peer.state``. Each input is
-    checked once, here, in ``channel_members`` or, for ``epsilon_t``, by the
-    budget accountant; a bad one is ``ConfigInvalid``."""
+    chaincode engine, the budget accountant and the audit store. The members,
+    the policy and ε_t are its ``config``, which its genesis block carries.
+    Committed world state lives only in each member's ``Peer.state``. Each
+    input is checked once, here or, for the channel's settings, in
+    ``ChannelConfig``; a bad one is ``ConfigInvalid``."""
 
     def __init__(self, *, members: Sequence[str] = DEFAULT_MEMBERS,
                  endorsement_policy: int = 1, epsilon_t: float = 1.0,
                  reuse_enabled: bool = True, seed: int = 0):
-        self.members = channel_members(members, endorsement_policy)
+        self.config = ChannelConfig(CHANNEL_ID, members, endorsement_policy, epsilon_t)
+        self.members = self.config.members
         if not isinstance(reuse_enabled, bool):
             raise ConfigInvalid(f"reuse_enabled {reuse_enabled!r} must be a bool")
         if not (conforms(seed, int) and seed >= 0):
             raise ConfigInvalid(f"seed {seed!r} must be an integer >= 0")
-        # Each member id, encoded once for checking and, as (id, encoding)
-        # pairs in member order, for signing.
-        self.member_keys: Dict[str, bytes] = {m: m.encode("utf-8") for m in self.members}
-        self._signers: Tuple[Tuple[str, bytes], ...] = tuple(self.member_keys.items())
-        self.endorsement_policy = endorsement_policy
-        self.chain: List[Block] = [make_genesis(CHANNEL_ID)]
+        self.chain: List[Block] = [make_genesis(self.config)]
         self.engine = ChaincodeEngine(reuse_enabled=reuse_enabled)
-        self.accountant = BudgetAccountant(epsilon_t)
+        self.accountant = BudgetAccountant(self.config.epsilon_t)
         self.audit: List[Block] = []
         self.clock = 0
         self.orderer = SoloOrderer()
@@ -260,7 +197,6 @@ class Network:
         self.receipts: List[TransactionReceipt] = []
         # The receipts of envelopes handed to the orderer and not yet committed or audited.
         self._receipts_by_id: Dict[str, TransactionReceipt] = {}
-        self._submit_seq = 0
 
         peer_seeds = np.random.SeedSequence([seed, 1]).spawn(len(self.members))
         self.peers: Dict[str, Peer] = {
@@ -269,9 +205,7 @@ class Network:
 
     @property
     def channels(self) -> Dict[str, "Network"]:
-        """``{CHANNEL_ID: self}``, read only by perfbench; the benchmark change
-        of ROADMAP item 0 moves it to the network's own fields and deletes
-        this view."""
+        """``{CHANNEL_ID: self}``, a view read only by perfbench, as ``Peer.chains``."""
         return {CHANNEL_ID: self}
 
     def register_client(self, client_id: str) -> None:
@@ -286,35 +220,7 @@ class Network:
         Each is built in C by ``tuple.__new__``, as ``Endorsement._make`` does."""
         new = tuple.__new__
         return tuple([new(Endorsement, (m, _signature(key, payload_digest)))
-                      for m, key in self._signers])
-
-    def policy_problems(self, envelopes: Sequence[Envelope]) -> List[str]:
-        """The endorsement policy, checked for a block's envelopes in one call:
-        "<tx id>: endorsement policy not met" for each transaction body whose
-        envelope lacks valid endorsements from ``endorsement_policy`` distinct
-        members, in block order. An envelope holding anything else has no
-        digest, and the content rule names it. An envelope's check stops at
-        the policy's count, and an endorsement that is invalid, from a
-        non-member or from a member already counted never counts, so the
-        verdict is the same. The members counted so far are a tuple: at
-        policy 1 nothing is built per envelope."""
-        keys, need = self.member_keys, self.endorsement_policy
-        problems = []
-        for env in envelopes:
-            if not isinstance(env.tx, _BODIES):
-                continue
-            digest = env.payload_digest
-            counted = ()
-            for peer_id, signature in env.endorsements:
-                key = keys.get(peer_id)
-                if (key is not None and peer_id not in counted
-                        and signature == _signature(key, digest)):
-                    if len(counted) + 1 == need:
-                        break
-                    counted += (peer_id,)
-            else:
-                problems.append(f"{env.tx_id}: endorsement policy not met")
-        return problems
+                      for m, key in self.config.member_keys.items()])
 
     # -- phase 2: endorsement
 
@@ -356,23 +262,21 @@ class Network:
 
         The body is validated before anything encodes it, and the result is
         kept on it. The tx id is the SHA-256 hex digest of the channel id,
-        the 8-byte submission number and the body's canonical bytes; a body
-        that fails validation is never encoded, and its tx id hashes the
-        channel id and the submission number alone.
+        the 8-byte submission number (one more than the receipts so far) and
+        the body's canonical bytes; a body that fails validation is never
+        encoded, and its tx id hashes the channel id and the submission
+        number alone.
         """
-        self._submit_seq += 1
-        is_write = isinstance(tx, WriteTransaction)
         try:
-            if not (is_write or isinstance(tx, QueryTransaction)):
-                raise ValidationFailure(f"{tx!r} is not a transaction body")
-            (validate_write if is_write else validate_query)(tx)
+            validate(tx)
         except DPLedgerError as err:
             invalid, body = err, b""
         else:
             invalid, body = None, tx.canonical_bytes()
-        tx_id = hashlib.sha256(
-            _TX_ID_PREFIX + self._submit_seq.to_bytes(8, "big") + body).hexdigest()
-        receipt = TransactionReceipt(tx_id, "write" if is_write else "query", self.clock)
+        seq = len(self.receipts) + 1
+        tx_id = hashlib.sha256(_TX_ID_PREFIX + seq.to_bytes(8, "big") + body).hexdigest()
+        kind = "write" if isinstance(tx, WriteTransaction) else "query"
+        receipt = TransactionReceipt(tx_id, kind, self.clock)
         self.receipts.append(receipt)
 
         # Phase 1: proposal from a known, authorized participant, whose id is a string.
@@ -431,7 +335,7 @@ class Network:
         Each in-flight receipt of the block leaves the index with its final
         status; an envelope not in flight, such as a committed one replayed,
         changes no receipt."""
-        problems = self.policy_problems(block.envelopes)
+        problems = policy_problems(block.envelopes, self.config)
 
         fold = None
         if not problems:

@@ -282,6 +282,17 @@ def validate_query(tx: QueryTransaction) -> None:
     object.__setattr__(tx, "_canonical", _CHECKED)
 
 
+def validate(tx: "Transaction") -> None:
+    """Check a body with its own validator; anything that is not a body is
+    ``ValidationFailure``."""
+    if isinstance(tx, WriteTransaction):
+        validate_write(tx)
+    elif isinstance(tx, QueryTransaction):
+        validate_query(tx)
+    else:
+        raise ValidationFailure(f"{tx!r} is not a transaction body")
+
+
 # ---------------------------------------------------------------------------
 # query responses and the query log
 

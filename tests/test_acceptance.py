@@ -270,7 +270,7 @@ def test_criterion_8_flow_integrity_650_transactions():
     assert len(chains) == 2
     assert [b.block_hash for b in chains[0]] == [b.block_hash for b in chains[1]]
     assert all(verify_chain(c) for c in chains)
-    exports = [export_transactions(c, "mychannel") for c in chains]
+    exports = [export_transactions(c) for c in chains]
     assert exports[0] == exports[1]
 
     # any single-byte mutation must break verification
@@ -305,7 +305,7 @@ def test_criterion_9_exactness_oracle_on_export():
     schedule = generate_workload(cfg)
     res = _execute(cfg, schedule, reuse_enabled=True)
     peer = next(iter(res.net.peers.values()))
-    text = export_transactions(peer.chain, "mychannel")
+    text = export_transactions(peer.chain)
     state = peer.state
 
     # independent brute-force oracle over the JSON-lines dump

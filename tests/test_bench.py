@@ -31,7 +31,7 @@ from dpledger.bench import (
     sweep,
 )
 from dpledger.budget import exact
-from dpledger.ledger import CHANNEL_ID, export_transactions
+from dpledger.ledger import export_transactions
 from dpledger.transactions import QUANTITY_MAX, QUANTITY_MIN, WriteTransaction
 
 
@@ -637,17 +637,28 @@ def test_error_150_sweep_digests(tmp_path):
 
 
 # Digests of the chains a run builds at seed 7: the files ``export_ledger``
-# writes (``dpledger init-ledger``), and budget-155's naive and reuse chains
-# as ``export_transactions`` prints them, which bind every query effect. A
-# change to a tx id, an endorsement or a block hash moves them. The three
-# scenarios draw the same 500 writes at seed 7, so their ledgers agree.
+# writes (``dpledger init-ledger``) for each scenario, and budget-155's naive
+# and reuse chains as ``export_transactions`` prints them, which bind every
+# query effect. A change to a tx id, an endorsement or a block hash moves
+# them. The three scenarios draw the same 500 writes at seed 7, so their
+# ledgers differ only in the genesis block, which binds each scenario's ε_t.
 _INIT_LEDGER_SHA256 = {
-    "ledger.jsonl": "91ac4bcc22e6bf7e497fb9c28f30568ba9d167208e26cee24cd9fefffe24f630",
-    "blocks.jsonl": "10eba5e9c117dadc8746b841424e977f0df02ecd004c7c3b7a9c6bf8a40c3143",
+    "error-150": {
+        "ledger.jsonl": "b54a8d51c45b50f976f3d9dada255b115bfe5eb7a2920d7be4579f7c6cd0c7d2",
+        "blocks.jsonl": "9cd77c0cf706e3849d8a666242d300e54cadaa122c1a19cd714c8250d3d42505",
+    },
+    "budget-155": {
+        "ledger.jsonl": "a38a7f8c5f3fcb9fa028fa3d30de35ee06e6beacd112475e26d8d02b330c2c01",
+        "blocks.jsonl": "8558e45e5afcc86f5326a172ba84930c8b0d6899b55cddfbe0a5a107acc2fb9f",
+    },
+    "throughput-755": {
+        "ledger.jsonl": "4726c08ea3a3c543114702e139aec91d3d9eb8922056dba6ce93fd1536e72efb",
+        "blocks.jsonl": "93cca52ce9e6e222d062aded776748525022b7f0131218e57f031001d9f1399a",
+    },
 }
 _BUDGET_155_CHAIN_SHA256 = {
-    "naive": "9fff79a3d729f6c8d4503f148b28d53238d56a472945489b3b34e0e7d923b75a",
-    "reuse": "4e7a847bef10fd87c7c421223c03ae66f475315a2cce3c2c470a59d5932e9990",
+    "naive": "7761a8c4acd8beeb248f9a827216b3b7ce91b5ab00054fae3d060f6f1c15c0e4",
+    "reuse": "d6b08fbf0affbd544387d9e0e4a5d3456181226cd7d452a85eb8511f022c7b74",
 }
 
 
@@ -655,7 +666,7 @@ _BUDGET_155_CHAIN_SHA256 = {
 def test_init_ledger_digests(tmp_path, name):
     paths = bench.export_ledger(scenario_config(name), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert digests == _INIT_LEDGER_SHA256
+    assert digests == _INIT_LEDGER_SHA256[name]
 
 
 def test_budget_155_chain_digests():
@@ -665,5 +676,5 @@ def test_budget_155_chain_digests():
     for mode in _BUDGET_155_CHAIN_SHA256:
         chain = bench._execute(cfg, schedule, mode == "reuse").net.chain
         digests[mode] = hashlib.sha256(
-            export_transactions(chain, CHANNEL_ID).encode("utf-8")).hexdigest()
+            export_transactions(chain).encode("utf-8")).hexdigest()
     assert digests == _BUDGET_155_CHAIN_SHA256

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from dpledger import (
     Block,
     BudgetAccountant,
     CategoryKey,
+    ChannelConfig,
     EmptyBatch,
     Envelope,
     InvalidQuantity,
@@ -26,22 +28,32 @@ from dpledger import (
 )
 from dpledger import ledger
 from dpledger.bench import WorkloadConfig, generate_workload
-from dpledger.errors import IoFailure, ValidationFailure
+from dpledger.codec import from_json, to_json
+from dpledger.errors import ConfigInvalid, IoFailure, ValidationFailure
 from dpledger.ledger import _CELL_IDS, _CELLS, GENESIS_PREV_HASH, apply_block, fold_block
-from dpledger.network import sign_endorsement
+from dpledger.network import DEFAULT_MEMBERS, sign_endorsement
 from dpledger.transactions import normalize
 
 from conftest import make_query, make_write
 
+CONFIG = ChannelConfig("mychannel", DEFAULT_MEMBERS, 1, 1.0)
+GENESIS = make_genesis(CONFIG)
+
+
+def _endorsed(tx_id, tx, effect=None):
+    """The envelope endorsed by the first member, which meets ``CONFIG``'s policy."""
+    return Envelope.endorsed(tx_id, tx, effect,
+                             lambda digest: (sign_endorsement(DEFAULT_MEMBERS[0], digest),))
+
 
 def _chain_of(n_blocks, txs_per_block=3):
-    chain = [make_genesis("mychannel")]
+    chain = [GENESIS]
     seq = 0
     for _ in range(n_blocks):
         envs = []
         for _ in range(txs_per_block):
             seq += 1
-            envs.append(Envelope(tx_id=f"tx{seq}", tx=make_write(quantity=1 + seq % 100)))
+            envs.append(_endorsed(f"tx{seq}", make_write(quantity=1 + seq % 100)))
         chain.append(build_block(envs, chain[-1]))
     return chain
 
@@ -101,7 +113,7 @@ def test_a_block_of_writes_in_one_triple_counts_every_write_in_each_cell():
     """Ten writes in one block share all eight cells, so each cell id repeats
     ten times in the block's delta; a member must count every repeat."""
     writes = [make_write("Bob", "bolt", "red", q) for q in range(1, 11)]
-    genesis = make_genesis("mychannel")
+    genesis = GENESIS
     block = build_block([Envelope(tx_id=f"w{i}", tx=tx) for i, tx in enumerate(writes)],
                         genesis)
     folded, bulk = WorldState(), WorldState()
@@ -130,22 +142,22 @@ def test_readers_return_python_numbers(small_state):
 # blocks and chains
 
 def test_block_links_to_genesis():
-    genesis = make_genesis("mychannel")
-    block = build_block([Envelope(tx_id="t1", tx=make_write())], genesis)
+    genesis = GENESIS
+    block = build_block([_endorsed("t1", make_write())], genesis)
     assert block.height == 1
     assert block.prev_hash == genesis.block_hash
     assert verify_chain([genesis, block])
 
 
 def test_block_hash_is_deterministic():
-    genesis = make_genesis("mychannel")
+    genesis = GENESIS
     envs = [Envelope(tx_id="t1", tx=make_write())]
     assert build_block(envs, genesis).block_hash == build_block(envs, genesis).block_hash
 
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
-        build_block([], make_genesis("mychannel"))
+        build_block([], GENESIS)
 
 
 def _endorsed_chain():
@@ -160,7 +172,7 @@ def _endorsed_chain():
                                                    for p in ("peer0.org1", "peer0.org2")))
             for env in envs]
     chain.append(build_block(envs, chain[-1]))
-    chain.append(build_block([Envelope(tx_id="w3", tx=make_write())], chain[-1]))
+    chain.append(build_block([_endorsed("w3", make_write())], chain[-1]))
     return chain
 
 
@@ -217,19 +229,62 @@ def test_reordered_blocks_detected():
 
 
 def test_genesis_invariants():
-    genesis = make_genesis("mychannel")
+    genesis = GENESIS
     assert genesis.height == 0
     assert genesis.prev_hash == GENESIS_PREV_HASH
     assert verify_chain([genesis])
     assert verify_chain([]) is False
 
 
+_CHANGED_FIELDS = {"channel_id": "other", "members": ("peer0.org1", "peer0.org3"),
+                   "endorsement_policy": 2, "epsilon_t": 2.0}
+
+
+@pytest.mark.parametrize("field", _CHANGED_FIELDS)
+def test_each_config_field_changes_the_genesis_hash(field):
+    changed = dataclasses.replace(CONFIG, **{field: _CHANGED_FIELDS[field]})
+    assert make_genesis(changed).block_hash != GENESIS.block_hash
+
+
+@pytest.mark.parametrize("field", _CHANGED_FIELDS)
+def test_a_genesis_whose_config_was_swapped_is_refused(field):
+    """A genesis block that keeps its stored hash but carries another config
+    starts no chain that replay, verify or export accept."""
+    chain = _chain_of(2)
+    swapped = dataclasses.replace(CONFIG, **{field: _CHANGED_FIELDS[field]})
+    chain[0] = dataclasses.replace(GENESIS, config=swapped)
+    assert verify_chain(chain) is False
+    with pytest.raises(ValidationFailure, match="genesis block of 'mychannel'"):
+        replay_chain(chain)
+    with pytest.raises(IoFailure):
+        export_transactions(chain)
+
+
+def test_config_reads_back_from_its_json_form():
+    config = ChannelConfig("mychannel", ["peer0.org1", "peer0.org2"], 2, 3)
+    assert config.members == ("peer0.org1", "peer0.org2") and config.epsilon_t == 3.0
+    # An int ε_t and its float read as one config, so they hash as one genesis.
+    assert make_genesis(config) == make_genesis(dataclasses.replace(config, epsilon_t=3.0))
+    assert from_json(ChannelConfig, to_json(config), IoFailure) == config
+    assert config.member_keys == {"peer0.org1": b"peer0.org1", "peer0.org2": b"peer0.org2"}
+
+
+@pytest.mark.parametrize("channel_id", ["", 5], ids=["empty", "int"])
+def test_config_refuses_a_bad_channel_id(channel_id):
+    """The other fields' checks are reached through ``Network``'s keywords
+    (``test_network.py::test_bad_topology_rejected_at_construction``)."""
+    with pytest.raises(ConfigInvalid, match="channel id"):
+        dataclasses.replace(CONFIG, channel_id=channel_id)
+
+
 def _two_block_chain(genesis):
     return [genesis, build_block([Envelope(tx_id="t1", tx=make_write())], genesis)]
 
 
-@pytest.mark.parametrize("chain", [[], _two_block_chain(make_genesis("mychannel"))[1:],
-                                   _two_block_chain(make_genesis("other"))],
+OTHER = make_genesis(dataclasses.replace(CONFIG, channel_id="other"))
+
+
+@pytest.mark.parametrize("chain", [[], _two_block_chain(GENESIS)[1:], _two_block_chain(OTHER)],
                          ids=["empty", "no-genesis", "other-channels-genesis"])
 def test_replay_and_verify_need_the_channels_genesis_block(chain):
     """As export does, replay raises on and verify rejects a chain that does
@@ -243,7 +298,7 @@ def test_replay_and_verify_need_the_channels_genesis_block(chain):
 def test_content_rule_refuses_an_envelope_without_a_body(body):
     """An envelope whose body is neither a write nor a query fails the
     content rule: replay raises naming its tx id, and verify rejects it."""
-    genesis = make_genesis("mychannel")
+    genesis = GENESIS
     chain = [genesis, Block(1, genesis.block_hash, (Envelope(tx_id="z", tx=body),), bytes(32))]
     with pytest.raises(ValidationFailure, match=r"^z: .* is not a transaction body$"):
         replay_chain(chain)
@@ -270,8 +325,8 @@ def test_verify_lets_a_library_fault_propagate(monkeypatch):
 
 def _query_envelope(rec, eps_rem):
     color = rec.key.color
-    return Envelope(tx_id=rec.response.query_id, tx=make_query(color=color),
-                    effect=QueryEffect(record=rec, eps_rem=eps_rem))
+    return _endorsed(rec.response.query_id, make_query(color=color),
+                     QueryEffect(record=rec, eps_rem=eps_rem))
 
 
 def _effects(chain):
@@ -293,7 +348,7 @@ def test_chain_keeps_query_effects_in_commit_order():
 
 def test_recorded_eps_rem_matches_accountant_arithmetic(rng):
     acct = BudgetAccountant(2.0)
-    chain = [make_genesis("mychannel")]
+    chain = [GENESIS]
     for block in range(3):
         envs = []
         for i in range(10 * block, 10 * block + 10):
@@ -339,7 +394,7 @@ def _mixed_writes():
 
 
 def _write_chain(writes):
-    chain = [make_genesis("mychannel")]
+    chain = [GENESIS]
     for start in range(0, len(writes), 5):
         chain.append(build_block([Envelope(tx_id=f"w{i}", tx=tx) for i, tx in
                                   enumerate(writes[start:start + 5], start)], chain[-1]))
@@ -394,7 +449,7 @@ def _other_tx_id(state):
 @pytest.mark.parametrize("change", [_bump_cell, _newer_answer, _other_tx_id],
                          ids=["cell-count", "latest-answer", "tx-id"])
 def test_serialize_tells_one_changed_datum(change):
-    chain = [make_genesis("mychannel")]
+    chain = [GENESIS]
     chain.append(build_block([Envelope(tx_id=f"w{i}", tx=tx)
                               for i, tx in enumerate(_mixed_writes())], chain[-1]))
     chain.append(build_block([_query_envelope(_record(qid="q0"), 0.95)], chain[-1]))
@@ -423,7 +478,7 @@ def test_state_reads_a_cell_numbered_after_its_counters_as_empty():
         assert state.aggregate_cell(*cell) == (0, 0)
         assert state.answer(CategoryKey(Aggregate.SUM, *cell)) == 0.0
         assert state.serialize() == before
-    genesis = make_genesis("mychannel")
+    genesis = GENESIS
     apply_block(by_fold, fold_block(build_block([Envelope(tx_id="w1", tx=late)], genesis),
                                     genesis, set()))
     by_write.apply_write(late)
@@ -436,10 +491,9 @@ def test_state_reads_a_cell_numbered_after_its_counters_as_empty():
 
 def test_export_import_round_trip(tmp_path):
     chain = _chain_of(5)
-    text = export_transactions(chain, "mychannel")
-    header, rows = import_transactions(text)
-    assert header["channel_id"] == "mychannel"
-    assert header["genesis_hash"] == chain[0].block_hash.hex()
+    text = export_transactions(chain)
+    config, rows = import_transactions(text)
+    assert config == CONFIG and make_genesis(config) == chain[0]
     assert len(rows) == 15
     heights = [h for h, _ in rows]
     assert heights == sorted(heights)
@@ -451,17 +505,25 @@ def test_export_import_round_trip(tmp_path):
 
 
 def test_genesis_only_chain_round_trips():
-    chain = [make_genesis("mychannel")]
-    header, rows = import_transactions(export_transactions(chain, "mychannel"))
-    assert header == {"channel_id": "mychannel", "genesis_hash": chain[0].block_hash.hex()}
+    chain = [GENESIS]
+    text = export_transactions(chain)
+    config, rows = import_transactions(text)
+    assert config == CONFIG
     assert rows == []
+    # The genesis hash binds the header line itself.
+    assert GENESIS.block_hash == hashlib.sha256(b"G" + text.splitlines()[0].encode()).digest()
 
 
-@pytest.mark.parametrize("chain", [[], [make_genesis("other")], _chain_of(2)[1:]],
+# The genesis block of another channel, carrying this channel's config: its
+# config was swapped and its stored hash kept.
+_SWAPPED = dataclasses.replace(OTHER, config=CONFIG)
+
+
+@pytest.mark.parametrize("chain", [[], [_SWAPPED], _chain_of(2)[1:]],
                          ids=["empty", "other-channel", "no-genesis"])
 def test_export_needs_the_channels_genesis_block(chain):
     with pytest.raises(IoFailure):
-        export_transactions(chain, "mychannel")
+        export_transactions(chain)
 
 
 def _dump(*docs) -> str:
@@ -491,11 +553,12 @@ _MALFORMED = {
     "unknown-key": lambda h, r: _dump(h, {**r, "note": 1}),
     # A field that transaction bodies no longer carry is an unknown field too.
     "tx-contract-id": lambda h, r: _dump(h, _with_tx(r, contract_id="supply-ledger")),
+    # The header is the genesis block's channel config.
     "header-without-channel": lambda h, r: _dump({"x": 1}, r),
     "header-channel-not-string": lambda h, r: _dump({**h, "channel_id": 5}, r),
-    "header-genesis-missing": lambda h, r: _dump(_without(h, "genesis_hash"), r),
+    "header-genesis-missing": lambda h, r: _dump(_without(h, "epsilon_t"), r),
     "header-genesis-of-another-channel": lambda h, r: _dump(
-        {**h, "genesis_hash": make_genesis("other").block_hash.hex()}, r),
+        {**h, "genesis_hash": OTHER.block_hash.hex()}, r),
     "height-negative": lambda h, r: _dump(h, {**r, "height": -4}),
     "height-zero": lambda h, r: _dump(h, {**r, "height": 0}),
     "height-decreasing": lambda h, r: _dump(h, {**r, "height": 2}, r),
@@ -506,12 +569,22 @@ _MALFORMED = {
 def test_malformed_export_fails_as_io_failure(corrupt):
     env = Envelope.endorsed("w1", make_write(), None,
                             lambda digest: (sign_endorsement("peer0.org1", digest),))
-    chain = [make_genesis("mychannel")]
+    chain = [GENESIS]
     chain.append(build_block([env], chain[0]))
-    header, row = map(json.loads, export_transactions(chain, "mychannel").splitlines())
+    header, row = map(json.loads, export_transactions(chain).splitlines())
     assert import_transactions(_dump(header, row))[1] == [(1, env)]
     with pytest.raises(IoFailure):
         import_transactions(corrupt(header, row))
+
+
+@pytest.mark.parametrize("header", [
+    {"channel_id": "mychannel", "genesis_hash": GENESIS.block_hash.hex()},
+    {**to_json(CONFIG), "endorsement_policy": 3},
+], ids=["old-format", "invalid-config"])
+def test_a_header_that_is_not_a_channel_config_fails_on_line_1(header):
+    row = {"height": 1, **to_json(_endorsed("w1", make_write()))}
+    with pytest.raises(IoFailure, match="^line 1"):
+        import_transactions(_dump(header, row))
 
 
 def test_block_dump_lists_metadata():

@@ -32,10 +32,12 @@ from dpledger import (
     export_blocks,
     export_transactions,
     import_transactions,
+    make_genesis,
+    policy_problems,
     replay_chain,
     verify_chain,
 )
-from dpledger import transactions
+from dpledger import ledger, network, transactions
 from dpledger.bench import EpsilonSchedule, WorkloadConfig, generate_workload
 from dpledger.codec import from_json, to_json
 from dpledger.errors import IoFailure, ValidationFailure
@@ -93,8 +95,8 @@ def test_exported_ledger_rebuilds_every_block_hash():
     chain = net.chain
     assert any(env.effect is not None for block in chain for env in block.envelopes)
 
-    header, rows = import_transactions(export_transactions(chain, "mychannel"))
-    assert header["genesis_hash"] == chain[0].block_hash.hex()
+    config, rows = import_transactions(export_transactions(chain))
+    assert config == net.config and make_genesis(config) == chain[0]
     hashes = [chain[0].block_hash]
     for height, group in itertools.groupby(rows, key=lambda row: row[0]):
         envelopes = [env for _, env in group]
@@ -125,7 +127,7 @@ def test_peer_world_states_serialize_identically_after_commits():
     _load(net, 25)
     states = [p.state for p in net.peers.values()]
     assert states[0].serialize() == states[1].serialize()
-    exports = [export_transactions(p.chain, "mychannel")
+    exports = [export_transactions(p.chain)
                for p in net.peers.values()]
     assert exports[0] == exports[1]
 
@@ -518,7 +520,7 @@ def test_policy_check_agrees_with_a_reference_count(policy):
     for n in range(4):
         for ends in itertools.product(pool, repeat=n):
             signed = dataclasses.replace(env, endorsements=ends)
-            verdict = not net.policy_problems([signed])
+            verdict = not policy_problems([signed], net.config)
             assert verdict == reference(ends), ends
             verdicts.add(verdict)
     assert verdicts == {False, True}
@@ -559,7 +561,7 @@ def test_block_policy_check_names_what_a_reference_count_rejects(policy, kind, p
     expected = [f"{env.tx_id}: endorsement policy not met"
                 for env in envelopes if not meets(env)]
     assert len(expected) == (0 if (policy, kind) == (1, "duplicate-member") else 1)
-    assert net.policy_problems(envelopes) == expected
+    assert policy_problems(envelopes, net.config) == expected
     net.run_until_idle()
     if expected:
         _assert_audited(net, False, 0)
@@ -651,6 +653,34 @@ def test_unendorsed_transaction_sends_block_to_audit():
     swapped = dataclasses.replace(endorsed, tx=make_write(quantity=99))
     committed = net.deliver_and_commit(build_block([swapped], net.chain[-1]))
     _assert_audited(net, committed, height, n_audited=2)
+
+
+def test_verify_and_commit_refuse_a_block_stripped_of_its_endorsements(monkeypatch):
+    """A 40-write chain whose block 1 lost every endorsement, the later blocks
+    re-linked onto it: verify rejects it and commit audits that block, both
+    because one ``policy_problems`` names the same ten envelopes."""
+    net = _network()
+    _load(net, 40)
+    chain = [net.chain[0]]
+    for i, block in enumerate(net.chain[1:]):
+        envelopes = tuple(dataclasses.replace(env, endorsements=()) for env in block.envelopes)
+        chain.append(build_block(envelopes if i == 0 else block.envelopes, chain[-1]))
+    assert network.policy_problems is ledger.policy_problems
+    calls = []
+
+    def spy(envelopes, config):
+        problems = policy_problems(envelopes, config)
+        calls.append(problems)
+        return problems
+
+    monkeypatch.setattr(ledger, "policy_problems", spy)
+    monkeypatch.setattr(network, "policy_problems", spy)
+    assert replay_chain(chain).serialize() == net.peers[DEFAULT_MEMBERS[0]].state.serialize()
+    assert verify_chain(chain) is False
+    fresh = _network()
+    assert fresh.deliver_and_commit(chain[1]) is False and fresh.audit == [chain[1]]
+    expected = [f"{env.tx_id}: endorsement policy not met" for env in chain[1].envelopes]
+    assert len(expected) == 10 and calls == [expected, expected]
 
 
 @pytest.mark.parametrize("signers,commits", [
@@ -803,6 +833,20 @@ def test_commit_replay_and_verify_apply_one_content_rule(contents, valid):
     else:
         with pytest.raises(ValidationFailure, match="^x0: "):
             replay_chain(chain)
+
+
+def test_only_the_genesis_block_carries_a_config():
+    """A config on a later block is bound by no hash: commit audits the
+    block, replay raises on it and verify rejects it."""
+    net = _network()
+    _load(net, 3)
+    envs = [net._collect_endorsements("x0", make_write())]
+    block = dataclasses.replace(build_block(envs, net.chain[-1]), config=net.config)
+    chain = net.chain + [block]
+    assert net.deliver_and_commit(block) is False
+    assert verify_chain(chain) is False
+    with pytest.raises(ValidationFailure, match="^block 2 carries a channel config$"):
+        replay_chain(chain)
 
 
 @pytest.mark.parametrize("make_body", [

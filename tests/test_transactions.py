@@ -30,7 +30,7 @@ from dpledger import (
 )
 from dpledger.codec import from_json, to_json
 from dpledger.errors import IoFailure, ValidationFailure
-from dpledger.ledger import compute_block_hash
+from dpledger.ledger import ChannelConfig, compute_block_hash
 from dpledger.network import sign_endorsement
 
 from conftest import make_query, make_write
@@ -166,9 +166,10 @@ def test_golden_encodings():
             "ec0ed5e3f8256a60ec31e0089e6b96747f9152046d551377e4613568020b2fb1")
     assert _sha256(qenv.payload_bytes()) == (
         "244b00a7b861c180d3c6b172f9b768924aa17a007819fea7372aae6651a923ab")
-    block_hash = compute_block_hash(1, make_genesis("mychannel").block_hash, (wenv, qenv))
+    genesis = make_genesis(ChannelConfig("mychannel", ("peer0.org1", "peer0.org2"), 1, 1.0))
+    block_hash = compute_block_hash(1, genesis.block_hash, (wenv, qenv))
     assert block_hash.hex() == (
-        "c8ae42f71d16ac10478a00cd1cc80baa39757361b50f72adca18f1f3f91016ae")
+        "d879d4b36daec19105e13ce563280fe6ccb59d90d549ee87171f0ddc369b9799")
 
 
 _WRITE = [("product_name", "nut"), ("color", "blue"), ("quantity", 11),
